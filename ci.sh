@@ -13,7 +13,8 @@
 # --sanitize instead builds the library and tests under ASan + UBSan
 # (RelWithDebInfo, VARADE_SANITIZE=ON, separate build-asan tree) and runs the
 # parity label — the batched gathers and native score_batch paths of all six
-# detectors, including the fuzz suite, memory-checked.
+# detectors, including the fuzz suite, and the packed nn inference kernels
+# against their scalar reference (test_nn_layers), memory-checked.
 #
 # --tsan builds under ThreadSanitizer (VARADE_TSAN=ON, separate build-tsan
 # tree) and runs the concurrency label — the thread pool, the async

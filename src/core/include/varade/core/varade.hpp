@@ -63,6 +63,12 @@ class VaradeModel {
   /// caches, so scoring never pays the training path's per-layer copies.
   Output forward_inference(const Tensor& x);
 
+  /// The scoring path: the trunk and the log-variance head only, [N, C]. The
+  /// predicted mean is discarded at inference (section 3.2), so scoring
+  /// skips the mu head; the result equals forward_inference(x).logvar bit
+  /// for bit.
+  Tensor logvar_inference(const Tensor& x);
+
   /// Backward from loss gradients; accumulates parameter gradients.
   void backward(const Tensor& grad_mu, const Tensor& grad_logvar);
 
@@ -80,6 +86,9 @@ class VaradeModel {
   nn::Linear& logvar_head() { return *logvar_head_; }
 
  private:
+  /// Shape-checked trunk inference shared by both inference entry points.
+  Tensor trunk_inference(const Tensor& x);
+
   Index in_channels_;
   Index window_;
   Index n_conv_layers_;

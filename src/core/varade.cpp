@@ -92,14 +92,22 @@ VaradeModel::Output VaradeModel::forward(const Tensor& x) {
 }
 
 VaradeModel::Output VaradeModel::forward_inference(const Tensor& x) {
-  check(x.rank() == 3 && x.dim(1) == in_channels_ && x.dim(2) == window_,
-        "VARADE forward expects [N, " + std::to_string(in_channels_) + ", " +
-            std::to_string(window_) + "], got " + shape_to_string(x.shape()));
-  const Tensor features = trunk_.forward_inference(x);
+  const Tensor features = trunk_inference(x);
   Output out;
   out.mu = mu_head_->forward_inference(features);
   out.logvar = logvar_head_->forward_inference(features);
   return out;
+}
+
+Tensor VaradeModel::logvar_inference(const Tensor& x) {
+  return logvar_head_->forward_inference(trunk_inference(x));
+}
+
+Tensor VaradeModel::trunk_inference(const Tensor& x) {
+  check(x.rank() == 3 && x.dim(1) == in_channels_ && x.dim(2) == window_,
+        "VARADE forward expects [N, " + std::to_string(in_channels_) + ", " +
+            std::to_string(window_) + "], got " + shape_to_string(x.shape()));
+  return trunk_.forward_inference(x);
 }
 
 void VaradeModel::backward(const Tensor& grad_mu, const Tensor& grad_logvar) {
@@ -190,8 +198,8 @@ float VaradeDetector::score_from_logvar(const float* logvar, Index n) {
 float VaradeDetector::variance_score(const Tensor& context) {
   check(fitted(), "VARADE scoring before fit");
   const Tensor batch = context.reshaped({1, context.dim(0), context.dim(1)});
-  const VaradeModel::Output out = model_->forward_inference(batch);
-  return score_from_logvar(out.logvar.data(), out.logvar.numel());
+  const Tensor logvar = model_->logvar_inference(batch);
+  return score_from_logvar(logvar.data(), logvar.numel());
 }
 
 float VaradeDetector::forecast_error_score(const Tensor& context, const Tensor& observed) {
@@ -218,12 +226,13 @@ void VaradeDetector::score_batch(const Tensor& contexts, const Tensor& observed,
   const Index channels = contexts.dim(1);
   const Index b = contexts.dim(0);
   // B-axis split: each worker pushes its contiguous row range through the
-  // shared (read-only) model. The trunk convolutions and heads compute every
-  // batch row independently, so the split cannot change any output bit.
+  // shared (read-only) model. The trunk convolutions and the logvar head
+  // compute every batch row independently, so the split cannot change any
+  // output bit.
   const auto score_rows = [&](const Tensor& range, Index r0, Index r1) {
-    const VaradeModel::Output range_out = model_->forward_inference(range);
+    const Tensor logvar = model_->logvar_inference(range);
     for (Index r = r0; r < r1; ++r)
-      out[r] = score_from_logvar(range_out.logvar.data() + (r - r0) * channels, channels);
+      out[r] = score_from_logvar(logvar.data() + (r - r0) * channels, channels);
   };
   parallel_rows(b, [&](Index r0, Index r1) {
     if (r0 == 0 && r1 == b)

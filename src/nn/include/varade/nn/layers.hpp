@@ -29,8 +29,11 @@ class Linear : public Module {
   Parameter& bias() { return bias_; }
 
  private:
-  /// The computation itself, shared by forward and forward_inference so both
-  /// paths are bit-identical by construction.
+  /// The scalar reference computation, used by forward (which must cache the
+  /// input anyway). forward_inference packs the weights to [in][out] doubles
+  /// per call and runs a kernel vectorised across outputs that keeps
+  /// apply()'s per-element accumulation order, so both paths stay
+  /// bit-identical (pinned by test_nn_layers).
   Tensor apply(const Tensor& x) const;
 
   Index in_;
@@ -97,9 +100,10 @@ class Conv1d : public Module {
 
  private:
   /// The scalar reference computation, used by forward (which must cache the
-  /// input anyway). forward_inference runs a vectorised kernel that keeps
-  /// apply()'s per-element accumulation order, so both paths stay
-  /// bit-identical (pinned by test_nn_layers).
+  /// input anyway). forward_inference packs the weights channel-major to
+  /// [ci][k][co] doubles per call and runs a kernel vectorised across output
+  /// channels that keeps apply()'s per-element accumulation order, so both
+  /// paths stay bit-identical (pinned by test_nn_layers).
   Tensor apply(const Tensor& x) const;
 
   Index in_ch_;
@@ -112,12 +116,12 @@ class Conv1d : public Module {
   Tensor cached_input_;
 };
 
-/// Name of the convolution inference kernel set selected by the runtime
-/// dispatch table ("avx2" or "scalar"): resolved once at first use via
-/// __builtin_cpu_supports, shared by Conv1d::forward_inference and
-/// ConvTranspose1d::forward_inference. Exposed so tests can assert the
-/// vectorised path actually runs (including under sanitizers, where the
-/// previous ifunc-based multiversioning silently fell back to scalar).
+/// Name of the inference kernel set selected by the runtime dispatch table
+/// ("avx2" or "scalar"): resolved once at first use via
+/// __builtin_cpu_supports, shared by the forward_inference of Conv1d, Linear
+/// and ConvTranspose1d. Exposed so tests can assert the vectorised path
+/// actually runs (including under sanitizers, where the previous ifunc-based
+/// multiversioning silently fell back to scalar).
 const char* conv1d_kernel_name();
 
 /// 1-D transposed convolution (upsampling), inverse geometry of Conv1d with

@@ -1,10 +1,322 @@
 #include "varade/nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "varade/nn/init.hpp"
 
 namespace varade::nn {
+
+// ------------------------------------------------------ inference kernels ----
+
+namespace {
+
+// Runtime dispatch for the inference kernels (Conv1d, Linear, and the
+// ConvTranspose1d scatter): each kernel body is an always_inline function
+// compiled twice — once plain, once inside an __attribute__((target("avx2")))
+// wrapper so it runs four doubles wide — and an explicit function-pointer
+// table picks per host via __builtin_cpu_supports("avx2"), resolved once at
+// first use.
+//
+// FMA: the Conv1d and Linear kernels accumulate float x float products in
+// double. Such a product is exact in double (48 significand bits, and no
+// float product can overflow or underflow a double), so a fused multiply-add
+// there rounds exactly like multiply-then-add. Using it is optional; these
+// kernels leave it off, and a build that turns it on must pass the parity
+// tests in test_nn_layers. The ConvTranspose1d scatter is different: it
+// accumulates float products in float, where a contracted FMA would skip the
+// product's rounding and break bit parity, so it must stay contraction-free.
+//
+// This replaces the earlier target_clones multiversioning: ifunc resolvers
+// run before sanitizer runtimes are initialised, so TSan builds had to
+// disable the clones entirely (silently pinning TSan CI to the scalar
+// kernel) and ASan builds depended on resolver ordering luck. A plain
+// static-local table has neither problem — sanitized builds now exercise
+// the same vectorised kernel as release builds, asserted by
+// conv1d_kernel_name() in the test suite.
+#if defined(__x86_64__) && defined(__has_attribute)
+#if __has_attribute(target)
+#define VARADE_CONV_MULTIARCH 1
+#endif
+#endif
+
+/// always_inline: a kernel body must be inlined into its multiversioned
+/// wrapper so the AVX2 copy compiles it with AVX2 (an out-of-line copy would
+/// be baseline ISA).
+#define VARADE_CONV_INLINE inline __attribute__((always_inline))
+
+/// Packed Conv1d/Linear kernels work on GCC/Clang vector types, so one body
+/// compiles to AVX2 ymm ops in the avx2 wrapper and to SSE2 pairs in the
+/// portable one (the autovectoriser left the lane loops scalar). Vectors are
+/// only ever locals, never passed across a call, so the two copies share no
+/// vector ABI.
+using VecD = double __attribute__((vector_size(32)));  // 4 double lanes
+using VecF = float __attribute__((vector_size(16)));   // the same 4 lanes as float
+
+/// Output lanes per block in the packed kernels: four double vectors.
+/// Packed weight rows are zero-padded to a multiple of this, so every block
+/// runs full width and the padded lanes are dropped on store.
+constexpr Index kVecs = 4;
+constexpr Index kLanes = 4 * kVecs;
+
+Index round_up_lanes(Index n) { return (n + kLanes - 1) / kLanes * kLanes; }
+
+/// Packs a row-major [out][rows] weight matrix and its bias into a
+/// per-thread buffer as [rows][out_pad] doubles plus one bias row, with the
+/// padded lanes zero. Widening float to double is exact. The buffer is
+/// refilled from the live parameters on every call, never cached across
+/// calls: weights stay mutable through parameters(), and parallel_rows
+/// shares one model read-only across pool workers, so a member cache would
+/// go stale or race. The pointer is valid until the thread's next pack.
+const double* pack_weights(const float* w, const float* bias, Index out, Index rows,
+                           Index out_pad) {
+  thread_local std::vector<double> buf;
+  buf.assign(static_cast<std::size_t>((rows + 1) * out_pad), 0.0);
+  for (Index r = 0; r < rows; ++r)
+    for (Index o = 0; o < out; ++o) buf[r * out_pad + o] = w[o * rows + r];
+  for (Index o = 0; o < out; ++o) buf[rows * out_pad + o] = bias[o];
+  return buf.data();
+}
+
+/// Conv1d over channel-major packed weights `wp`: rows [ci][k] of `co_pad`
+/// doubles, then one bias row. The output channels of one (row, step) fill
+/// the vector lanes, so every geometry vectorises, including the short
+/// l_out in {4, 2} of VARADE's deep layers. Each lane computes exactly
+/// apply()'s element: the bias, then for ascending ci one float addition of
+/// float(0.0 + w[k_lo]*x + ... ) over the in-bounds taps in ascending k —
+/// taps in the zero padding are skipped, as in apply(), and the float
+/// addition happens even when every tap was skipped.
+VARADE_CONV_INLINE void conv1d_packed_impl(const float* px, const double* wp, float* py,
+                                           Index n, Index in_ch, Index out_ch, Index co_pad,
+                                           Index l_in, Index l_out, Index kernel,
+                                           Index stride, Index padding) {
+  const double* bias = wp + in_ch * kernel * co_pad;
+  for (Index b = 0; b < n; ++b) {
+    const float* xb = px + b * in_ch * l_in;
+    float* yb = py + b * out_ch * l_out;
+    for (Index t = 0; t < l_out; ++t) {
+      const Index start = t * stride - padding;
+      const Index k_lo = std::max<Index>(0, -start);
+      const Index k_hi = std::min(kernel, l_in - start);
+      for (Index c0 = 0; c0 < co_pad; c0 += kLanes) {
+        VecF yv[kVecs] = {};
+        for (Index v = 0; v < kVecs; ++v) {
+          VecD bv = {};
+          std::memcpy(&bv, bias + c0 + 4 * v, sizeof bv);
+          yv[v] = __builtin_convertvector(bv, VecF);  // exact: the bias is a float
+        }
+        for (Index ci = 0; ci < in_ch; ++ci) {
+          const float* xc = xb + ci * l_in;
+          const double* wc = wp + ci * kernel * co_pad + c0;
+          VecD acc[kVecs] = {};
+          for (Index k = k_lo; k < k_hi; ++k) {
+            const double xs = xc[start + k];
+            const VecD xv = {xs, xs, xs, xs};
+            for (Index v = 0; v < kVecs; ++v) {
+              VecD wv = {};
+              std::memcpy(&wv, wc + k * co_pad + 4 * v, sizeof wv);
+              acc[v] += wv * xv;
+            }
+          }
+          for (Index v = 0; v < kVecs; ++v) yv[v] += __builtin_convertvector(acc[v], VecF);
+        }
+        float ys[kLanes] = {};
+        std::memcpy(ys, yv, sizeof ys);
+        const Index lanes = std::min(kLanes, out_ch - c0);
+        for (Index j = 0; j < lanes; ++j) yb[(c0 + j) * l_out + t] = ys[j];
+      }
+    }
+  }
+}
+
+/// Linear over packed weights `wp`: rows [in] of `out_pad` doubles, then one
+/// bias row. The outputs of one row fill the vector lanes; each lane is
+/// apply()'s element: a double accumulator starting at the bias, plus the
+/// products in ascending input order, rounded to float once.
+VARADE_CONV_INLINE void linear_packed_impl(const float* px, const double* wp, float* py,
+                                           Index n, Index in, Index out, Index out_pad) {
+  const double* bias = wp + in * out_pad;
+  for (Index i = 0; i < n; ++i) {
+    const float* xr = px + i * in;
+    float* yr = py + i * out;
+    for (Index o0 = 0; o0 < out_pad; o0 += kLanes) {
+      VecD acc[kVecs] = {};
+      std::memcpy(acc, bias + o0, sizeof acc);
+      for (Index f = 0; f < in; ++f) {
+        const double xs = xr[f];
+        const VecD xv = {xs, xs, xs, xs};
+        for (Index v = 0; v < kVecs; ++v) {
+          VecD wv = {};
+          std::memcpy(&wv, wp + f * out_pad + o0 + 4 * v, sizeof wv);
+          acc[v] += wv * xv;
+        }
+      }
+      float ys[kLanes] = {};
+      for (Index v = 0; v < kVecs; ++v) {
+        const VecF yv = __builtin_convertvector(acc[v], VecF);
+        std::memcpy(ys + 4 * v, &yv, sizeof yv);
+      }
+      const Index lanes = std::min(kLanes, out - o0);
+      for (Index j = 0; j < lanes; ++j) yr[o0 + j] = ys[j];
+    }
+  }
+}
+
+/// Non-overlapping ConvTranspose1d scatter row (stride >= kernel) for
+/// compile-time kernel size K and stride S — the AE decoder's k2/s2
+/// upsampling layers. Blocks of input steps write disjoint output ranges,
+/// so a dense block (all lanes nonzero) can run k-major without branches and
+/// vectorise; any block containing a zero falls back to the per-element
+/// skip-zero loop so apply()'s observable semantics (no += of 0*w, which
+/// could flip a -0.0 or materialise a NaN from a non-finite weight) are
+/// preserved exactly. The zero skip matters here: these layers sit behind a
+/// ReLU, so exact zeros are common in the decoder input.
+template <Index K, Index S>
+VARADE_CONV_INLINE void convt1d_row_ks(const float* xc, const float* wk, float* yc,
+                                       Index l_in) {
+  static_assert(S >= K, "blocked scatter requires non-overlapping outputs");
+  constexpr Index kBlock = 8;
+  Index t0 = 0;
+  for (; t0 + kBlock <= l_in; t0 += kBlock) {
+    bool dense = true;
+    for (Index j = 0; j < kBlock; ++j) dense &= (xc[t0 + j] != 0.0F);
+    if (dense) {
+      // Every (t, k) pair hits a distinct output element, so the k-major
+      // order below produces bit-identical results to the t-major reference.
+      for (Index k = 0; k < K; ++k) {
+        const float wv = wk[k];
+        for (Index j = 0; j < kBlock; ++j) yc[(t0 + j) * S + k] += xc[t0 + j] * wv;
+      }
+      continue;
+    }
+    for (Index j = 0; j < kBlock; ++j) {
+      const float xv = xc[t0 + j];
+      if (xv == 0.0F) continue;
+      float* yp = yc + (t0 + j) * S;
+      for (Index k = 0; k < K; ++k) yp[k] += xv * wk[k];
+    }
+  }
+  for (Index t = t0; t < l_in; ++t) {
+    const float xv = xc[t];
+    if (xv == 0.0F) continue;
+    float* yp = yc + t * S;
+    for (Index k = 0; k < K; ++k) yp[k] += xv * wk[k];
+  }
+}
+
+/// Generic scatter row: apply()'s per-element loop for any geometry.
+VARADE_CONV_INLINE void convt1d_row(const float* xc, const float* wk, float* yc, Index l_in,
+                                    Index kernel, Index stride) {
+  for (Index t = 0; t < l_in; ++t) {
+    const float xv = xc[t];
+    if (xv == 0.0F) continue;
+    float* yp = yc + t * stride;
+    for (Index k = 0; k < kernel; ++k) yp[k] += xv * wk[k];
+  }
+}
+
+/// ConvTranspose1d scatter over bias-filled output rows, non-overlapping
+/// geometries only (stride >= kernel — the caller keeps overlapping ones on
+/// the scalar reference). Loop nest matches apply(): ci outer, so each
+/// output element accumulates its per-input-channel contributions in
+/// ascending-ci order.
+VARADE_CONV_INLINE void convt1d_scatter_impl(const float* px, const float* pw, float* py,
+                                             Index n, Index in_ch, Index out_ch, Index l_in,
+                                             Index l_out, Index kernel, Index stride) {
+  for (Index b = 0; b < n; ++b) {
+    const float* xb = px + b * in_ch * l_in;
+    float* yb = py + b * out_ch * l_out;
+    for (Index ci = 0; ci < in_ch; ++ci) {
+      const float* xc = xb + ci * l_in;
+      for (Index co = 0; co < out_ch; ++co) {
+        const float* wk = pw + (ci * out_ch + co) * kernel;
+        float* yc = yb + co * l_out;
+        if (kernel == 2 && stride == 2)
+          convt1d_row_ks<2, 2>(xc, wk, yc, l_in);
+        else
+          convt1d_row(xc, wk, yc, l_in, kernel, stride);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------ kernel dispatch table ----
+
+using Conv1dFn = void (*)(const float*, const double*, float*, Index, Index, Index, Index,
+                          Index, Index, Index, Index, Index);
+using LinearFn = void (*)(const float*, const double*, float*, Index, Index, Index, Index);
+using ConvT1dScatterFn = void (*)(const float*, const float*, float*, Index, Index, Index,
+                                  Index, Index, Index, Index);
+
+struct KernelTable {
+  Conv1dFn conv1d;
+  LinearFn linear;
+  ConvT1dScatterFn convt1d_scatter;
+  const char* name;
+};
+
+void conv1d_scalar(const float* px, const double* wp, float* py, Index n, Index in_ch,
+                   Index out_ch, Index co_pad, Index l_in, Index l_out, Index kernel,
+                   Index stride, Index padding) {
+  conv1d_packed_impl(px, wp, py, n, in_ch, out_ch, co_pad, l_in, l_out, kernel, stride,
+                     padding);
+}
+
+void linear_scalar(const float* px, const double* wp, float* py, Index n, Index in, Index out,
+                   Index out_pad) {
+  linear_packed_impl(px, wp, py, n, in, out, out_pad);
+}
+
+void convt1d_scatter_scalar(const float* px, const float* pw, float* py, Index n, Index in_ch,
+                            Index out_ch, Index l_in, Index l_out, Index kernel,
+                            Index stride) {
+  convt1d_scatter_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride);
+}
+
+#ifdef VARADE_CONV_MULTIARCH
+// The always_inline impl bodies are compiled again inside these wrappers, so
+// the target("avx2") attribute applies to every loop in them.
+__attribute__((target("avx2"))) void conv1d_avx2(const float* px, const double* wp, float* py,
+                                                 Index n, Index in_ch, Index out_ch,
+                                                 Index co_pad, Index l_in, Index l_out,
+                                                 Index kernel, Index stride, Index padding) {
+  conv1d_packed_impl(px, wp, py, n, in_ch, out_ch, co_pad, l_in, l_out, kernel, stride,
+                     padding);
+}
+
+__attribute__((target("avx2"))) void linear_avx2(const float* px, const double* wp, float* py,
+                                                 Index n, Index in, Index out, Index out_pad) {
+  linear_packed_impl(px, wp, py, n, in, out, out_pad);
+}
+
+__attribute__((target("avx2"))) void convt1d_scatter_avx2(const float* px, const float* pw,
+                                                          float* py, Index n, Index in_ch,
+                                                          Index out_ch, Index l_in,
+                                                          Index l_out, Index kernel,
+                                                          Index stride) {
+  convt1d_scatter_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride);
+}
+#endif
+
+/// The selected kernel set. Resolution runs once (static local, thread-safe
+/// under C++ magic statics) on first use — well after any sanitizer runtime
+/// is up, unlike an ifunc resolver.
+const KernelTable& kernels() {
+  static const KernelTable table = [] {
+#ifdef VARADE_CONV_MULTIARCH
+    if (__builtin_cpu_supports("avx2"))
+      return KernelTable{conv1d_avx2, linear_avx2, convt1d_scatter_avx2, "avx2"};
+#endif
+    return KernelTable{conv1d_scalar, linear_scalar, convt1d_scatter_scalar, "scalar"};
+  }();
+  return table;
+}
+
+}  // namespace
+
+const char* conv1d_kernel_name() { return kernels().name; }
 
 // ---------------------------------------------------------------- Linear ----
 
@@ -21,7 +333,21 @@ Tensor Linear::forward(const Tensor& x) {
   return apply(x);
 }
 
-Tensor Linear::forward_inference(const Tensor& x) { return apply(x); }
+Tensor Linear::forward_inference(const Tensor& x) {
+  // Packed kernel: the weights are transposed to [in][out] doubles (plus a
+  // bias row) so the outputs of a row fill the vector lanes. Every output
+  // keeps apply()'s accumulation order, so the two paths are bit-identical
+  // (pinned by test_nn_layers).
+  check(x.rank() == 2 && x.dim(1) == in_,
+        "Linear expected [N, " + std::to_string(in_) + "], got " + shape_to_string(x.shape()));
+  const Index n = x.dim(0);
+  const Index out_pad = round_up_lanes(out_);
+  const double* wp =
+      pack_weights(weight_.value.data(), bias_.value.data(), out_, in_, out_pad);
+  Tensor y({n, out_});
+  kernels().linear(x.data(), wp, y.data(), n, in_, out_, out_pad);
+  return y;
+}
 
 Tensor Linear::apply(const Tensor& x) const {
   check(x.rank() == 2 && x.dim(1) == in_,
@@ -131,267 +457,6 @@ Tensor Tanh::backward(const Tensor& grad_out) {
 
 // ---------------------------------------------------------------- Conv1d ----
 
-namespace {
-
-// Runtime dispatch for the convolution inference kernels: each kernel body
-// is an always_inline template compiled twice — once plain, once inside an
-// __attribute__((target("avx2"))) wrapper so the compiler vectorises it four
-// doubles wide (FMA stays off — a contracted fused multiply-add would round
-// differently and break the bit-parity contract with the scalar path) — and
-// an explicit function-pointer table picks per host via
-// __builtin_cpu_supports("avx2"), resolved once at first use.
-//
-// This replaces the earlier target_clones multiversioning: ifunc resolvers
-// run before sanitizer runtimes are initialised, so TSan builds had to
-// disable the clones entirely (silently pinning TSan CI to the scalar
-// kernel) and ASan builds depended on resolver ordering luck. A plain
-// static-local table has neither problem — sanitized builds now exercise
-// the same vectorised kernel as release builds, asserted by
-// conv1d_kernel_name() in the test suite.
-#if defined(__x86_64__) && defined(__has_attribute)
-#if __has_attribute(target)
-#define VARADE_CONV_MULTIARCH 1
-#endif
-#endif
-
-/// Interior output steps of a Conv1d inference forward: every window is
-/// fully in bounds (t in [t_lo, t_hi)), so the accumulation runs k-major
-/// over blocks of output steps — each lane keeps its own double accumulator
-/// fed in ascending-k order, which is exactly the scalar reference's
-/// per-element order, just unrolled across independent outputs so the
-/// compiler can vectorise. `py` rows must already hold the bias.
-#define VARADE_CONV_INLINE inline __attribute__((always_inline))
-
-/// One output-channel row of interior steps for compile-time kernel size K
-/// and stride S (the model hot paths: the residual-block k3/s1 convolutions
-/// and VARADE's halving k2/s2 trunk). Full 8-wide blocks run with
-/// compile-time loop bounds, so the y-block and the per-lane double
-/// accumulators live in registers and the K loop fully unrolls; the ragged
-/// tail keeps the scalar reference loop. always_inline: the body must be
-/// inlined into the multiversioned caller so the AVX2 clone compiles it
-/// with AVX2 (an out-of-line copy would be baseline ISA).
-template <Index K, Index S>
-VARADE_CONV_INLINE void conv1d_interior_row_ks(const float* xb, const float* wc, float* yc,
-                                               Index in_ch, Index l_in, Index padding,
-                                               Index t_lo, Index t_hi) {
-  constexpr Index kBlock = 8;
-  Index t0 = t_lo;
-  for (; t0 + kBlock <= t_hi; t0 += kBlock) {
-    float yv[kBlock];
-    for (Index j = 0; j < kBlock; ++j) yv[j] = yc[t0 + j];
-    for (Index ci = 0; ci < in_ch; ++ci) {
-      const float* xrow = xb + ci * l_in + t0 * S - padding;
-      const float* wk = wc + ci * K;
-      double acc[kBlock];
-      for (Index j = 0; j < kBlock; ++j) acc[j] = 0.0;
-      for (Index k = 0; k < K; ++k) {
-        const float* xk = xrow + k;
-        const double wv = static_cast<double>(wk[k]);
-        for (Index j = 0; j < kBlock; ++j) acc[j] += wv * xk[j * S];
-      }
-      for (Index j = 0; j < kBlock; ++j) yv[j] += static_cast<float>(acc[j]);
-    }
-    for (Index j = 0; j < kBlock; ++j) yc[t0 + j] = yv[j];
-  }
-  for (Index t = t0; t < t_hi; ++t) {
-    for (Index ci = 0; ci < in_ch; ++ci) {
-      const float* xrow = xb + ci * l_in + t * S - padding;
-      const float* wk = wc + ci * K;
-      double acc = 0.0;
-      for (Index k = 0; k < K; ++k) acc += static_cast<double>(wk[k]) * xrow[k];
-      yc[t] += static_cast<float>(acc);
-    }
-  }
-}
-
-/// Generic interior fallback (any kernel/stride): the scalar reference loop
-/// minus the bounds checks. Kept deliberately simple — blocked variants
-/// with runtime strides measured slower than this on the odd geometries.
-VARADE_CONV_INLINE void conv1d_interior_row(const float* xb, const float* wc, float* yc,
-                                            Index in_ch, Index l_in, Index kernel,
-                                            Index stride, Index padding, Index t_lo,
-                                            Index t_hi) {
-  for (Index ci = 0; ci < in_ch; ++ci) {
-    const float* xc = xb + ci * l_in;
-    const float* wk = wc + ci * kernel;
-    for (Index t = t_lo; t < t_hi; ++t) {
-      const float* xrow = xc + t * stride - padding;
-      double acc = 0.0;
-      for (Index k = 0; k < kernel; ++k) acc += static_cast<double>(wk[k]) * xrow[k];
-      yc[t] += static_cast<float>(acc);
-    }
-  }
-}
-
-VARADE_CONV_INLINE void conv1d_interior_impl(const float* px, const float* pw, float* py,
-                                             Index n, Index in_ch, Index out_ch, Index l_in,
-                                             Index l_out, Index kernel, Index stride,
-                                             Index padding, Index t_lo, Index t_hi) {
-  for (Index b = 0; b < n; ++b) {
-    const float* xb = px + b * in_ch * l_in;
-    float* yb = py + b * out_ch * l_out;
-    for (Index co = 0; co < out_ch; ++co) {
-      const float* wc = pw + co * in_ch * kernel;
-      float* yc = yb + co * l_out;
-      if (stride == 1 && kernel == 3) {
-        conv1d_interior_row_ks<3, 1>(xb, wc, yc, in_ch, l_in, padding, t_lo, t_hi);
-      } else if (stride == 1 && kernel == 2) {
-        conv1d_interior_row_ks<2, 1>(xb, wc, yc, in_ch, l_in, padding, t_lo, t_hi);
-      } else if (stride == 1 && kernel == 5) {
-        conv1d_interior_row_ks<5, 1>(xb, wc, yc, in_ch, l_in, padding, t_lo, t_hi);
-      } else if (stride == 2 && kernel == 2) {
-        conv1d_interior_row_ks<2, 2>(xb, wc, yc, in_ch, l_in, padding, t_lo, t_hi);
-      } else {
-        conv1d_interior_row(xb, wc, yc, in_ch, l_in, kernel, stride, padding, t_lo, t_hi);
-      }
-    }
-  }
-}
-
-/// Non-overlapping ConvTranspose1d scatter row (stride >= kernel) for
-/// compile-time kernel size K and stride S — the AE decoder's k2/s2
-/// upsampling layers. Blocks of input steps write disjoint output ranges,
-/// so a dense block (all lanes nonzero) can run k-major without branches and
-/// vectorise; any block containing a zero falls back to the per-element
-/// skip-zero loop so apply()'s observable semantics (no += of 0*w, which
-/// could flip a -0.0 or materialise a NaN from a non-finite weight) are
-/// preserved exactly. The zero skip matters here: these layers sit behind a
-/// ReLU, so exact zeros are common in the decoder input.
-template <Index K, Index S>
-VARADE_CONV_INLINE void convt1d_row_ks(const float* xc, const float* wk, float* yc,
-                                       Index l_in) {
-  static_assert(S >= K, "blocked scatter requires non-overlapping outputs");
-  constexpr Index kBlock = 8;
-  Index t0 = 0;
-  for (; t0 + kBlock <= l_in; t0 += kBlock) {
-    bool dense = true;
-    for (Index j = 0; j < kBlock; ++j) dense &= (xc[t0 + j] != 0.0F);
-    if (dense) {
-      // Every (t, k) pair hits a distinct output element, so the k-major
-      // order below produces bit-identical results to the t-major reference.
-      for (Index k = 0; k < K; ++k) {
-        const float wv = wk[k];
-        for (Index j = 0; j < kBlock; ++j) yc[(t0 + j) * S + k] += xc[t0 + j] * wv;
-      }
-      continue;
-    }
-    for (Index j = 0; j < kBlock; ++j) {
-      const float xv = xc[t0 + j];
-      if (xv == 0.0F) continue;
-      float* yp = yc + (t0 + j) * S;
-      for (Index k = 0; k < K; ++k) yp[k] += xv * wk[k];
-    }
-  }
-  for (Index t = t0; t < l_in; ++t) {
-    const float xv = xc[t];
-    if (xv == 0.0F) continue;
-    float* yp = yc + t * S;
-    for (Index k = 0; k < K; ++k) yp[k] += xv * wk[k];
-  }
-}
-
-/// Generic scatter row: apply()'s per-element loop for any geometry.
-VARADE_CONV_INLINE void convt1d_row(const float* xc, const float* wk, float* yc, Index l_in,
-                                    Index kernel, Index stride) {
-  for (Index t = 0; t < l_in; ++t) {
-    const float xv = xc[t];
-    if (xv == 0.0F) continue;
-    float* yp = yc + t * stride;
-    for (Index k = 0; k < kernel; ++k) yp[k] += xv * wk[k];
-  }
-}
-
-/// ConvTranspose1d scatter over bias-filled output rows, non-overlapping
-/// geometries only (stride >= kernel — the caller keeps overlapping ones on
-/// the scalar reference). Loop nest matches apply(): ci outer, so each
-/// output element accumulates its per-input-channel contributions in
-/// ascending-ci order.
-VARADE_CONV_INLINE void convt1d_scatter_impl(const float* px, const float* pw, float* py,
-                                             Index n, Index in_ch, Index out_ch, Index l_in,
-                                             Index l_out, Index kernel, Index stride) {
-  for (Index b = 0; b < n; ++b) {
-    const float* xb = px + b * in_ch * l_in;
-    float* yb = py + b * out_ch * l_out;
-    for (Index ci = 0; ci < in_ch; ++ci) {
-      const float* xc = xb + ci * l_in;
-      for (Index co = 0; co < out_ch; ++co) {
-        const float* wk = pw + (ci * out_ch + co) * kernel;
-        float* yc = yb + co * l_out;
-        if (kernel == 2 && stride == 2)
-          convt1d_row_ks<2, 2>(xc, wk, yc, l_in);
-        else
-          convt1d_row(xc, wk, yc, l_in, kernel, stride);
-      }
-    }
-  }
-}
-
-// ------------------------------------------------ kernel dispatch table ----
-
-using Conv1dInteriorFn = void (*)(const float*, const float*, float*, Index, Index, Index,
-                                  Index, Index, Index, Index, Index, Index, Index);
-using ConvT1dScatterFn = void (*)(const float*, const float*, float*, Index, Index, Index,
-                                  Index, Index, Index, Index);
-
-struct KernelTable {
-  Conv1dInteriorFn conv1d_interior;
-  ConvT1dScatterFn convt1d_scatter;
-  const char* name;
-};
-
-void conv1d_interior_scalar(const float* px, const float* pw, float* py, Index n, Index in_ch,
-                            Index out_ch, Index l_in, Index l_out, Index kernel, Index stride,
-                            Index padding, Index t_lo, Index t_hi) {
-  conv1d_interior_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride, padding,
-                       t_lo, t_hi);
-}
-
-void convt1d_scatter_scalar(const float* px, const float* pw, float* py, Index n, Index in_ch,
-                            Index out_ch, Index l_in, Index l_out, Index kernel,
-                            Index stride) {
-  convt1d_scatter_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride);
-}
-
-#ifdef VARADE_CONV_MULTIARCH
-// The always_inline impl bodies are compiled again inside these wrappers, so
-// the target("avx2") attribute applies to every loop in them.
-__attribute__((target("avx2"))) void conv1d_interior_avx2(const float* px, const float* pw,
-                                                          float* py, Index n, Index in_ch,
-                                                          Index out_ch, Index l_in,
-                                                          Index l_out, Index kernel,
-                                                          Index stride, Index padding,
-                                                          Index t_lo, Index t_hi) {
-  conv1d_interior_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride, padding,
-                       t_lo, t_hi);
-}
-
-__attribute__((target("avx2"))) void convt1d_scatter_avx2(const float* px, const float* pw,
-                                                          float* py, Index n, Index in_ch,
-                                                          Index out_ch, Index l_in,
-                                                          Index l_out, Index kernel,
-                                                          Index stride) {
-  convt1d_scatter_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride);
-}
-#endif
-
-/// The selected kernel set. Resolution runs once (static local, thread-safe
-/// under C++ magic statics) on first use — well after any sanitizer runtime
-/// is up, unlike an ifunc resolver.
-const KernelTable& kernels() {
-  static const KernelTable table = [] {
-#ifdef VARADE_CONV_MULTIARCH
-    if (__builtin_cpu_supports("avx2"))
-      return KernelTable{conv1d_interior_avx2, convt1d_scatter_avx2, "avx2"};
-#endif
-    return KernelTable{conv1d_interior_scalar, convt1d_scatter_scalar, "scalar"};
-  }();
-  return table;
-}
-
-}  // namespace
-
-const char* conv1d_kernel_name() { return kernels().name; }
-
 Conv1d::Conv1d(Index in_channels, Index out_channels, Index kernel_size, Index stride,
                Index padding, Rng& rng)
     : in_ch_(in_channels),
@@ -418,59 +483,26 @@ Tensor Conv1d::forward(const Tensor& x) {
 }
 
 Tensor Conv1d::forward_inference(const Tensor& x) {
-  // Vectorised inference kernel. Every output element is still bias plus
-  // ascending-ci float additions of ascending-k double dot products —
-  // apply()'s exact per-element accumulation order, so the results are
-  // bit-identical to forward() (pinned by test_nn_layers). The win: steps
-  // whose windows never touch the zero padding need no bounds check, and
-  // conv1d_interior runs them blocked across outputs (and AVX2-cloned);
-  // only the few boundary steps keep the checked scalar loop.
+  // Packed kernel: the weights are transposed to channel-major [ci][k][co]
+  // doubles (plus a bias row) so independent output channels fill the vector
+  // lanes. Every output element is still bias plus ascending-ci float
+  // additions of ascending-k double dot products over the in-bounds taps —
+  // apply()'s exact accumulation order, so the results are bit-identical to
+  // forward() (pinned by test_nn_layers).
   check(x.rank() == 3 && x.dim(1) == in_ch_,
         "Conv1d expected [N, " + std::to_string(in_ch_) + ", L], got " +
             shape_to_string(x.shape()));
   const Index n = x.dim(0);
   const Index l_in = x.dim(2);
   const Index l_out = out_length(l_in);
-  // Interior steps t satisfy t*stride - padding >= 0 and
-  // t*stride - padding + kernel <= l_in.
-  const Index t_lo = std::min(l_out, (padding_ + stride_ - 1) / stride_);
-  Index t_hi = t_lo;
-  if (l_in + padding_ - kernel_ >= 0)
-    t_hi = std::max(t_lo, std::min(l_out, (l_in + padding_ - kernel_) / stride_ + 1));
-
+  const Index co_pad = round_up_lanes(out_ch_);
+  // [out_ch][in_ch][kernel] is a row-major [out_ch][in_ch * kernel] matrix,
+  // so packing it gives one row per (ci, k) tap.
+  const double* wp = pack_weights(weight_.value.data(), bias_.value.data(), out_ch_,
+                                  in_ch_ * kernel_, co_pad);
   Tensor y({n, out_ch_, l_out});
-  const float* px = x.data();
-  const float* pw = weight_.value.data();
-  const float* pb = bias_.value.data();
-  float* py = y.data();
-  for (Index b = 0; b < n; ++b) {
-    const float* xb = px + b * in_ch_ * l_in;
-    float* yb = py + b * out_ch_ * l_out;
-    for (Index co = 0; co < out_ch_; ++co) {
-      const float* wc = pw + co * in_ch_ * kernel_;
-      float* yc = yb + co * l_out;
-      for (Index t = 0; t < l_out; ++t) yc[t] = pb[co];
-      if (t_lo == 0 && t_hi == l_out) continue;  // fully interior (common case)
-      for (Index ci = 0; ci < in_ch_; ++ci) {
-        const float* xc = xb + ci * l_in;
-        const float* wk = wc + ci * kernel_;
-        // Boundary steps: the padded window clips, apply()'s scalar loop.
-        const auto edge_step = [&](Index t) {
-          const Index start = t * stride_ - padding_;
-          double acc = 0.0;
-          for (Index k = 0; k < kernel_; ++k) {
-            const Index pos = start + k;
-            if (pos >= 0 && pos < l_in) acc += static_cast<double>(wk[k]) * xc[pos];
-          }
-          yc[t] += static_cast<float>(acc);
-        };
-        for (Index t = 0; t < t_lo; ++t) edge_step(t);
-        for (Index t = t_hi; t < l_out; ++t) edge_step(t);
-      }
-    }
-  }
-  kernels().conv1d_interior(px, pw, py, n, in_ch_, out_ch_, l_in, l_out, kernel_, stride_,
-                            padding_, t_lo, t_hi);
+  kernels().conv1d(x.data(), wp, y.data(), n, in_ch_, out_ch_, co_pad, l_in, l_out, kernel_,
+                   stride_, padding_);
   return y;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "varade/core/baselines/ar_lstm.hpp"
 #include "varade/core/baselines/autoencoder.hpp"
@@ -123,6 +124,36 @@ TEST(VaradeDetector, VarianceAndForecastScoresAreFinite) {
   EXPECT_GT(det.variance_score(ctx), 0.0F);  // a variance
   EXPECT_TRUE(std::isfinite(det.forecast_error_score(ctx, obs)));
   EXPECT_GE(det.forecast_error_score(ctx, obs), 0.0F);
+}
+
+// The scoring path runs only the trunk and the logvar head (mu is discarded
+// at inference, section 3.2). Pin it to the full two-head forward on the
+// repro architecture (86 channels, window 32, base 16): both score_step and
+// score_batch must equal score_from_logvar(forward_inference(x).logvar) bit
+// for bit.
+TEST(VaradeDetector, LogvarOnlyScoreMatchesFullForwardBitForBit) {
+  constexpr Index kChannels = 86;
+  constexpr Index kRows = 16;
+  VaradeConfig cfg = repro_profile().varade;
+  cfg.epochs = 1;
+  cfg.train_stride = 16;
+  VaradeDetector det(cfg);
+  det.fit(make_sine_series(256, kChannels, false, 8));
+  Rng rng(9);
+  const Tensor contexts = Tensor::randn({kRows, kChannels, cfg.window}, rng);
+  const Tensor observed = Tensor::randn({kRows, kChannels}, rng);
+  const Tensor logvar = det.model()->forward_inference(contexts).logvar;
+
+  std::vector<float> batched(kRows);
+  det.score_batch(contexts, observed, batched.data());
+  for (Index r = 0; r < kRows; ++r) {
+    const float expected =
+        VaradeDetector::score_from_logvar(logvar.data() + r * kChannels, kChannels);
+    const Tensor context = contexts.slice0(r, r + 1).reshaped({kChannels, cfg.window});
+    const float stepped = det.score_step(context, observed.slice0(r, r + 1));
+    EXPECT_EQ(std::memcmp(&batched[r], &expected, sizeof(float)), 0) << "score_batch row " << r;
+    EXPECT_EQ(std::memcmp(&stepped, &expected, sizeof(float)), 0) << "score_step row " << r;
+  }
 }
 
 TEST(VaradeDetector, ErrorsBeforeFitAndOnShortSeries) {

@@ -2,6 +2,8 @@
 // over parameterised shape sweeps.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "gradcheck.hpp"
 #include "varade/nn/layers.hpp"
 
@@ -16,6 +18,23 @@ using nn::Linear;
 using nn::ReLU;
 using nn::ResidualBlock1d;
 using nn::Tanh;
+
+// ReLU-style input: the negative half of a normal sample replaced by zeros of
+// both signs, so the kernels see +0.0f and -0.0f as a trunk layer does.
+Tensor relu_style(const Shape& shape, Rng& rng) {
+  Tensor x = Tensor::randn(shape, rng);
+  for (Index i = 0; i < x.numel(); ++i)
+    if (x[i] <= 0.0F) x[i] = rng.bernoulli(0.5) ? 0.0F : -0.0F;
+  return x;
+}
+
+/// Index of the first element whose bit pattern differs, or -1. Bitwise, so
+/// +0.0f vs -0.0f counts as a mismatch.
+Index first_bit_mismatch(const Tensor& a, const Tensor& b) {
+  for (Index i = 0; i < a.numel(); ++i)
+    if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0) return i;
+  return -1;
+}
 
 TEST(Linear, ForwardMatchesManualComputation) {
   Rng rng(1);
@@ -40,6 +59,32 @@ TEST(Linear, OutputShapeAndFlops) {
   EXPECT_EQ(layer.output_shape({8}), (Shape{5}));
   EXPECT_EQ(layer.flops({8}), 2 * 8 * 5);
   EXPECT_EQ(layer.num_params(), 8 * 5 + 5);
+}
+
+// forward_inference runs the packed [in][out] kernel, vectorised across
+// outputs, while forward runs the scalar reference; each output keeps the
+// reference's accumulation order, so the two must agree bit for bit. out = 86
+// is the VARADE repro head (not a multiple of the vector width), in = 64 its
+// feature width; in = 7 is ragged.
+TEST(Linear, InferenceKernelMatchesForwardBitForBit) {
+  struct Geometry {
+    Index in, out;
+  };
+  const std::vector<Geometry> cases = {{64, 86}, {7, 86}, {64, 1}, {3, 16}};
+  std::uint64_t seed = 5;
+  for (const Geometry& g : cases) {
+    for (const Index n : {1, 16}) {
+      Rng rng(seed++);
+      Linear layer(g.in, g.out, rng);
+      layer.bias().value = Tensor::randn({g.out}, rng);
+      const Tensor x = relu_style({n, g.in}, rng);
+      const Tensor ref = layer.forward(x);
+      const Tensor fast = layer.forward_inference(x);
+      ASSERT_EQ(ref.shape(), fast.shape());
+      ASSERT_EQ(first_bit_mismatch(ref, fast), -1)
+          << "in=" << g.in << " out=" << g.out << " n=" << n;
+    }
+  }
 }
 
 TEST(ReLU, ForwardAndBackward) {
@@ -89,37 +134,46 @@ TEST(Conv1d, PaddingPreservesLength) {
   EXPECT_EQ(c.forward(x).shape(), (Shape{2, 3, 6}));
 }
 
-// forward_inference runs a vectorised kernel (blocked across output steps,
-// boundary steps scalar) while forward runs the scalar reference; its
-// per-element accumulation order is preserved, so the two must agree bit for
-// bit across every geometry the models use — including windows entirely
-// inside the padding and lengths that are not multiples of the block size.
+// forward_inference runs the packed [ci][k][co] kernel, vectorised across
+// output channels, while forward runs the scalar reference; its per-element
+// accumulation order is preserved, so the two must agree bit for bit across
+// every geometry the models use — including windows entirely inside the
+// padding and channel counts that are not multiples of the vector width. The
+// VARADE repro trunk (86 channels, window 32, base 16) runs on ReLU-style
+// inputs holding zeros of both signs, at the 16 rows a serving call carries.
 TEST(Conv1d, InferenceKernelMatchesForwardBitForBit) {
   struct Geometry {
     Index in_ch, out_ch, kernel, stride, padding, batch, length;
+    bool relu_input;
   };
   const std::vector<Geometry> cases = {
-      {1, 1, 2, 2, 0, 1, 8},    // VARADE trunk: halving conv, no padding
-      {3, 8, 2, 2, 0, 5, 32},   //  - wider, batched
-      {3, 4, 2, 1, 0, 2, 24},   // k2/s1: the remaining specialised kernel
-      {2, 3, 3, 1, 1, 2, 6},    // AE residual block: same-length conv
-      {4, 4, 3, 1, 1, 3, 37},   //  - length not a multiple of the block
-      {2, 2, 5, 1, 2, 2, 4},    // kernel wider than half the input
-      {1, 2, 3, 2, 3, 2, 3},    // padding > kernel: boundary-only outputs
-      {2, 4, 4, 3, 2, 1, 19},   // stride > 1 with padding (strided interior)
+      {1, 1, 2, 2, 0, 1, 8, false},     // VARADE trunk: halving conv, no padding
+      {3, 8, 2, 2, 0, 5, 32, false},    //  - wider, batched
+      {86, 16, 2, 2, 0, 16, 32, true},  // VARADE repro trunk layer 0
+      {16, 16, 2, 2, 0, 16, 16, true},  //  - layer 1
+      {16, 32, 2, 2, 0, 16, 8, true},   //  - layer 2 (channel doubling)
+      {32, 32, 2, 2, 0, 16, 4, true},   //  - layer 3 (l_out = 2)
+      {3, 4, 2, 1, 0, 2, 24, false},    // k2/s1
+      {2, 3, 3, 1, 1, 2, 6, false},     // AE residual block: same-length conv
+      {4, 4, 3, 1, 1, 3, 37, true},     //  - ragged length, ReLU zeros
+      {2, 2, 5, 1, 2, 2, 4, false},     // kernel wider than half the input
+      {1, 2, 3, 2, 3, 2, 3, false},     // padding > kernel: boundary-only outputs
+      {2, 4, 4, 3, 2, 1, 19, false},    // stride > 1 with padding (strided interior)
+      {5, 19, 3, 1, 1, 2, 9, true},     // out_ch past one vector block, ragged
   };
   std::uint64_t seed = 7;
   for (const Geometry& g : cases) {
     Rng rng(seed++);
     Conv1d conv(g.in_ch, g.out_ch, g.kernel, g.stride, g.padding, rng);
-    const Tensor x = Tensor::randn({g.batch, g.in_ch, g.length}, rng);
+    conv.parameters()[1]->value = Tensor::randn({g.out_ch}, rng);
+    const Shape shape{g.batch, g.in_ch, g.length};
+    const Tensor x = g.relu_input ? relu_style(shape, rng) : Tensor::randn(shape, rng);
     const Tensor ref = conv.forward(x);
     const Tensor fast = conv.forward_inference(x);
     ASSERT_EQ(ref.shape(), fast.shape());
-    for (Index i = 0; i < ref.numel(); ++i)
-      ASSERT_EQ(ref[i], fast[i]) << "kernel=" << g.kernel << " stride=" << g.stride
-                                 << " padding=" << g.padding << " length=" << g.length
-                                 << " element " << i;
+    ASSERT_EQ(first_bit_mismatch(ref, fast), -1)
+        << g.in_ch << "->" << g.out_ch << " kernel=" << g.kernel << " stride=" << g.stride
+        << " padding=" << g.padding << " length=" << g.length;
   }
 }
 
