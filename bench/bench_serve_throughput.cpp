@@ -1,15 +1,14 @@
 // Serving-layer throughput bench: stream-samples/sec of the ScoringEngine
-// versus thread count and batch size, against the sequential OnlineMonitor
-// baseline — for any of the paper's six detectors.
+// versus batch size, against the sequential OnlineMonitor baseline — for any
+// of the paper's six detectors.
 //
 // Each selected detector is trained once (tiny configuration) on a synthetic
 // sine cell; N independent streams are then replayed through (a) one
 // OnlineMonitor per stream, sequentially, and (b) a ScoringEngine at each
-// (threads, max_batch) configuration. All configurations produce bit-identical
-// scores (asserted via checksum), so the numbers isolate the serving layer's
-// batching/threading wins. All six detectors have native score_batch
-// overrides and clone_fitted replicas, so every one benefits from batching
-// and sharding.
+// max_batch. All configurations produce bit-identical scores (asserted via
+// checksum), so the numbers isolate the serving layer's batching win. All
+// six detectors have native score_batch overrides and clone_fitted replicas,
+// so every one benefits from batching and sharding.
 //
 // --async additionally replays the streams through the AsyncScoringRuntime
 // (N concurrent producer threads pushing into lock-free per-stream rings,
@@ -19,15 +18,11 @@
 // --shards N (with --async) additionally runs the sharded runtime: streams
 // partitioned across N scorer threads, each with its own clone_fitted
 // engine. Reported next to the single-shard async rate so the scaling step
-// is visible; 0 = auto (hardware_concurrency).
+// is visible; 0 = auto (hardware_concurrency). Shards are the serving
+// stack's one parallelism setting.
 //
 // --json <path> writes the per-detector sequential vs. batched samples/s as a
 // machine-readable record (the repo's BENCH_*.json perf trajectory points).
-//
-// --score-threads N enables intra-batch parallel scoring: every score_batch
-// call (direct path, engine grid, and async runtime) splits its B axis
-// across N detector-side workers via AnomalyDetector::set_scoring_threads.
-// Scores stay bit-identical at any N (asserted); 0 = hardware concurrency.
 //
 // --stream-sweep [N] replaces the grid with the fleet-capacity sweep: stream
 // counts {1k, 10k, 100k, 1M} (or the single count N) through one
@@ -41,8 +36,7 @@
 // writes the sweep record (BENCH_pr8.json format).
 //
 // Usage: bench_serve_throughput [--quick] [--async] [--shards N] [--streams N]
-//                               [--samples N] [--score-threads N]
-//                               [--stream-sweep [N]]
+//                               [--samples N] [--stream-sweep [N]]
 //                               [--detector <name>|all] [--json <path>]
 #include <cctype>
 #include <chrono>
@@ -83,9 +77,6 @@ struct BenchResult {
   // implementations from serving-layer overhead.
   double seq_samples_per_s = 0.0;      // score_step row by row
   double batched_samples_per_s = 0.0;  // score_batch, chunks of kScoreChunk
-  // score_batch with intra-batch parallelism (--score-threads N, N != 1
-  // only; 0 when not measured). Bit-identical to the other two paths.
-  double parallel_samples_per_s = 0.0;
   // End-to-end serving stack.
   double base_samples_per_s = 0.0;  // sequential OnlineMonitor
   double best_samples_per_s = 0.0;  // best engine configuration
@@ -114,7 +105,7 @@ constexpr Index kScoreChunk = 64;
 /// taking the best of three timed repetitions per path, and exits the
 /// process unless the two score vectors are bit-identical.
 void score_path_bench(core::AnomalyDetector& detector, const data::MultivariateSeries& series,
-                      int score_threads, BenchResult& result) {
+                      BenchResult& result) {
   const Index window = detector.context_window();
   const Index c = series.n_channels();
   const Index rows = series.length() - window;
@@ -170,38 +161,6 @@ void score_path_bench(core::AnomalyDetector& detector, const data::MultivariateS
               result.seq_samples_per_s, static_cast<long>(kScoreChunk),
               result.batched_samples_per_s,
               result.batched_samples_per_s / result.seq_samples_per_s);
-
-  if (score_threads != 1) {
-    // Same chunked score_batch loop with intra-batch parallelism enabled;
-    // the scores must still match the sequential path to the last bit.
-    std::vector<float> parallel_scores(static_cast<std::size_t>(rows));
-    detector.set_scoring_threads(score_threads);
-    double parallel_s = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto start = Clock::now();
-      for (Index begin = 0; begin < rows; begin += kScoreChunk) {
-        const Index n = std::min(kScoreChunk, rows - begin);
-        detector.score_batch(contexts.slice0(begin, begin + n),
-                             observed.slice0(begin, begin + n),
-                             parallel_scores.data() + begin);
-      }
-      const double p = seconds_since(start);
-      if (rep == 0 || p < parallel_s) parallel_s = p;
-    }
-    detector.set_scoring_threads(1);
-    if (std::memcmp(seq_scores.data(), parallel_scores.data(),
-                    static_cast<std::size_t>(rows) * sizeof(float)) != 0) {
-      std::fprintf(stderr,
-                   "FATAL: %s score_batch with %d scoring threads drifted from score_step\n",
-                   detector.name().c_str(), score_threads);
-      std::exit(1);
-    }
-    result.parallel_samples_per_s = static_cast<double>(rows) / parallel_s;
-    std::printf("scoring path: score_batch(%ld) x %d scoring threads %.0f samples/s"
-                " (%.2fx vs 1 thread, bit-identical)\n",
-                static_cast<long>(kScoreChunk), score_threads, result.parallel_samples_per_s,
-                result.parallel_samples_per_s / result.batched_samples_per_s);
-  }
 }
 
 /// Replays the streams through the AsyncScoringRuntime with `n_producers`
@@ -213,14 +172,11 @@ void score_path_bench(core::AnomalyDetector& detector, const data::MultivariateS
 double bench_async_once(core::AnomalyDetector& detector,
                         const data::MinMaxNormalizer& normalizer, float threshold,
                         const std::vector<data::MultivariateSeries>& streams,
-                        Index n_samples, int n_producers, Index n_shards, int score_threads,
+                        Index n_samples, int n_producers, Index n_shards,
                         double& checksum_out, serve::ShardTelemetry& telemetry_out) {
   const auto n_streams = static_cast<Index>(streams.size());
   serve::AsyncRuntimeConfig cfg;
-  cfg.engine = {.n_threads = 1,
-                .max_batch = 32,
-                .shard_forward = true,
-                .scoring_threads = score_threads};
+  cfg.engine = {.max_batch = 32};
   cfg.ring_capacity = 1024;
   cfg.backpressure = serve::BackpressurePolicy::Block;
   cfg.n_shards = n_shards;
@@ -260,8 +216,7 @@ BenchResult bench_detector(core::AnomalyDetector& detector,
                            const data::MinMaxNormalizer& normalizer,
                            const data::MultivariateSeries& train,
                            const std::vector<data::MultivariateSeries>& streams,
-                           Index n_samples, bool run_async, Index n_shards,
-                           int score_threads) {
+                           Index n_samples, bool run_async, Index n_shards) {
   const auto n_streams = static_cast<Index>(streams.size());
   const long total = static_cast<long>(n_streams) * static_cast<long>(n_samples);
 
@@ -284,24 +239,13 @@ BenchResult bench_detector(core::AnomalyDetector& detector,
   result.base_samples_per_s = static_cast<double>(total) / base_s;
 
   std::printf("\n=== %s ===\n", detector.name().c_str());
-  score_path_bench(detector, train, score_threads, result);
+  score_path_bench(detector, train, result);
   std::printf("%-34s %10s %12s %9s\n", "configuration", "time s", "samples/s", "speedup");
   std::printf("%-34s %10.3f %12.0f %9s\n", "sequential OnlineMonitor", base_s,
               static_cast<double>(total) / base_s, "1.00x");
 
-  struct Config {
-    int threads;
-    Index max_batch;
-  };
-  const std::vector<Config> grid = {{1, 1},  {1, 8},  {1, 32}, {2, 8},
-                                    {2, 32}, {4, 8},  {4, 32}, {4, 64}};
-
-  for (const Config& cfg : grid) {
-    serve::ScoringEngine engine(detector, normalizer,
-                                {.n_threads = cfg.threads,
-                                 .max_batch = cfg.max_batch,
-                                 .shard_forward = true,
-                                 .scoring_threads = score_threads});
+  for (const Index max_batch : {1, 8, 32, 64}) {
+    serve::ScoringEngine engine(detector, normalizer, {.max_batch = max_batch});
     engine.add_streams(n_streams);
     engine.set_threshold(threshold);
 
@@ -322,11 +266,9 @@ BenchResult bench_detector(core::AnomalyDetector& detector,
     const double samples_per_s = static_cast<double>(total) / secs;
 
     char label[64];
-    std::snprintf(label, sizeof(label), "engine  threads=%d  max_batch=%ld", cfg.threads,
-                  static_cast<long>(cfg.max_batch));
+    std::snprintf(label, sizeof(label), "engine  max_batch=%ld", static_cast<long>(max_batch));
     std::printf("%-34s %10.3f %12.0f %8.2fx", label, secs, samples_per_s, base_s / secs);
-    std::printf("   (%ld forward calls, %ld replicas)\n", engine.forward_calls(),
-                static_cast<long>(engine.n_replicas()));
+    std::printf("   (%ld forward calls)\n", engine.forward_calls());
 
     if (samples_per_s > result.best_samples_per_s) {
       result.best_samples_per_s = samples_per_s;
@@ -355,8 +297,7 @@ BenchResult bench_detector(core::AnomalyDetector& detector,
         double checksum = 0.0;
         serve::ShardTelemetry telemetry;
         const double secs = bench_async_once(detector, normalizer, threshold, streams,
-                                             n_samples, producers, shards, score_threads,
-                                             checksum, telemetry);
+                                             n_samples, producers, shards, checksum, telemetry);
         const double samples_per_s = static_cast<double>(total) / secs;
         char label[64];
         std::snprintf(label, sizeof(label), "async runtime  shards=%ld producers=%d",
@@ -408,7 +349,7 @@ BenchResult bench_detector(core::AnomalyDetector& detector,
 /// Writes the per-detector sequential vs. batched samples/s as JSON — the
 /// format of the repo's BENCH_*.json perf-trajectory records.
 void write_json(const std::string& path, Index n_streams, Index n_samples, Index n_shards,
-                int score_threads, const std::vector<BenchResult>& results) {
+                const std::vector<BenchResult>& results) {
   std::ofstream f(path);
   if (!f.is_open()) {
     std::fprintf(stderr, "error: cannot open --json path %s for writing\n", path.c_str());
@@ -419,7 +360,6 @@ void write_json(const std::string& path, Index n_streams, Index n_samples, Index
   f << "  \"streams\": " << n_streams << ",\n";
   f << "  \"samples\": " << n_samples << ",\n";
   f << "  \"shards\": " << serve::ShardPartition::resolve(n_shards) << ",\n";
-  f << "  \"score_threads\": " << score_threads << ",\n";
   f << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n";
   f << "  \"telemetry_enabled\": " << (obs::kEnabled ? "true" : "false") << ",\n";
   f << "  \"detectors\": [\n";
@@ -429,7 +369,6 @@ void write_json(const std::string& path, Index n_streams, Index n_samples, Index
     std::snprintf(line, sizeof(line),
                   "    {\"detector\": \"%s\", \"sequential_samples_per_s\": %.1f, "
                   "\"batched_samples_per_s\": %.1f, \"batched_speedup\": %.3f, "
-                  "\"parallel_batched_samples_per_s\": %.1f, "
                   "\"monitor_samples_per_s\": %.1f, \"engine_best_samples_per_s\": %.1f, "
                   "\"engine_best_config\": \"%s\", \"async_samples_per_s\": %.1f, "
                   "\"async_config\": \"%s\", \"sharded_samples_per_s\": %.1f, "
@@ -439,8 +378,7 @@ void write_json(const std::string& path, Index n_streams, Index n_samples, Index
                   "\"push_to_score_p50_ns\": %lld, \"push_to_score_p95_ns\": %lld, "
                   "\"push_to_score_p99_ns\": %lld}%s\n",
                   r.detector.c_str(), r.seq_samples_per_s, r.batched_samples_per_s,
-                  r.batched_samples_per_s / r.seq_samples_per_s, r.parallel_samples_per_s,
-                  r.base_samples_per_s,
+                  r.batched_samples_per_s / r.seq_samples_per_s, r.base_samples_per_s,
                   r.best_samples_per_s, r.best_config.c_str(), r.async_samples_per_s,
                   r.async_config.c_str(), r.sharded_samples_per_s, r.sharded_config.c_str(),
                   static_cast<long long>(r.step_p50_ns), static_cast<long long>(r.step_p95_ns),
@@ -550,7 +488,7 @@ SweepPoint sweep_one(core::AnomalyDetector& detector, const data::MinMaxNormaliz
   std::vector<double> sums(static_cast<std::size_t>(n_streams), 0.0);
   const long rss_before = resident_bytes();
 
-  serve::ScoringEngine engine(detector, normalizer, {.n_threads = 1, .max_batch = 64});
+  serve::ScoringEngine engine(detector, normalizer, {.max_batch = 64});
   engine.add_streams(n_streams);
   engine.set_threshold(threshold);
 
@@ -670,7 +608,6 @@ int main(int argc, char** argv) {
   Index n_streams = 16;
   Index n_samples = 2000;
   Index n_shards = 1;
-  int score_threads = 1;
   std::string detector_arg = "VARADE";
   std::string json_path;
   bool run_async = false;
@@ -691,8 +628,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[a], "--samples") == 0 && a + 1 < argc) {
       n_samples = parse_long_arg("--samples", argv[++a]);
       samples_given = true;
-    } else if (std::strcmp(argv[a], "--score-threads") == 0 && a + 1 < argc) {
-      score_threads = static_cast<int>(parse_long_arg("--score-threads", argv[++a]));
     } else if (std::strcmp(argv[a], "--stream-sweep") == 0) {
       stream_sweep = true;
       // Optional numeric operand: one sweep point instead of the full curve.
@@ -706,7 +641,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--async] [--shards N] [--streams N] [--samples N]"
-                   " [--score-threads N] [--stream-sweep [N]] [--detector <name>|all]"
+                   " [--stream-sweep [N]] [--detector <name>|all]"
                    " [--json <path>]\n"
                    "detectors: all",
                    argv[0]);
@@ -722,10 +657,6 @@ int main(int argc, char** argv) {
   }
   if (n_shards < 0) {
     std::fprintf(stderr, "error: --shards must be >= 0 (0 = auto)\n");
-    return 2;
-  }
-  if (score_threads < 0) {
-    std::fprintf(stderr, "error: --score-threads must be >= 0 (0 = hardware concurrency)\n");
     return 2;
   }
   if (stream_sweep) {
@@ -776,7 +707,7 @@ int main(int argc, char** argv) {
         core::make_detector(profile, name);  // throws on an unknown name
     detector->fit(train);
     results.push_back(bench_detector(*detector, normalizer, train, streams, n_samples,
-                                     run_async, n_shards, score_threads));
+                                     run_async, n_shards));
   }
 
   if (results.size() > 1) {
@@ -801,7 +732,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!json_path.empty())
-    write_json(json_path, n_streams, n_samples, n_shards, score_threads, results);
+    write_json(json_path, n_streams, n_samples, n_shards, results);
   std::printf("\nDone.\n");
   return 0;
 }

@@ -17,11 +17,12 @@
 # against their scalar reference (test_nn_layers), memory-checked.
 #
 # --tsan builds under ThreadSanitizer (VARADE_TSAN=ON, separate build-tsan
-# tree) and runs the concurrency label — the thread pool, the async
-# ingestion runtime (lock-free rings, backpressure, multi-producer parity),
-# the sharded runtime (multi-engine parity at shards {1,2,4,auto},
-# serialized-sharing fallback), and the shm ring's SPSC producer/consumer
-# pair with doorbell arming (test_net_wire) race-checked.
+# tree) and runs the concurrency label — the async ingestion runtime
+# (lock-free rings, backpressure, multi-producer parity), the sharded
+# runtime (multi-engine parity at shards {1,2,4,auto} and all six detectors
+# on clone_fitted() replicas, serialized-sharing fallback), and the shm
+# ring's SPSC producer/consumer pair with doorbell arming (test_net_wire)
+# race-checked — then repeats the /metrics scrape test ten times.
 set -euo pipefail
 
 cd "$(dirname "$0")"
@@ -62,6 +63,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
 
   echo "== test (concurrency label under ThreadSanitizer) =="
   ctest --test-dir "$BUILD_DIR" -L concurrency --output-on-failure -j "$JOBS"
+
+  # The /metrics scrape reads the live connection count while the poll loop
+  # accepts and drops connections; a race there shows in most runs but not
+  # all, so one pass proves nothing: repeat it.
+  echo "== test (metrics endpoint x10 under ThreadSanitizer) =="
+  "$BUILD_DIR/tests/test_net_wire" \
+    --gtest_filter=NetE2E.MetricsEndpointServesPrometheusText --gtest_repeat=10
 
   echo "CI OK (tsan)"
   exit 0

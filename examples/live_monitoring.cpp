@@ -3,10 +3,10 @@
 // recreated against the simulated cell.
 //
 // The detector is trained offline on a normal recording, an alarm threshold
-// is calibrated on training scores (99.5th percentile), and the monitor then
-// consumes the live stream sample by sample through a ring buffer, raising
-// alarms in real time. At the end the alarm log is compared with the
-// ground-truth collision schedule.
+// is calibrated on training scores (99.5th percentile), and a
+// core::OnlineMonitor then consumes the live stream sample by sample,
+// raising debounced alarms in real time. At the end the alarm log is
+// compared with the ground-truth collision schedule.
 //
 // Three modes:
 //   (default)            — everything in one process, as above.
@@ -16,18 +16,16 @@
 //                          to a daemon and report the ALARM frames it sends
 //                          back against the local ground truth.
 // Split across two terminals, --daemon/--client is the paper's loop with the
-// sensor script and the scoring engine in separate processes.
-#include <algorithm>
+// sensor script and the scoring engine in separate processes. Both modes
+// score through the same alarm rules, so they report the same alarms.
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <memory>
 
+#include "varade/core/monitor.hpp"
 #include "varade/core/varade.hpp"
 #include "varade/data/normalize.hpp"
-#include "varade/data/window.hpp"
-#include "varade/eval/metrics.hpp"
 #include "varade/net/client.hpp"
 #include "varade/net/server.hpp"
 #include "varade/robot/simulator.hpp"
@@ -35,33 +33,6 @@
 namespace {
 
 using namespace varade;
-
-/// Fixed-capacity ring of normalised samples forming the model context.
-class ContextRing {
- public:
-  ContextRing(Index channels, Index window) : channels_(channels), window_(window) {}
-
-  void push(const std::vector<float>& sample) {
-    buffer_.push_back(sample);
-    if (static_cast<Index>(buffer_.size()) > window_) buffer_.pop_front();
-  }
-
-  bool full() const { return static_cast<Index>(buffer_.size()) == window_; }
-
-  /// Channels-first [C, T] tensor of the buffered context.
-  Tensor context() const {
-    Tensor out({channels_, window_});
-    for (Index t = 0; t < window_; ++t)
-      for (Index c = 0; c < channels_; ++c)
-        out[c * window_ + t] = buffer_[static_cast<std::size_t>(t)][static_cast<std::size_t>(c)];
-    return out;
-  }
-
- private:
-  Index channels_;
-  Index window_;
-  std::deque<std::vector<float>> buffer_;
-};
 
 /// Shared sampling config so daemon and client agree on rates and seeds.
 robot::SimulatorConfig base_sim_config() {
@@ -103,15 +74,9 @@ Offline train_offline() {
   std::printf("offline: training VARADE on %ld samples...\n", train.length());
   off.detector->fit(train);
 
-  std::vector<float> train_scores;
-  for (Index t = cfg.window; t < train.length(); t += 4)
-    train_scores.push_back(
-        off.detector->variance_score(data::extract_context(train, t - 1, cfg.window)));
-  std::sort(train_scores.begin(), train_scores.end());
-  off.threshold =
-      train_scores[static_cast<std::size_t>(0.995 * static_cast<double>(train_scores.size()))];
-  std::printf("offline: alarm threshold %.5f (99.5th percentile of %zu train scores)\n",
-              off.threshold, train_scores.size());
+  off.threshold = core::calibrate_threshold(*off.detector, train, {});
+  std::printf("offline: alarm threshold %.5f (99.5th percentile of train scores)\n",
+              off.threshold);
   return off;
 }
 
@@ -128,6 +93,54 @@ robot::RobotCellSimulator make_live_sim() {
   live_sim.set_collision_schedule(robot::CollisionSchedule(collisions));
   return live_sim;
 }
+
+constexpr double kLiveSeconds = 120.0;
+
+/// Ground truth of the live run, filled in as the simulation advances: the
+/// time of every sample, its label, and the [first, last] sample range of
+/// each collision event.
+struct GroundTruth {
+  std::vector<double> times;
+  std::vector<bool> labels;
+  std::vector<std::pair<Index, Index>> events;
+
+  void add(const robot::RobotSample& sample) {
+    const auto step = static_cast<Index>(labels.size());
+    if (sample.label && (labels.empty() || !labels.back()))
+      events.emplace_back(step, step);
+    else if (sample.label)
+      events.back().second = step;
+    times.push_back(sample.time);
+    labels.push_back(sample.label);
+  }
+
+  void print_alarm(Index onset, float score) const {
+    const bool labelled = labels[static_cast<std::size_t>(onset)];
+    std::printf("  t=%7.2fs  ALARM  score %.5f  (ground truth: %s)\n",
+                times[static_cast<std::size_t>(onset)], score,
+                labelled ? "collision" : "normal");
+  }
+
+  /// Alarm log vs ground truth: an event is detected when any alarm overlaps
+  /// it.
+  void print_summary(const std::vector<core::AnomalyEvent>& alarms) const {
+    long on_labelled = 0;
+    for (const core::AnomalyEvent& a : alarms)
+      if (labels[static_cast<std::size_t>(a.onset_sample)]) ++on_labelled;
+    long detected = 0;
+    for (const auto& [first, last] : events) {
+      for (const core::AnomalyEvent& a : alarms) {
+        if (a.onset_sample <= last && a.last_sample >= first) {
+          ++detected;
+          break;
+        }
+      }
+    }
+    std::printf("\nsummary: %zu alarms raised, %ld on labelled samples; %ld / %zu collision "
+                "events detected\n",
+                alarms.size(), on_labelled, detected, events.size());
+  }
+};
 
 net::Server* g_server = nullptr;
 void on_signal(int) {
@@ -177,69 +190,42 @@ int run_client(const std::string& endpoint_spec) {
 
   robot::RobotCellSimulator live_sim = make_live_sim();
   const double sample_rate = base_sim_config().sample_rate_hz;
-  const long n_steps = static_cast<long>(120.0 * sample_rate);
-  std::printf("client: streaming %ld samples (%.0f s at %.0f Hz)...\n\n", n_steps, 120.0,
-              sample_rate);
+  const auto n_steps = static_cast<Index>(kLiveSeconds * sample_rate);
+  std::printf("client: streaming %ld samples (%.0f s at %.0f Hz)...\n\n",
+              static_cast<long>(n_steps), kLiveSeconds, sample_rate);
 
-  // Ground-truth bookkeeping: label per sample, plus [first, last] sample
-  // ranges of each collision event, filled in as the simulation advances.
-  std::vector<bool> labels;
-  std::vector<std::pair<long, long>> events;
-  std::vector<bool> event_detected;
-  std::vector<double> times;
-
-  long alarms = 0;
-  long true_alarms = 0;
-  std::uint64_t scores_seen = 0;
+  GroundTruth truth;
+  std::vector<core::AnomalyEvent> alarms;
+  Index scores_seen = 0;
   net::ClientEvent ev;
   auto handle = [&](const net::ClientEvent& e) {
     if (e.kind == net::ClientEvent::Kind::Score) {
       ++scores_seen;
     } else if (e.kind == net::ClientEvent::Kind::Alarm) {
-      const auto onset = static_cast<long>(e.alarm.onset_sample);
-      const auto last = static_cast<long>(e.alarm.last_sample);
+      const auto onset = static_cast<Index>(e.alarm.onset_sample);
+      const auto last = static_cast<Index>(e.alarm.last_sample);
+      // The onset indexes the ground truth; a daemon can only name samples
+      // this client already sent.
+      if (onset < 0 || onset >= static_cast<Index>(truth.labels.size())) return;
       if (e.alarm.raised) {
-        ++alarms;
-        const bool labelled = onset < static_cast<long>(labels.size()) &&
-                              labels[static_cast<std::size_t>(onset)];
-        if (labelled) ++true_alarms;
-        std::printf("  t=%7.2fs  ALARM  score %.5f  (ground truth: %s)\n",
-                    times[static_cast<std::size_t>(onset)], e.alarm.peak_score,
-                    labelled ? "collision" : "normal");
+        alarms.push_back({onset, last, e.alarm.peak_score});
+        truth.print_alarm(onset, e.alarm.peak_score);
+      } else if (!alarms.empty()) {
+        alarms.back().last_sample = last;  // extension of the open event
       }
-      // Any alarm overlapping a collision event marks that event detected.
-      for (std::size_t i = 0; i < events.size(); ++i)
-        if (onset <= events[i].second && last >= events[i].first) event_detected[i] = true;
     }
   };
 
-  bool in_event = false;
-  for (long step = 0; step < n_steps; ++step) {
+  for (Index step = 0; step < n_steps; ++step) {
     const robot::RobotSample sample = live_sim.step();
-    labels.push_back(sample.label);
-    times.push_back(sample.time);
-    if (sample.label && !in_event) {
-      events.emplace_back(step, step);
-      event_detected.push_back(false);
-      in_event = true;
-    } else if (sample.label) {
-      events.back().second = step;
-    } else {
-      in_event = false;
-    }
+    truth.add(sample);
     client.send_sample(0, static_cast<std::uint64_t>(step), sample.channels.data());
     while (client.poll_event(ev, 0)) handle(ev);
   }
   client.flush();
-  while (scores_seen < static_cast<std::uint64_t>(n_steps) && client.poll_event(ev, 30000))
-    handle(ev);
+  while (scores_seen < n_steps && client.poll_event(ev, 30000)) handle(ev);
   client.send_goodbye();
-
-  const long detected =
-      static_cast<long>(std::count(event_detected.begin(), event_detected.end(), true));
-  std::printf("\nsummary: %ld alarms raised, %ld on labelled samples; %ld / %zu collision "
-              "events detected\n",
-              alarms, true_alarms, detected, events.size());
+  truth.print_summary(alarms);
   return 0;
 }
 
@@ -260,63 +246,24 @@ int main(int argc, char** argv) {
   }
 
   Offline off = train_offline();
-  data::MinMaxNormalizer& normalizer = off.normalizer;
-  core::VaradeDetector& detector = *off.detector;
-  const float threshold = off.threshold;
-  const core::VaradeConfig cfg = example_varade_config();
-  robot::SimulatorConfig sim_cfg = base_sim_config();
+  core::OnlineMonitor monitor(*off.detector, off.normalizer);
+  monitor.set_threshold(off.threshold);
 
   // Live phase: the monitoring loop.
   robot::RobotCellSimulator live_sim = make_live_sim();
+  GroundTruth truth;
+  monitor.on_event(
+      [&truth](const core::AnomalyEvent& e) { truth.print_alarm(e.onset_sample, e.peak_score); });
 
-  ContextRing ring(data::kKukaChannelCount, cfg.window);
-  std::vector<float> normalised(data::kKukaChannelCount);
-  long alarms = 0;
-  long true_alarms = 0;
-  bool in_alarm = false;
-  long detected_events = 0;
-  bool current_event_detected = false;
-  long total_events = 0;
-  bool in_event = false;
-
-  const long n_steps = static_cast<long>(120.0 * sim_cfg.sample_rate_hz);
-  std::printf("live: monitoring %ld samples (%.0f s at %.0f Hz)...\n\n", n_steps, 120.0,
-              sim_cfg.sample_rate_hz);
-  for (long step = 0; step < n_steps; ++step) {
+  const double sample_rate = base_sim_config().sample_rate_hz;
+  const auto n_steps = static_cast<Index>(kLiveSeconds * sample_rate);
+  std::printf("live: monitoring %ld samples (%.0f s at %.0f Hz)...\n\n",
+              static_cast<long>(n_steps), kLiveSeconds, sample_rate);
+  for (Index step = 0; step < n_steps; ++step) {
     const robot::RobotSample sample = live_sim.step();
-
-    // Event bookkeeping for the final report.
-    if (sample.label && !in_event) {
-      ++total_events;
-      in_event = true;
-      current_event_detected = false;
-    } else if (!sample.label && in_event) {
-      if (current_event_detected) ++detected_events;
-      in_event = false;
-    }
-
-    normalizer.transform_sample(sample.channels.data(), normalised.data());
-    ring.push(normalised);
-    if (!ring.full()) continue;
-
-    const float score = detector.variance_score(ring.context());
-    const bool alarm = score > threshold;
-    if (alarm && !in_alarm) {
-      ++alarms;
-      if (sample.label) {
-        ++true_alarms;
-        current_event_detected = true;
-      }
-      std::printf("  t=%7.2fs  ALARM  score %.5f  (ground truth: %s)\n", sample.time, score,
-                  sample.label ? "collision" : "normal");
-    }
-    if (alarm && sample.label) current_event_detected = true;
-    in_alarm = alarm;
+    truth.add(sample);
+    monitor.push(sample.channels.data());
   }
-  if (in_event && current_event_detected) ++detected_events;
-
-  std::printf("\nsummary: %ld alarms raised, %ld on labelled samples; %ld / %ld collision "
-              "events detected\n",
-              alarms, true_alarms, detected_events, total_events);
+  truth.print_summary(monitor.events());
   return 0;
 }

@@ -103,27 +103,15 @@ void ArLstmDetector::score_batch(const Tensor& contexts, const Tensor& observed,
   const Index b = contexts.dim(0);
   const Index c = contexts.dim(1);
   if (b == 0) return;
-  // Each worker runs the inference kernel on a contiguous row range of the
-  // batch. The LSTM processes batch rows independently (per-row arithmetic
-  // is identical at any batch size), so splitting the B axis keeps scores
-  // bit-identical to the one-call path; inference reads the weights only.
-  const auto score_rows = [&](const Tensor& range, Index r0, Index r1) {
-    const Tensor pred = model_->forward_inference(range);  // [r1-r0, C]
-    for (Index r = r0; r < r1; ++r) {
-      double acc = 0.0;
-      for (Index ch = 0; ch < c; ++ch) {
-        const double d = static_cast<double>(pred[(r - r0) * c + ch]) - observed[r * c + ch];
-        acc += d * d;
-      }
-      out[r] = static_cast<float>(std::sqrt(acc));
+  const Tensor pred = model_->forward_inference(contexts);  // [B, C]
+  for (Index r = 0; r < b; ++r) {
+    double acc = 0.0;
+    for (Index ch = 0; ch < c; ++ch) {
+      const double d = static_cast<double>(pred[r * c + ch]) - observed[r * c + ch];
+      acc += d * d;
     }
-  };
-  parallel_rows(b, [&](Index r0, Index r1) {
-    if (r0 == 0 && r1 == b)
-      score_rows(contexts, r0, r1);  // full batch: skip the slice copy
-    else
-      score_rows(contexts.slice0(r0, r1), r0, r1);
-  });
+    out[r] = static_cast<float>(std::sqrt(acc));
+  }
 }
 
 edge::ModelCost ArLstmDetector::cost() const {

@@ -132,35 +132,30 @@ void AutoencoderDetector::score_batch(const Tensor& contexts, const Tensor& obse
   const Index c = contexts.dim(1);
   const Index t = contexts.dim(2);
   if (b == 0) return;
-  // Each row range gathers its windows shifted to end at the observation,
-  // runs the batched reconstruction forward over just those rows, and takes
-  // the last-step residual. Conv/activation arithmetic is per-row, so the
-  // range boundaries cannot change any score bit.
-  parallel_rows(b, [&](Index r0, Index r1) {
-    const Index rows = r1 - r0;
-    Tensor windows({rows, c, t});
-    for (Index r = r0; r < r1; ++r) {
-      const float* ctx = contexts.data() + r * c * t;
-      const float* obs = observed.data() + r * c;
-      float* win = windows.data() + (r - r0) * c * t;
-      for (Index ch = 0; ch < c; ++ch) {
-        for (Index s = 0; s + 1 < t; ++s) win[ch * t + s] = ctx[ch * t + s + 1];
-        win[ch * t + t - 1] = obs[ch];
-      }
+  // Gather the windows shifted to end at the observation, run the batched
+  // reconstruction forward, and take the last-step residual per row.
+  Tensor windows({b, c, t});
+  for (Index r = 0; r < b; ++r) {
+    const float* ctx = contexts.data() + r * c * t;
+    const float* obs = observed.data() + r * c;
+    float* win = windows.data() + r * c * t;
+    for (Index ch = 0; ch < c; ++ch) {
+      for (Index s = 0; s + 1 < t; ++s) win[ch * t + s] = ctx[ch * t + s + 1];
+      win[ch * t + t - 1] = obs[ch];
     }
-    const Tensor recon = model_->forward_inference(windows);
-    for (Index r = r0; r < r1; ++r) {
-      const float* rec = recon.data() + (r - r0) * c * t;
-      const float* win = windows.data() + (r - r0) * c * t;
-      double acc = 0.0;
-      for (Index ch = 0; ch < c; ++ch) {
-        const double d =
-            static_cast<double>(rec[ch * t + t - 1]) - static_cast<double>(win[ch * t + t - 1]);
-        acc += d * d;
-      }
-      out[r] = static_cast<float>(std::sqrt(acc));
+  }
+  const Tensor recon = model_->forward_inference(windows);
+  for (Index r = 0; r < b; ++r) {
+    const float* rec = recon.data() + r * c * t;
+    const float* win = windows.data() + r * c * t;
+    double acc = 0.0;
+    for (Index ch = 0; ch < c; ++ch) {
+      const double d =
+          static_cast<double>(rec[ch * t + t - 1]) - static_cast<double>(win[ch * t + t - 1]);
+      acc += d * d;
     }
-  });
+    out[r] = static_cast<float>(std::sqrt(acc));
+  }
 }
 
 edge::ModelCost AutoencoderDetector::cost() const {

@@ -90,22 +90,17 @@ void GbrfDetector::score_batch(const Tensor& contexts, const Tensor& observed, f
   const Index d = feature_dim();
   Tensor features({b, d});
   Tensor pred({b, c});
-  // The whole pipeline runs per row range (downsample, tree-major ensemble
-  // sweep, residual): ranges touch disjoint rows of features/pred/out, and
-  // per-row accumulation order is independent of the range boundaries.
-  parallel_rows(b, [&](Index r0, Index r1) {
-    for (Index r = r0; r < r1; ++r)
-      gather_features(contexts.data() + r * c * t, c, t, features.data() + r * d);
-    forest_.predict_rows(features.data() + r0 * d, r1 - r0, d, pred.data() + r0 * c);
-    for (Index r = r0; r < r1; ++r) {
-      double acc = 0.0;
-      for (Index ch = 0; ch < c; ++ch) {
-        const double diff = static_cast<double>(pred[r * c + ch]) - observed[r * c + ch];
-        acc += diff * diff;
-      }
-      out[r] = static_cast<float>(std::sqrt(acc));
+  for (Index r = 0; r < b; ++r)
+    gather_features(contexts.data() + r * c * t, c, t, features.data() + r * d);
+  forest_.predict_rows(features.data(), b, d, pred.data());
+  for (Index r = 0; r < b; ++r) {
+    double acc = 0.0;
+    for (Index ch = 0; ch < c; ++ch) {
+      const double diff = static_cast<double>(pred[r * c + ch]) - observed[r * c + ch];
+      acc += diff * diff;
     }
-  });
+    out[r] = static_cast<float>(std::sqrt(acc));
+  }
 }
 
 edge::ModelCost GbrfDetector::cost() const {

@@ -23,11 +23,7 @@ void IForestDetector::score_batch(const Tensor& contexts, const Tensor& observed
   check_batch_args(contexts, observed);
   check_batch_channels(contexts, forest_.n_features());
   const Index c = observed.dim(1);
-  // Tree traversal only reads the fitted forest; rows are embarrassingly
-  // parallel and each keeps its sequential accumulation order.
-  parallel_rows(observed.dim(0), [&](Index r0, Index r1) {
-    for (Index r = r0; r < r1; ++r) out[r] = forest_.score_one(observed.data() + r * c);
-  });
+  for (Index r = 0; r < observed.dim(0); ++r) out[r] = forest_.score_one(observed.data() + r * c);
 }
 
 std::unique_ptr<AnomalyDetector> IForestDetector::clone_fitted() const {

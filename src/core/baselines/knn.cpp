@@ -25,11 +25,7 @@ void KnnDetector::score_batch(const Tensor& contexts, const Tensor& observed, fl
   check_batch_args(contexts, observed);
   check_batch_channels(contexts, scorer_.n_features());
   const Index c = observed.dim(1);
-  // Rows are independent queries against the shared (read-only) reference
-  // set, so a contiguous row range per worker keeps bit parity trivially.
-  parallel_rows(observed.dim(0), [&](Index r0, Index r1) {
-    for (Index r = r0; r < r1; ++r) out[r] = scorer_.score_one(observed.data() + r * c);
-  });
+  for (Index r = 0; r < observed.dim(0); ++r) out[r] = scorer_.score_one(observed.data() + r * c);
 }
 
 std::unique_ptr<AnomalyDetector> KnnDetector::clone_fitted() const {

@@ -4,38 +4,8 @@
 #include <chrono>
 
 #include "varade/data/window.hpp"
-#include "varade/serve/thread_pool.hpp"
 
 namespace varade::core {
-
-AnomalyDetector::AnomalyDetector() = default;
-AnomalyDetector::~AnomalyDetector() = default;
-
-void AnomalyDetector::set_scoring_threads(int n) {
-  check(n >= 0, name() + ": scoring threads must be >= 0 (0 = hardware concurrency)");
-  if (n == 1) {
-    scoring_pool_.reset();
-    return;
-  }
-  scoring_pool_ = std::make_unique<serve::ThreadPool>(n);
-}
-
-int AnomalyDetector::scoring_threads() const {
-  return scoring_pool_ ? scoring_pool_->size() : 1;
-}
-
-void AnomalyDetector::parallel_rows(Index rows, const std::function<void(Index, Index)>& fn) {
-  const Index workers = scoring_pool_ ? static_cast<Index>(scoring_pool_->size()) : 1;
-  const Index ranges = std::min(rows, workers);
-  if (ranges <= 1) {
-    if (rows > 0) fn(0, rows);
-    return;
-  }
-  // Contiguous near-even split: range r covers [r*rows/ranges, (r+1)*rows/ranges).
-  scoring_pool_->parallel_for(ranges, [&](Index r, int /*worker*/) {
-    fn(r * rows / ranges, (r + 1) * rows / ranges);
-  });
-}
 
 void AnomalyDetector::check_batch_args(const Tensor& contexts, const Tensor& observed) const {
   check(contexts.rank() == 3,

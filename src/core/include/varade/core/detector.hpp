@@ -16,11 +16,10 @@
 //     evaluation (VARADE's [N, C, T] forward, kNN's query loop, Isolation
 //     Forest's tree traversal) override it without changing the results;
 //   - clone_fitted() deep-copies a fitted detector so a serving layer can
-//     shard batches across per-worker replicas without knowing the model
+//     give each scorer shard its own replica without knowing the model
 //     type. Detectors that cannot be replicated return null.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,10 +27,6 @@
 #include "varade/data/timeseries.hpp"
 #include "varade/edge/profiler.hpp"
 #include "varade/tensor/tensor.hpp"
-
-namespace varade::serve {
-class ThreadPool;  // owned by varade::threads; core borrows it for scoring
-}
 
 namespace varade::core {
 
@@ -45,11 +40,9 @@ struct SeriesScores {
 
 class AnomalyDetector {
  public:
-  // Out of line: the header only forward-declares serve::ThreadPool, so the
-  // scoring_pool_ unique_ptr must be destroyed where the type is complete.
-  virtual ~AnomalyDetector();
+  virtual ~AnomalyDetector() = default;
 
-  AnomalyDetector();
+  AnomalyDetector() = default;
   AnomalyDetector(const AnomalyDetector&) = delete;
   AnomalyDetector& operator=(const AnomalyDetector&) = delete;
 
@@ -68,9 +61,9 @@ class AnomalyDetector {
   virtual void score_batch(const Tensor& contexts, const Tensor& observed, float* out);
 
   /// Deep copy of a fitted detector (weights, reference sets, thresholds —
-  /// everything scoring depends on) for per-worker serving replicas. Returns
+  /// everything scoring depends on) for per-shard serving replicas. Returns
   /// null when the detector cannot be replicated; callers must fall back to
-  /// unsharded scoring through the original instance.
+  /// serialised scoring through the original instance.
   virtual std::unique_ptr<AnomalyDetector> clone_fitted() const { return nullptr; }
 
   /// Context length T the detector expects.
@@ -80,20 +73,6 @@ class AnomalyDetector {
   virtual edge::ModelCost cost() const = 0;
 
   virtual bool fitted() const = 0;
-
-  /// Opt-in intra-batch parallelism for score_batch. n = 1 (the default)
-  /// keeps today's fully sequential behaviour and owns no threads; n > 1
-  /// builds a persistent serve::ThreadPool of n workers (caller included)
-  /// that native score_batch overrides use to split the B axis into
-  /// contiguous row ranges; n = 0 selects std::thread::hardware_concurrency().
-  /// The bit-parity contract is unchanged: for any thread count, score_batch
-  /// output equals the sequential path bit for bit, because rows are scored
-  /// independently with their per-row accumulation order untouched.
-  /// Not thread-safe against concurrent score_batch calls on this instance.
-  void set_scoring_threads(int n);
-
-  /// Workers the next score_batch call may use (>= 1).
-  int scoring_threads() const;
 
   /// Walks a test series, scoring every `stride`-th sample after the first
   /// context_window() samples through score_batch with up to `batch` rows per
@@ -110,16 +89,6 @@ class AnomalyDetector {
   /// detector ("expects N channels, got M"); shared by every native override
   /// that gathers per-channel data.
   void check_batch_channels(const Tensor& contexts, Index expected) const;
-
-  /// Runs fn(begin, end) over a partition of [0, rows) into contiguous,
-  /// disjoint ranges — one per scoring worker, in parallel when
-  /// set_scoring_threads enabled a pool, inline as fn(0, rows) otherwise.
-  /// Native score_batch overrides route their per-row work through this so
-  /// the thread plumbing lives in one place.
-  void parallel_rows(Index rows, const std::function<void(Index, Index)>& fn);
-
- private:
-  std::unique_ptr<serve::ThreadPool> scoring_pool_;  // null = sequential
 };
 
 }  // namespace varade::core

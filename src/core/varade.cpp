@@ -224,22 +224,10 @@ void VaradeDetector::score_batch(const Tensor& contexts, const Tensor& observed,
   check(fitted(), "VARADE scoring before fit");
   check_batch_args(contexts, observed);
   const Index channels = contexts.dim(1);
-  const Index b = contexts.dim(0);
-  // B-axis split: each worker pushes its contiguous row range through the
-  // shared (read-only) model. The trunk convolutions and the logvar head
-  // compute every batch row independently, so the split cannot change any
-  // output bit.
-  const auto score_rows = [&](const Tensor& range, Index r0, Index r1) {
-    const Tensor logvar = model_->logvar_inference(range);
-    for (Index r = r0; r < r1; ++r)
-      out[r] = score_from_logvar(logvar.data() + (r - r0) * channels, channels);
-  };
-  parallel_rows(b, [&](Index r0, Index r1) {
-    if (r0 == 0 && r1 == b)
-      score_rows(contexts, r0, r1);  // full batch: skip the slice copy
-    else
-      score_rows(contexts.slice0(r0, r1), r0, r1);
-  });
+  if (contexts.dim(0) == 0) return;
+  const Tensor logvar = model_->logvar_inference(contexts);
+  for (Index r = 0; r < contexts.dim(0); ++r)
+    out[r] = score_from_logvar(logvar.data() + r * channels, channels);
 }
 
 std::unique_ptr<AnomalyDetector> VaradeDetector::clone_fitted() const {

@@ -7,7 +7,7 @@
 #include <thread>
 #include <unistd.h>
 
-#include "varade/serve/thread_pool.hpp"
+#include "varade/serve/ingest.hpp"
 
 namespace varade::net {
 

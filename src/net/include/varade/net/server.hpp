@@ -212,6 +212,9 @@ class Server {
   bool shutting_down_ = false;
 
   std::atomic<long> connections_accepted_{0};
+  // conns_.size() as published by the poll thread on every accept and
+  // erase, so metrics_text() can read it from any thread.
+  std::atomic<long> live_connections_{0};
   std::atomic<long> frames_nacked_{0};
   std::atomic<long> protocol_errors_{0};
   std::atomic<long> scores_unrouted_{0};

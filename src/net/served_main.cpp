@@ -9,7 +9,7 @@
 //                 [--listen shm:/tmp/varade-shm.sock] [--metrics tcp:HOST:PORT]
 //                 [--streams N] [--detector <name>] [--shards N]
 //                 [--policy block|drop-oldest|reject] [--ring-capacity N]
-//                 [--shm-ring-bytes N] [--score-threads N] [--quiet]
+//                 [--shm-ring-bytes N] [--quiet]
 //
 // `--listen shm:PATH` accepts connections on a Unix bootstrap socket at PATH
 // and upgrades them to per-connection shared-memory rings (see
@@ -61,8 +61,7 @@ int usage(const char* argv0) {
                "usage: %s --listen <unix:PATH|tcp:HOST:PORT|shm:PATH> [--listen ...]\n"
                "          [--metrics tcp:HOST:PORT] [--streams N] [--detector <name>]\n"
                "          [--shards N] [--policy block|drop-oldest|reject]\n"
-               "          [--ring-capacity N] [--shm-ring-bytes N]\n"
-               "          [--score-threads N] [--quiet]\n",
+               "          [--ring-capacity N] [--shm-ring-bytes N] [--quiet]\n",
                argv0);
   return 2;
 }
@@ -99,18 +98,11 @@ int main(int argc, char** argv) {
       config.n_streams = bench::parse_long_arg("--streams", argv[++a]);
     } else if (std::strcmp(argv[a], "--shards") == 0 && a + 1 < argc) {
       config.runtime.n_shards = bench::parse_long_arg("--shards", argv[++a]);
-    } else if (std::strcmp(argv[a], "--ring") == 0 && a + 1 < argc) {
-      // Legacy spelling of --ring-capacity (kept for existing wrappers; the
-      // runtime rounds non-powers-of-two up, this path does not validate).
-      config.runtime.ring_capacity = bench::parse_long_arg("--ring", argv[++a]);
     } else if (std::strcmp(argv[a], "--ring-capacity") == 0 && a + 1 < argc) {
       config.runtime.ring_capacity = bench::parse_pow2_arg("--ring-capacity", argv[++a]);
     } else if (std::strcmp(argv[a], "--shm-ring-bytes") == 0 && a + 1 < argc) {
       config.shm_ring_bytes =
           static_cast<std::size_t>(bench::parse_pow2_arg("--shm-ring-bytes", argv[++a]));
-    } else if (std::strcmp(argv[a], "--score-threads") == 0 && a + 1 < argc) {
-      config.runtime.engine.scoring_threads =
-          static_cast<int>(bench::parse_long_arg("--score-threads", argv[++a]));
     } else if (std::strcmp(argv[a], "--policy") == 0 && a + 1 < argc) {
       config.runtime.backpressure = parse_policy(argv[++a]);
     } else if (std::strcmp(argv[a], "--detector") == 0 && a + 1 < argc) {

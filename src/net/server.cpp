@@ -476,7 +476,7 @@ std::string Server::metrics_text() const {
 
   // Network front door.
   w.gauge("varade_net_connections", "Live wire-protocol connections.",
-          static_cast<double>(conns_.size()));
+          static_cast<double>(live_connections_.load(std::memory_order_relaxed)));
   w.counter("varade_net_connections_accepted_total", "Wire-protocol connections accepted.",
             static_cast<std::uint64_t>(connections_accepted_.load(std::memory_order_relaxed)));
   w.counter("varade_net_frames_decoded_total", "Wire frames decoded and dispatched.",
@@ -767,6 +767,7 @@ void Server::run() {
         conn->shm_bootstrap = shm_listener_.valid() && pfds[i].fd == shm_listener_.fd();
         conns_.push_back(std::move(conn));
         connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+        live_connections_.fetch_add(1, std::memory_order_relaxed);
       }
     }
 
@@ -830,6 +831,7 @@ void Server::run() {
       if (!conn.sock.valid() || (conn.closing && flushed)) {
         release_streams(conn);
         conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
+        live_connections_.fetch_sub(1, std::memory_order_relaxed);
       } else {
         ++i;
       }
@@ -842,8 +844,10 @@ void Server::run() {
     if (shutting_down_) {
       if (shutdown_started == std::chrono::steady_clock::time_point{})
         shutdown_started = std::chrono::steady_clock::now();
-      else if (std::chrono::steady_clock::now() - shutdown_started > kShutdownFlushDeadline)
+      else if (std::chrono::steady_clock::now() - shutdown_started > kShutdownFlushDeadline) {
         conns_.clear();  // a non-reading client shall not wedge the daemon
+        live_connections_.store(0, std::memory_order_relaxed);
+      }
     }
   }
 }

@@ -67,9 +67,9 @@ Index round_up_lanes(Index n) { return (n + kLanes - 1) / kLanes * kLanes; }
 /// per-thread buffer as [rows][out_pad] doubles plus one bias row, with the
 /// padded lanes zero. Widening float to double is exact. The buffer is
 /// refilled from the live parameters on every call, never cached across
-/// calls: weights stay mutable through parameters(), and parallel_rows
-/// shares one model read-only across pool workers, so a member cache would
-/// go stale or race. The pointer is valid until the thread's next pack.
+/// calls: weights stay mutable through parameters(), and a const model may
+/// be read from several threads at once, so a member cache would go stale
+/// or race. The pointer is valid until the thread's next pack.
 const double* pack_weights(const float* w, const float* bias, Index out, Index rows,
                            Index out_pad) {
   thread_local std::vector<double> buf;

@@ -16,7 +16,7 @@
 //
 // No mutex is taken anywhere in this header; full/empty are communicated by
 // try_push/try_pop return values and mapped to a BackpressurePolicy by the
-// AsyncScoringRuntime.
+// AsyncScoringRuntime, and Backoff paces the retry loops around them.
 #pragma once
 
 #include <atomic>
@@ -45,6 +45,20 @@ enum class PushResult {
 
 const char* to_string(BackpressurePolicy policy);
 const char* to_string(PushResult result);
+
+/// Escalating wait for lock-free retry loops (blocked producers, the async
+/// runtime's idle scorer): a few CPU pauses, then sched yields, then short
+/// sleeps — so a spinning thread cannot starve the thread it is waiting on
+/// even on a single-core host.
+class Backoff {
+ public:
+  /// Waits a little; each consecutive call without reset() waits harder.
+  void wait();
+  void reset() { spins_ = 0; }
+
+ private:
+  int spins_ = 0;
+};
 
 /// Bounded lock-free ring of fixed-width float samples. Storage is either
 /// owned (the two-argument constructor) or borrowed from a RingArena slab

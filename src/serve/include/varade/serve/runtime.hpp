@@ -84,10 +84,7 @@ struct ShardPartition {
 
 struct AsyncRuntimeConfig {
   /// Configuration of the per-shard ScoringEngines the runtime owns and
-  /// drives (each shard gets its own engine, thread pool, and replicas).
-  /// engine.scoring_threads rides along: each shard's detector then splits
-  /// every score_batch call across that many intra-batch workers,
-  /// bit-identically at any value.
+  /// drives, one engine per shard.
   ScoringEngineConfig engine;
   /// Per-stream ring capacity in samples; rounded up to a power of two.
   Index ring_capacity = 1024;
@@ -96,9 +93,10 @@ struct AsyncRuntimeConfig {
   /// Empty polling rounds before a shard's scoring thread naps between
   /// wakeups (each shard backs off independently).
   int idle_spin_rounds = 64;
-  /// Scorer shards the stream space is partitioned across. 1 = one scoring
-  /// thread and one engine (the pre-shard behaviour); 0 = auto
-  /// (hardware_concurrency). Shards beyond n_streams() stay empty.
+  /// Scorer shards the stream space is partitioned across: the serving
+  /// stack's one parallelism setting. 1 = one scoring thread and one engine
+  /// (the pre-shard behaviour); 0 = auto (hardware_concurrency). Shards
+  /// beyond n_streams() stay empty.
   Index n_shards = 1;
 };
 

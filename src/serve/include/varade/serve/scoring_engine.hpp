@@ -4,11 +4,12 @@
 // frontend: N independent streams — each with its own normalizing ring
 // buffer, warm-up state, and debounce/hold-off alarm state machine — are
 // multiplexed onto one fitted AnomalyDetector. step() drains buffered
-// samples round by round (one sample per stream per round): worker threads
-// normalise samples and assemble ready contexts into [B, C, T] / [B, C]
-// batches, the batches run through the detector's score_batch contract
-// (optionally sharded across per-worker clone_fitted() replicas), and the
-// per-stream alarm logic is applied.
+// samples round by round (one sample per stream per round): it normalises
+// the round's samples, assembles ready contexts into [B, C, T] / [B, C]
+// batches, runs the batches through the detector's score_batch contract,
+// and applies the per-stream alarm logic. One engine runs on one thread;
+// AsyncScoringRuntime scales across cores by giving each shard its own
+// engine over its own clone_fitted() replica.
 //
 // Per-stream state is structure-of-arrays, sized for fleets: context rings
 // live in one contiguous [n_streams, C, T] float slab (ring-indexed per
@@ -20,28 +21,23 @@
 // streams memory- and cache-viable on one host.
 //
 // The engine is generic over core::AnomalyDetector: any of the paper's six
-// detectors plugs in unchanged. Detectors whose clone_fitted() returns null
-// are served unsharded through the single borrowed instance.
+// detectors plugs in unchanged.
 //
 // Determinism: score_batch is bit-identical to score_step by the detector
-// contract, per-stream state is only ever touched by the one task that owns
-// the stream in a given phase, the slab normalisation applies the exact
-// per-element expression of transform_sample, and replicas carry identical
-// state — so scores and alarm events are bit-for-bit identical to running
-// one OnlineMonitor per stream sequentially, at any thread count or batch
-// size.
+// contract and the slab normalisation applies the exact per-element
+// expression of transform_sample — so scores and alarm events are
+// bit-for-bit identical to running one OnlineMonitor per stream
+// sequentially, at any batch size.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "varade/core/detector.hpp"
 #include "varade/core/monitor.hpp"
 #include "varade/obs/telemetry.hpp"
-#include "varade/serve/thread_pool.hpp"
 
 namespace varade::serve {
 
@@ -76,21 +72,8 @@ std::string channel_mismatch_message(Index expected, Index got);
 }  // namespace detail
 
 struct ScoringEngineConfig {
-  /// Worker threads for normalisation / context assembly / alarm updates and
-  /// (with shard_forward) batched-forward shards. 0 = hardware concurrency.
-  int n_threads = 1;
   /// Maximum contexts per score_batch call.
   Index max_batch = 32;
-  /// Shard each round's batch across per-worker detector replicas (identical
-  /// state, so results are unchanged). Only takes effect with n_threads > 1
-  /// and a detector whose clone_fitted() is supported.
-  bool shard_forward = true;
-  /// Intra-batch scoring threads applied to the detector (and every replica)
-  /// via AnomalyDetector::set_scoring_threads: each score_batch call splits
-  /// its B axis across this many workers, bit-identically at any value.
-  /// 1 = sequential (default), 0 = hardware concurrency. Orthogonal to
-  /// shard_forward, which parallelises across chunks rather than within one.
-  int scoring_threads = 1;
   /// Alarm behaviour shared by every stream.
   core::MonitorConfig monitor;
 };
@@ -135,9 +118,7 @@ class ScoringEngine {
   Index n_channels() const;
 
   /// Calibrates the shared alarm threshold on a normalised training series
-  /// (same quantile rule as OnlineMonitor::calibrate). Also refreshes the
-  /// scoring replicas from the detector's current state, so a detector
-  /// refitted after engine construction takes effect here.
+  /// (same quantile rule as OnlineMonitor::calibrate).
   void calibrate(const data::MultivariateSeries& train);
   void set_threshold(float threshold);
   float threshold() const { return threshold_; }
@@ -168,10 +149,6 @@ class ScoringEngine {
 
   /// Batched score_batch calls issued so far (throughput accounting).
   long forward_calls() const { return forward_calls_; }
-  /// Workers in the pool (including the calling thread).
-  int n_threads() const { return pool_.size(); }
-  /// Per-worker detector replicas in use (0 = unsharded scoring).
-  Index n_replicas() const { return static_cast<Index>(replicas_.size()); }
   const ScoringEngineConfig& config() const { return config_; }
 
   /// Snapshot of this engine's phase/step/push-to-score histograms. Safe to
@@ -185,9 +162,6 @@ class ScoringEngine {
   /// Branch-before-message: push() runs through here once per sample and
   /// must not allocate on success.
   void require_stream(Index id) const;
-  /// Re-clones the detector into one replica per extra worker (no-op when
-  /// sharding is off or the detector is not replicable).
-  void rebuild_replicas();
   /// Scores the per-chunk batches (chunk ci holds the contexts/observations
   /// of streams ready[ci*max_batch ...]) and writes each row's score into
   /// score_[stream].
@@ -197,14 +171,10 @@ class ScoringEngine {
   core::AnomalyDetector* detector_;
   const data::MinMaxNormalizer* normalizer_;
   ScoringEngineConfig config_;
-  ThreadPool pool_;
-  /// Detector replicas for workers 1..n-1 (worker 0 uses the borrowed
-  /// detector). Empty when scoring is unsharded.
-  std::vector<std::unique_ptr<core::AnomalyDetector>> replicas_;
 
   float threshold_ = 0.0F;
   bool calibrated_ = false;
-  std::atomic<long> forward_calls_{0};
+  long forward_calls_ = 0;
 
   Index window_ = 0;    // detector context window, fixed at construction
   Index channels_ = 0;  // normalizer channel count, fixed at construction

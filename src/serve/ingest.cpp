@@ -1,10 +1,29 @@
 #include "varade/serve/ingest.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 
 #include "varade/serve/checked.hpp"
 
 namespace varade::serve {
+
+void Backoff::wait() {
+  constexpr int kPauseRounds = 16;
+  constexpr int kYieldRounds = 64;
+  if (spins_ < kPauseRounds) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  } else if (spins_ < kYieldRounds) {
+    std::this_thread::yield();
+  } else {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ++spins_;
+}
 
 const char* to_string(BackpressurePolicy policy) {
   switch (policy) {

@@ -95,8 +95,7 @@ void AsyncScoringRuntime::start() {
 
   const Index active = n_active_shards();
   // One detector replica per shard beyond the first (shard 0 scores through
-  // the borrowed instance, mirroring the engine's own replica scheme). A
-  // null clone marks the detector as non-replicable: every shard then
+  // the borrowed instance). A null clone marks the detector as non-replicable: every shard then
   // shares the borrowed instance and serialises engine calls on
   // shared_detector_mu_.
   share_detector_ = false;

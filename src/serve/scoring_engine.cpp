@@ -1,7 +1,6 @@
 #include "varade/serve/scoring_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "varade/serve/checked.hpp"
@@ -26,22 +25,12 @@ using detail::channel_mismatch_message;
 using detail::checked_mul;
 using detail::stream_range_message;
 
-namespace {
-
-/// Rows per vectorised-normalisation task: large enough that the per-task
-/// dispatch cost vanishes, small enough that a fleet-sized round still
-/// splits across workers.
-constexpr Index kNormBlock = 4096;
-
-}  // namespace
-
 ScoringEngine::ScoringEngine(core::AnomalyDetector& detector,
                              const data::MinMaxNormalizer& normalizer,
                              ScoringEngineConfig config)
     : detector_(&detector),
       normalizer_(&normalizer),
-      config_(config),
-      pool_(config.n_threads) {
+      config_(config) {
   check(detector.fitted(), "ScoringEngine requires a fitted detector");
   check(normalizer.fitted(), "ScoringEngine requires a fitted normalizer");
   check(config_.max_batch >= 1, "max_batch must be >= 1");
@@ -49,11 +38,6 @@ ScoringEngine::ScoringEngine(core::AnomalyDetector& detector,
   window_ = detector.context_window();
   channels_ = normalizer.n_channels();
   check(window_ >= 1, "ScoringEngine requires a detector with a context window");
-  // Intra-batch parallelism is a detector-side setting; the engine applies
-  // it to the borrowed instance here and to every replica as it is cloned.
-  detector.set_scoring_threads(config_.scoring_threads);
-  // Replicas are built by calibrate()/set_threshold() (both mandatory before
-  // step()), so they always reflect the detector's state at serving time.
 }
 
 Index ScoringEngine::add_stream() { return add_stream(n_streams()); }
@@ -94,34 +78,13 @@ Index ScoringEngine::add_streams(Index n) {
   return first;
 }
 
-void ScoringEngine::rebuild_replicas() {
-  replicas_.clear();
-  if (!config_.shard_forward || pool_.size() <= 1) return;
-  // One replica per extra worker; a null clone marks the detector as
-  // non-replicable, in which case scoring falls back to unsharded calls
-  // through the borrowed instance. Any null mid-sequence voids the whole
-  // set — score_chunks assumes every stored replica is live.
-  replicas_.reserve(static_cast<std::size_t>(pool_.size() - 1));
-  for (int w = 1; w < pool_.size(); ++w) {
-    std::unique_ptr<core::AnomalyDetector> replica = detector_->clone_fitted();
-    if (replica == nullptr) {
-      replicas_.clear();
-      return;
-    }
-    replica->set_scoring_threads(config_.scoring_threads);
-    replicas_.push_back(std::move(replica));
-  }
-}
-
 void ScoringEngine::calibrate(const data::MultivariateSeries& train) {
   threshold_ = core::calibrate_threshold(*detector_, train, config_.monitor);
-  rebuild_replicas();
   calibrated_ = true;
 }
 
 void ScoringEngine::set_threshold(float threshold) {
   threshold_ = threshold;
-  rebuild_replicas();
   calibrated_ = true;
 }
 
@@ -158,38 +121,19 @@ void ScoringEngine::push(Index stream, const std::vector<float>& raw_sample) {
 void ScoringEngine::score_chunks(const std::vector<Tensor>& contexts,
                                  const std::vector<Tensor>& observed,
                                  const std::vector<Index>& ready) {
-  auto score_rows = [&](core::AnomalyDetector& det, std::size_t ci, Index row_offset) {
+  Index row_offset = 0;
+  std::vector<float> scores;
+  for (std::size_t ci = 0; ci < contexts.size(); ++ci) {
     const Index rows = contexts[ci].dim(0);
-    std::vector<float> scores(static_cast<std::size_t>(rows));
-    det.score_batch(contexts[ci], observed[ci], scores.data());
+    scores.resize(static_cast<std::size_t>(rows));
+    detector_->score_batch(contexts[ci], observed[ci], scores.data());
     for (Index r = 0; r < rows; ++r) {
       score_[static_cast<std::size_t>(ready[static_cast<std::size_t>(row_offset + r)])] =
           scores[static_cast<std::size_t>(r)];
     }
-    forward_calls_.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  if (replicas_.empty()) {
-    // Unsharded: run the chunks sequentially on the caller thread through the
-    // borrowed detector.
-    Index row_offset = 0;
-    for (std::size_t ci = 0; ci < contexts.size(); ++ci) {
-      score_rows(*detector_, ci, row_offset);
-      row_offset += contexts[ci].dim(0);
-    }
-    return;
+    ++forward_calls_;
+    row_offset += rows;
   }
-
-  // Sharded: each worker scores chunks on its own detector replica. All
-  // chunks except the last hold exactly max_batch rows. The row offset is
-  // checked once per chunk: at fleet-scale stream counts ci * max_batch is
-  // exactly the product that would wrap silently.
-  pool_.parallel_for(static_cast<Index>(contexts.size()), [&](Index ci, int worker) {
-    core::AnomalyDetector& det =
-        (worker == 0) ? *detector_ : *replicas_[static_cast<std::size_t>(worker - 1)];
-    score_rows(det, static_cast<std::size_t>(ci),
-               checked_mul(ci, config_.max_batch, "score chunk row offset"));
-  });
 }
 
 std::vector<StreamScore> ScoringEngine::step() {
@@ -216,16 +160,16 @@ std::vector<StreamScore> ScoringEngine::step() {
     const auto n_active = static_cast<Index>(active_.size());
     const std::int64_t t_stage = obs::tick();
 
-    // Phase 1a (parallel over streams): stage this round's raw sample from
-    // the arena into the round slab and flag streams whose ring already
-    // holds a full context. The sampled enqueue timestamps ride along so
-    // push->score latency can be recorded when the round completes.
+    // Phase 1a: stage this round's raw sample from the arena into the round
+    // slab and flag streams whose ring already holds a full context. The
+    // sampled enqueue timestamps ride along so push->score latency can be
+    // recorded when the round completes.
     round_raw_.resize(static_cast<std::size_t>(
         checked_mul(n_active, channels, "round staging slab")));
     round_norm_.resize(round_raw_.size());
     round_ready_.resize(static_cast<std::size_t>(n_active));
     if constexpr (obs::kEnabled) round_ts_.resize(static_cast<std::size_t>(n_active));
-    pool_.parallel_for(n_active, [&](Index i, int) {
+    for (Index i = 0; i < n_active; ++i) {
       const auto s = static_cast<std::size_t>(active_[static_cast<std::size_t>(i)]);
       const Index offset = pending_[s][static_cast<std::size_t>(pending_head_[s])];
       const float* src = pending_arena_.data() + offset * channels;
@@ -235,20 +179,14 @@ std::vector<StreamScore> ScoringEngine::step() {
       score_[s] = -1.0F;
       if constexpr (obs::kEnabled)
         round_ts_[static_cast<std::size_t>(i)] = pending_ts_[static_cast<std::size_t>(offset)];
-    });
+    }
     const std::int64_t t_norm = obs::tick();
     obs::record_span(phase_hist_[0], t_stage, t_norm);
 
-    // Phase 1b (parallel over blocks): vectorised normalisation of the whole
-    // round in stream-major order — the same arithmetic per element as
-    // transform_sample, so results are bit-identical.
-    const Index n_blocks = (n_active + kNormBlock - 1) / kNormBlock;
-    pool_.parallel_for(n_blocks, [&](Index b, int) {
-      const Index lo = b * kNormBlock;
-      const Index hi = std::min(lo + kNormBlock, n_active);
-      normalizer_->transform_rows(round_raw_.data() + lo * channels, hi - lo,
-                                  round_norm_.data() + lo * channels);
-    });
+    // Phase 1b: vectorised normalisation of the whole round in stream-major
+    // order — the same arithmetic per element as transform_sample, so
+    // results are bit-identical.
+    normalizer_->transform_rows(round_raw_.data(), n_active, round_norm_.data());
     obs::record_span(phase_hist_[1], t_norm, obs::tick());
 
     ready_.clear();
@@ -261,9 +199,8 @@ std::vector<StreamScore> ScoringEngine::step() {
     }
 
     if (!ready_.empty()) {
-      // Phase 2a (parallel over ready streams): unroll slab context rings and
-      // current observations straight into per-chunk [rows, C, T] / [rows, C]
-      // batches; rows are disjoint slices.
+      // Phase 2a: unroll slab context rings and current observations
+      // straight into per-chunk [rows, C, T] / [rows, C] batches.
       const std::int64_t t_gather = obs::tick();
       const auto n_ready = static_cast<Index>(ready_.size());
       std::vector<Tensor> contexts;
@@ -273,7 +210,7 @@ std::vector<StreamScore> ScoringEngine::step() {
         contexts.emplace_back(Shape{rows, channels, window});
         observations.emplace_back(Shape{rows, channels});
       }
-      pool_.parallel_for(n_ready, [&](Index i, int) {
+      for (Index i = 0; i < n_ready; ++i) {
         const auto s = static_cast<std::size_t>(ready_[static_cast<std::size_t>(i)]);
         const auto chunk = static_cast<std::size_t>(i / config_.max_batch);
         const Index row = i % config_.max_batch;
@@ -282,20 +219,19 @@ std::vector<StreamScore> ScoringEngine::step() {
         const float* norm = round_norm_.data() +
                             ready_pos_[static_cast<std::size_t>(i)] * channels;
         std::copy(norm, norm + channels, observations[chunk].data() + row * channels);
-      });
+      }
 
       const std::int64_t t_score = obs::tick();
       obs::record_span(phase_hist_[2], t_gather, t_score);
 
-      // Phase 2b: batched scoring (chunked by max_batch, sharded when
-      // replicas are available).
+      // Phase 2b: batched scoring, chunked by max_batch.
       score_chunks(contexts, observations, ready_);
       obs::record_span(phase_hist_[3], t_score, obs::tick());
     }
 
-    // Phase 3 (parallel over streams): alarm update and ring advance.
+    // Phase 3: alarm update and ring advance.
     const std::int64_t t_alarm = obs::tick();
-    pool_.parallel_for(n_active, [&](Index i, int) {
+    for (Index i = 0; i < n_active; ++i) {
       const auto s = static_cast<std::size_t>(active_[static_cast<std::size_t>(i)]);
       ++samples_seen_[s];
       if (round_ready_[static_cast<std::size_t>(i)] != 0U)
@@ -312,7 +248,7 @@ std::vector<StreamScore> ScoringEngine::step() {
       const float* norm = round_norm_.data() + i * channels;
       for (Index ch = 0; ch < channels; ++ch) slab_row[ch * window + pos] = norm[ch];
       ++pending_head_[s];
-    });
+    }
     if constexpr (obs::kEnabled) {
       const std::int64_t t_done = obs::now_ns();
       phase_hist_[4].record(t_done - t_alarm);

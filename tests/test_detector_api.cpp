@@ -5,7 +5,9 @@
 //     size (the contract every batched frontend is built on), and
 //     clone_fitted() replicas score bit-identically to the original;
 //  2. serve::ScoringEngine serves any fitted AnomalyDetector — scores and
-//     alarm events match one sequential OnlineMonitor per stream exactly.
+//     alarm events match one sequential OnlineMonitor per stream exactly —
+//     and so does a sharded serve::AsyncScoringRuntime, whose shards score
+//     through clone_fitted() replicas.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +18,7 @@
 #include "varade/core/monitor.hpp"
 #include "varade/core/profiles.hpp"
 #include "varade/data/window.hpp"
-#include "varade/serve/scoring_engine.hpp"
+#include "varade/serve/runtime.hpp"
 
 namespace varade::core {
 namespace {
@@ -256,12 +258,9 @@ TEST(ScoringEngineAllDetectors, MultiStreamParityWithSequentialMonitors) {
     for (Index s = 0; s < kStreams; ++s)
       expected.push_back(run_monitor(*detector, inputs[static_cast<std::size_t>(s)], threshold));
 
-    serve::ScoringEngine engine(*detector, rig().normalizer,
-                                {.n_threads = 3, .max_batch = 7, .shard_forward = true});
+    serve::ScoringEngine engine(*detector, rig().normalizer, {.max_batch = 7});
     engine.add_streams(kStreams);
     engine.set_threshold(threshold);
-    // Every detector is replicable, so the sharded path is exercised here.
-    EXPECT_EQ(engine.n_replicas(), 2) << detector->name();
 
     // Feed in chunks so step() sees many streams pending at once and batches
     // their contexts.
@@ -296,6 +295,57 @@ TEST(ScoringEngineAllDetectors, MultiStreamParityWithSequentialMonitors) {
       }
       EXPECT_EQ(engine.in_alarm(s), expected[static_cast<std::size_t>(s)].in_alarm)
           << detector->name() << " stream " << s;
+    }
+  }
+}
+
+TEST(ScoringEngineAllDetectors, ShardedRuntimeReplicasMatchSequentialMonitors) {
+  // Three shards over five streams: shards 1 and 2 score through
+  // clone_fitted() replicas, shard 0 through the borrowed detector.
+  constexpr Index kStreams = 5;
+  constexpr Index kSamples = 150;
+  std::vector<data::MultivariateSeries> inputs;
+  for (Index s = 0; s < kStreams; ++s)
+    inputs.push_back(
+        make_sine(kSamples, /*planted=*/s % 2 == 0, 200 + static_cast<std::uint64_t>(s)));
+
+  for (auto& detector : rig().detectors) {
+    const float threshold = calibrate_threshold(*detector, rig().train, {});
+    serve::AsyncRuntimeConfig cfg;
+    cfg.engine = {.max_batch = 7};
+    cfg.n_shards = 3;
+    serve::AsyncScoringRuntime runtime(*detector, rig().normalizer, cfg);
+    runtime.add_streams(kStreams);
+    runtime.set_threshold(threshold);
+    std::vector<std::vector<float>> scores(kStreams);
+    // Callbacks are serialised across shards, so the vectors need no lock.
+    runtime.on_score([&scores](const serve::StreamScore& r) {
+      scores[static_cast<std::size_t>(r.stream)].push_back(r.score);
+    });
+    runtime.start();
+    EXPECT_FALSE(runtime.sharing_detector()) << detector->name();
+    for (Index t = 0; t < kSamples; ++t)
+      for (Index s = 0; s < kStreams; ++s)
+        ASSERT_EQ(runtime.push(s, inputs[static_cast<std::size_t>(s)].sample(t), 3),
+                  serve::PushResult::Ok);
+    runtime.close();
+
+    for (Index s = 0; s < kStreams; ++s) {
+      const SequentialRun want = run_monitor(*detector, inputs[static_cast<std::size_t>(s)],
+                                             threshold);
+      EXPECT_EQ(scores[static_cast<std::size_t>(s)], want.scores)
+          << detector->name() << " stream " << s;
+      const auto& events = runtime.events(s);
+      ASSERT_EQ(events.size(), want.events.size()) << detector->name() << " stream " << s;
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].onset_sample, want.events[i].onset_sample)
+            << detector->name() << " stream " << s << " event " << i;
+        EXPECT_EQ(events[i].last_sample, want.events[i].last_sample)
+            << detector->name() << " stream " << s << " event " << i;
+        EXPECT_EQ(events[i].peak_score, want.events[i].peak_score)
+            << detector->name() << " stream " << s << " event " << i;
+      }
+      EXPECT_EQ(runtime.in_alarm(s), want.in_alarm) << detector->name() << " stream " << s;
     }
   }
 }

@@ -11,12 +11,9 @@
 //  3. edge cases of the native paths: B = 0 is a no-op, a mismatched channel
 //     count and a context shorter than the window throw with the
 //     "expects N ... got M" wording;
-//  4. intra-batch parallel scoring (set_scoring_threads) is bit-identical to
-//     the sequential path at every thread count x batch size — and the
-//     convolution kernel dispatch table actually selects the vectorised
+//  4. the convolution kernel dispatch table actually selects the vectorised
 //     kernel on AVX2 hosts, including sanitized builds (this suite carries
-//     the parity and concurrency labels, so ci.sh runs it under ASan/UBSan
-//     and TSan).
+//     the parity label, so ci.sh runs it under ASan/UBSan).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -192,44 +189,6 @@ TEST(ScoreBatchFuzz, ClonedReplicasKeepBitParityOnRandomContexts) {
                        detector->name() + " clone batch " + std::to_string(batch));
     }
   }
-}
-
-TEST(ScoreBatchFuzz, IntraBatchParallelScoringKeepsBitParityAtEveryThreadCount) {
-  // The parallel path splits the B axis into contiguous per-worker ranges;
-  // each row keeps its sequential accumulation order, so any thread count
-  // must reproduce score_step to the last bit. Batch sizes straddle the
-  // interesting boundaries: 1 (fewer rows than workers), 7 (odd split),
-  // 64 (round), 257 (many ranges, odd remainder).
-  const std::vector<Index> batches = {1, 7, 64, 257};
-  std::uint64_t seed = 9000;
-  for (auto& detector : rig().detectors) {
-    const Index window = detector->context_window();
-    for (const Index batch : batches) {
-      Tensor contexts;
-      Tensor observed;
-      random_pairs(batch, window, seed++, contexts, observed);
-      const std::vector<float> reference = sequential_scores(*detector, contexts, observed);
-      for (const int threads : {1, 2, 4}) {
-        detector->set_scoring_threads(threads);
-        EXPECT_EQ(detector->scoring_threads(), threads) << detector->name();
-        std::vector<float> scores(static_cast<std::size_t>(batch), -1.0F);
-        detector->score_batch(contexts, observed, scores.data());
-        expect_bit_equal(scores, reference,
-                         detector->name() + " batch " + std::to_string(batch) + " threads " +
-                             std::to_string(threads));
-      }
-      detector->set_scoring_threads(1);
-    }
-  }
-}
-
-TEST(ScoreBatchFuzz, ScoringThreadSettingValidatesAndResets) {
-  AnomalyDetector& detector = *rig().detectors.front();
-  EXPECT_THROW(detector.set_scoring_threads(-1), Error);
-  detector.set_scoring_threads(0);  // hardware concurrency
-  EXPECT_GE(detector.scoring_threads(), 1);
-  detector.set_scoring_threads(1);
-  EXPECT_EQ(detector.scoring_threads(), 1);
 }
 
 TEST(KernelDispatch, SelectedConvKernelMatchesHostCpu) {

@@ -2,7 +2,7 @@
 //
 // The engine's contract is exact equivalence with the sequential
 // OnlineMonitor path: identical scores (bit for bit) and identical alarm
-// events at any thread count and batch size. Parity holds because every
+// events at any batch size. Parity holds because every
 // model layer processes batch rows independently with a fixed accumulation
 // order, and the engine reuses the monitor's AlarmTracker and calibration
 // rule verbatim.
@@ -15,7 +15,6 @@
 #include "varade/core/monitor.hpp"
 #include "varade/core/varade.hpp"
 #include "varade/serve/scoring_engine.hpp"
-#include "varade/serve/thread_pool.hpp"
 
 namespace varade::serve {
 namespace {
@@ -88,32 +87,6 @@ void expect_same_events(const std::vector<core::AnomalyEvent>& a,
   }
 }
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h.store(0);
-  pool.parallel_for(257, [&](Index i, int worker) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, 4);
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, PropagatesTaskExceptions) {
-  ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.parallel_for(64, [&](Index i, int) {
-        if (i == 13) fail("boom");
-      }),
-      Error);
-  // The pool must stay usable after a failed job.
-  std::atomic<int> count{0};
-  pool.parallel_for(16, [&](Index, int) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 16);
-}
-
 TEST(ScoringEngine, RequiresFittedComponentsAndValidConfig) {
   core::VaradeDetector unfitted;
   EXPECT_THROW(ScoringEngine(unfitted, rig().normalizer), Error);
@@ -144,7 +117,7 @@ TEST(ScoringEngine, SingleStreamParityBitForBit) {
   const auto stream = make_sine(500, true, 7);
   const SequentialRun seq = run_monitor(stream, {});
 
-  ScoringEngine engine(rig().detector, rig().normalizer, {.n_threads = 1, .max_batch = 1});
+  ScoringEngine engine(rig().detector, rig().normalizer, {.max_batch = 1});
   engine.add_stream();
   engine.calibrate(rig().train);
 
@@ -166,7 +139,7 @@ TEST(ScoringEngine, SingleStreamParityBitForBit) {
   EXPECT_EQ(engine.samples_seen(0), stream.length());
 }
 
-TEST(ScoringEngine, EightStreamsFourThreadsMatchSequentialMonitors) {
+TEST(ScoringEngine, EightStreamsBatchedMatchSequentialMonitors) {
   constexpr Index kStreams = 8;
   std::vector<data::MultivariateSeries> inputs;
   std::vector<SequentialRun> expected;
@@ -175,11 +148,9 @@ TEST(ScoringEngine, EightStreamsFourThreadsMatchSequentialMonitors) {
     expected.push_back(run_monitor(inputs.back(), {}));
   }
 
-  ScoringEngine engine(rig().detector, rig().normalizer,
-                       {.n_threads = 4, .max_batch = 4, .shard_forward = true});
+  ScoringEngine engine(rig().detector, rig().normalizer, {.max_batch = 4});
   engine.add_streams(kStreams);
   engine.calibrate(rig().train);
-  EXPECT_EQ(engine.n_threads(), 4);
 
   // Feed in chunks so step() sees many streams pending at once and batches
   // their contexts.
@@ -221,20 +192,19 @@ TEST(ScoringEngine, DeterministicAcrossRunsAndConfigs) {
     return flat;
   };
 
-  const auto base = run_with({.n_threads = 1, .max_batch = 1});
-  const auto threaded = run_with({.n_threads = 4, .max_batch = 3});
-  const auto threaded2 = run_with({.n_threads = 4, .max_batch = 3});
-  const auto wide = run_with({.n_threads = 2, .max_batch = 64, .shard_forward = false});
-  ASSERT_EQ(base.size(), threaded.size());
-  EXPECT_EQ(base, threaded);
-  EXPECT_EQ(threaded, threaded2);
+  const auto base = run_with({.max_batch = 1});
+  const auto chunked = run_with({.max_batch = 3});
+  const auto chunked2 = run_with({.max_batch = 3});
+  const auto wide = run_with({.max_batch = 64});
+  ASSERT_EQ(base.size(), chunked.size());
+  EXPECT_EQ(base, chunked);
+  EXPECT_EQ(chunked, chunked2);
   EXPECT_EQ(base, wide);
 }
 
 TEST(ScoringEngine, AlarmEventsLandOnPlantedBursts) {
   const auto noisy = make_sine(1000, true, 11);
-  ScoringEngine engine(rig().detector, rig().normalizer,
-                       {.n_threads = 2, .max_batch = 16});
+  ScoringEngine engine(rig().detector, rig().normalizer, {.max_batch = 16});
   engine.add_stream();
   engine.calibrate(rig().train);
   for (Index t = 0; t < noisy.length(); ++t) engine.push(0, noisy.sample(t), noisy.n_channels());
@@ -254,7 +224,7 @@ TEST(ScoringEngine, AlarmEventsLandOnPlantedBursts) {
 }
 
 TEST(ScoringEngine, UnevenStreamsWarmupAndBookkeeping) {
-  ScoringEngine engine(rig().detector, rig().normalizer, {.n_threads = 2, .max_batch = 8});
+  ScoringEngine engine(rig().detector, rig().normalizer, {.max_batch = 8});
   engine.add_streams(3);
   engine.set_threshold(1e9F);  // never alarms
 

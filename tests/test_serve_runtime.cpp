@@ -492,7 +492,7 @@ TEST(AsyncScoringRuntime, FourProducersSixteenStreamsMatchSynchronousEngineBitFo
   // Synchronous reference: one ScoringEngine, all samples pushed up front.
   std::vector<StreamRun> want(kStreams);
   {
-    ScoringEngine sync(rig().detector, rig().normalizer, {.n_threads = 1, .max_batch = 8});
+    ScoringEngine sync(rig().detector, rig().normalizer, {.max_batch = 8});
     sync.add_streams(kStreams);
     sync.calibrate(rig().train);
     for (Index s = 0; s < kStreams; ++s)
@@ -513,7 +513,7 @@ TEST(AsyncScoringRuntime, FourProducersSixteenStreamsMatchSynchronousEngineBitFo
   AsyncRuntimeConfig cfg;
   cfg.ring_capacity = 16;
   cfg.backpressure = BackpressurePolicy::Block;
-  cfg.engine = {.n_threads = 2, .max_batch = 8, .shard_forward = true};
+  cfg.engine = {.max_batch = 8};
   AsyncScoringRuntime runtime(rig().detector, rig().normalizer, cfg);
   runtime.add_streams(kStreams);
   runtime.calibrate(rig().train);

@@ -278,7 +278,7 @@ float rig_threshold() {
 std::vector<StreamRun> sync_reference(core::AnomalyDetector& detector,
                                       const std::vector<data::MultivariateSeries>& inputs) {
   std::vector<StreamRun> want(kParityStreams);
-  ScoringEngine sync(detector, rig().normalizer, {.n_threads = 1, .max_batch = 8});
+  ScoringEngine sync(detector, rig().normalizer, {.max_batch = 8});
   sync.add_streams(kParityStreams);
   sync.set_threshold(rig_threshold());
   for (Index s = 0; s < kParityStreams; ++s)
@@ -305,7 +305,7 @@ std::vector<StreamRun> async_run(core::AnomalyDetector& detector, Index n_shards
   AsyncRuntimeConfig cfg;
   cfg.ring_capacity = 16;
   cfg.backpressure = BackpressurePolicy::Block;
-  cfg.engine = {.n_threads = 1, .max_batch = 8};
+  cfg.engine = {.max_batch = 8};
   cfg.n_shards = n_shards;
   AsyncScoringRuntime runtime(detector, rig().normalizer, cfg);
   runtime.add_streams(kParityStreams);
@@ -433,7 +433,7 @@ TEST(ShardedRuntime, CloseMidStreamDrainsEveryShard) {
   AsyncRuntimeConfig cfg;
   cfg.ring_capacity = 4096;
   cfg.n_shards = 4;
-  cfg.engine = {.n_threads = 1, .max_batch = 8};
+  cfg.engine = {.max_batch = 8};
   AsyncScoringRuntime runtime(rig().detector, rig().normalizer, cfg);
   runtime.add_streams(6);
   runtime.set_threshold(rig_threshold());

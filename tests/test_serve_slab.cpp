@@ -198,7 +198,7 @@ TEST(SlabParity, ThousandStreamsFourShards) { run_parity(1000, 4, 24); }
 TEST(SlabEngine, RaggedWarmupAcrossFillLevels) {
   // Window is 16; stream i receives i * 8 samples in total (0, 8, 16, 24,
   // 32): never warm, half full, exactly full, and wrapped once / twice.
-  ScoringEngine engine(rig().detector, rig().normalizer, {.n_threads = 2, .max_batch = 3});
+  ScoringEngine engine(rig().detector, rig().normalizer, {.max_batch = 3});
   constexpr Index kStreams = 5;
   engine.add_streams(kStreams);
   engine.set_threshold(shared_threshold());
