@@ -167,8 +167,8 @@ void score_path_bench(core::AnomalyDetector& detector, const data::MultivariateS
 /// concurrent producer threads (streams round-robin across producers, one
 /// producer per stream) and the stream space partitioned across `n_shards`
 /// scoring threads; returns wall-clock seconds from first push to close()
-/// (which drains the backlog). The score checksum is accumulated via the
-/// callback (serialised across shards by the runtime).
+/// (which drains the backlog) plus draining the result queue, from which
+/// the score checksum is accumulated.
 double bench_async_once(core::AnomalyDetector& detector,
                         const data::MinMaxNormalizer& normalizer, float threshold,
                         const std::vector<data::MultivariateSeries>& streams,
@@ -183,8 +183,6 @@ double bench_async_once(core::AnomalyDetector& detector,
   serve::AsyncScoringRuntime runtime(detector, normalizer, cfg);
   runtime.add_streams(n_streams);
   runtime.set_threshold(threshold);
-  double checksum = 0.0;  // scoring-thread-only until close() joins
-  runtime.on_score([&checksum](const serve::StreamScore& r) { checksum += r.score; });
   runtime.start();
 
   const auto start = Clock::now();
@@ -204,6 +202,8 @@ double bench_async_once(core::AnomalyDetector& detector,
   }
   for (std::thread& t : producers) t.join();
   runtime.close();  // drains the backlog: part of the measured work
+  double checksum = 0.0;
+  for (const serve::StreamScore& r : runtime.drain_scores()) checksum += r.score;
   const double secs = seconds_since(start);
   checksum_out = checksum;
   telemetry_out = runtime.telemetry().total;

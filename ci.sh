@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# Local CI: exactly what .github/workflows/ci.yml runs.
+# Local CI: the steps .github/workflows/ci.yml runs, in the same order. Two
+# local-only extras: the build log is saved and warnings outside the -Werror
+# scope are printed (informational, never failing), and the stream sweep
+# writes its JSON next to the build.
 #
 # Configure the Release preset, build everything with -j, run the fast CTest
 # preset (everything except LABELS slow), then run the batched-vs-sequential

@@ -12,6 +12,7 @@
 //    reconfiguration logic.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -45,18 +46,30 @@ struct AnomalyEvent {
   float peak_score = 0.0F;
 };
 
+/// What one AlarmTracker::update did to the event log.
+enum class AlarmEdge : std::uint8_t {
+  None,      ///< no event changed (quiet, below debounce, dip, or close)
+  Raised,    ///< a new event opened on this sample
+  Extended,  ///< the open event's last_sample (and maybe peak_score) moved
+};
+
 /// The debounce/hold-off alarm state machine, factored out of OnlineMonitor
 /// so other frontends (the serve::ScoringEngine multiplexing many streams)
-/// raise bit-identical events from the same score sequence.
+/// raise bit-identical events from the same score sequence. It is the only
+/// alarm state machine in the serving stack: downstream consumers (the
+/// net::Server's ALARM frames) read the AlarmEdge it returns instead of
+/// re-running it.
 class AlarmTracker {
  public:
   AlarmTracker() = default;
   explicit AlarmTracker(const MonitorConfig& config) : config_(config) {}
 
   /// Updates the alarm state with the score of stream sample `sample_index`
-  /// (0-based position in the stream). Returns true when a new event was
-  /// raised by this update.
-  bool update(float score, float threshold, Index sample_index);
+  /// (0-based position in the stream) and reports the event-log transition:
+  /// Raised opens events().back() at this sample; Extended sets its
+  /// last_sample to this sample and folds the score into its peak_score
+  /// with std::max.
+  AlarmEdge update(float score, float threshold, Index sample_index);
 
   bool in_alarm() const { return in_alarm_; }
   const std::vector<AnomalyEvent>& events() const { return events_; }

@@ -37,7 +37,7 @@ void write_context(const float* ring_row, Index channels, Index window, Index ol
   }
 }
 
-bool AlarmTracker::update(float score, float threshold, Index sample_index) {
+AlarmEdge AlarmTracker::update(float score, float threshold, Index sample_index) {
   // Alarm logic: debounce, then hold events open across brief dips.
   const bool over = score > threshold;
   if (over) {
@@ -55,17 +55,17 @@ bool AlarmTracker::update(float score, float threshold, Index sample_index) {
     ev.last_sample = sample_index;
     ev.peak_score = score;
     events_.push_back(ev);
-    return true;
+    return AlarmEdge::Raised;
   }
   if (in_alarm_) {
     if (over) {
       events_.back().last_sample = sample_index;
       events_.back().peak_score = std::max(events_.back().peak_score, score);
-    } else if (since_last_over_ > config_.holdoff_samples) {
-      in_alarm_ = false;
+      return AlarmEdge::Extended;
     }
+    if (since_last_over_ > config_.holdoff_samples) in_alarm_ = false;
   }
-  return false;
+  return AlarmEdge::None;
 }
 
 float calibrate_threshold(AnomalyDetector& detector, const data::MultivariateSeries& train,
@@ -131,7 +131,7 @@ float OnlineMonitor::push(const float* raw_sample) {
       observed[c] = scratch_[static_cast<std::size_t>(c)];
     score = detector_->score_step(context, observed);
 
-    if (tracker_.update(score, threshold_, samples_seen_ - 1) && callback_)
+    if (tracker_.update(score, threshold_, samples_seen_ - 1) == AlarmEdge::Raised && callback_)
       callback_(tracker_.events().back());
   }
 

@@ -35,8 +35,8 @@ Client::Client(const Endpoint& endpoint, ClientConfig config)
     : config_(config), sock_(connect_with_retry(endpoint, config.connect_retry_ms)) {
   check(config_.batch >= 1, "net: ClientConfig.batch must be >= 1");
   const bool want_shm = endpoint.kind == Endpoint::Kind::Shm;
-  // Always advertise SAMPLE_BATCH (it costs one payload byte); ask for the
-  // shm rings only when the endpoint says so.
+  // Always advertise SAMPLE_BATCH; ask for the shm rings only when the
+  // endpoint says so.
   const std::uint8_t features =
       static_cast<std::uint8_t>(kFeatureSampleBatch | (want_shm ? kFeatureShm : 0));
   append_hello(out_, config_.policy, features);

@@ -25,10 +25,11 @@
 //
 // Determinism across the socket: per-stream sample order is the client's
 // send order (TCP/UDS are ordered, the ring is FIFO, one owner per stream),
-// scores travel as exact IEEE-754 bit patterns, and the server's per-stream
-// alarm mirror feeds the same AlarmTracker state machine the engine runs —
-// so scores and alarm events received by a client are bit-identical to a
-// synchronous in-process ScoringEngine fed the same samples.
+// scores travel as exact IEEE-754 bit patterns, and ALARM frames forward the
+// alarm transition the engine's own state machine attached to each score
+// (StreamScore::alarm) — so scores and alarm events received by a client are
+// bit-identical to a synchronous in-process ScoringEngine fed the same
+// samples.
 #pragma once
 
 #include <atomic>
@@ -148,14 +149,14 @@ class Server {
     ShmSession shm;
   };
 
-  /// Per-stream mirror of the engine's alarm state machine, fed the drained
-  /// scores in emission order — same inputs, same AlarmTracker code, so the
-  /// ALARM frames match the engine's events bit for bit.
+  /// Per-stream routing state: the owning connection plus the open alarm
+  /// event's onset and peak, folded from the engine's AlarmEdge transitions
+  /// in emission order (the same std::max sequence the engine applies), so
+  /// each ALARM frame carries the engine's event bit for bit.
   struct StreamMirror {
-    core::AlarmTracker tracker;
-    std::size_t n_events = 0;          // events already announced
-    core::AnomalyEvent last_event{};   // last announced state of the tail event
-    Connection* owner = nullptr;       // first-push-wins; null when unowned
+    Connection* owner = nullptr;  // first-push-wins; null when unowned
+    Index onset = 0;              // onset_sample of the latest event
+    float peak = 0.0F;            // peak_score of the latest event
   };
 
   /// One in-flight metrics scrape: a minimal HTTP/1.0 exchange (read the
@@ -190,10 +191,8 @@ class Server {
   void release_streams(Connection& conn);
   void begin_shutdown();
 
-  core::AnomalyDetector* detector_;
   ServerConfig config_;
   serve::AsyncScoringRuntime runtime_;
-  Index window_ = 0;      // detector context window: scores before it are warm-up
   Index n_channels_ = 0;  // fixes every SAMPLE frame's payload size
 
   Socket tcp_listener_;

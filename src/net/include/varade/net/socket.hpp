@@ -75,6 +75,10 @@ Socket unix_connect(const std::string& path);
 Socket connect_endpoint(const Endpoint& endpoint);
 
 void set_nonblocking(int fd, bool on);
+/// Disables Nagle on a TCP socket (both ends of a TCP session set it: frames
+/// are small and latency-sensitive, and each side batches writes itself).
+/// Not valid on Unix-domain sockets.
+void set_tcp_nodelay(int fd);
 
 /// Writes all `n` bytes (blocking, EINTR-safe, MSG_NOSIGNAL). Throws on any
 /// failure including EPIPE.

@@ -25,9 +25,9 @@
 // error, never undefined behaviour.
 //
 // Frame catalogue (direction in parentheses):
-//   Hello        (c->s)  {u8 policy_request[, u8 features]}  open the session
+//   Hello        (c->s)  {u8 policy_request, u8 features}  open the session
 //   Welcome      (s->c)  {u32 streams, u32 channels, f32 threshold,
-//                         u8 policy[, u8 features]}    config handshake reply
+//                         u8 policy, u8 features}      config handshake reply
 //   Sample       (c->s)  {u32 stream, u64 seq, C f32}   one raw sample
 //   SampleBatch  (c->s)  {u32 stream, u64 base_seq, u32 count, K*C f32}
 //                        K consecutive samples of one stream under one header
@@ -81,9 +81,9 @@ enum class FrameType : std::uint8_t {
 /// this is rejected before any per-sample work.
 inline constexpr std::uint32_t kMaxBatchSamples = 4096;
 
-// HELLO/WELCOME feature bits (the optional second payload byte). A legacy
-// 1-byte HELLO means "no features"; the daemon echoes the subset it granted
-// in a 14-byte WELCOME, so both sides agree before the first SAMPLE.
+// HELLO/WELCOME feature bits (HELLO's second payload byte, WELCOME's
+// fourteenth). The client advertises what it wants and the daemon echoes the
+// subset it granted, so both sides agree before the first SAMPLE.
 inline constexpr std::uint8_t kFeatureSampleBatch = 0x01;  ///< SAMPLE_BATCH accepted
 inline constexpr std::uint8_t kFeatureShm = 0x02;          ///< shm ring transport
 
@@ -116,8 +116,7 @@ struct Welcome {
   Index n_channels = 0;
   float threshold = 0.0F;
   serve::BackpressurePolicy policy = serve::BackpressurePolicy::Block;
-  /// Feature bits the daemon granted (subset of the Hello request). Encoded
-  /// as a 14th payload byte only when nonzero, so legacy peers still parse.
+  /// Feature bits the daemon granted (subset of the Hello request).
   std::uint8_t features = 0;
 };
 
@@ -209,9 +208,8 @@ struct WireStats {
 void append_frame(std::vector<std::uint8_t>& out, FrameType type, const std::uint8_t* payload,
                   std::size_t payload_len);
 /// HELLO's policy byte: a concrete policy requests it; nullopt (wire value
-/// 255) asks the daemon to apply its configured default. Nonzero `features`
-/// appends the second payload byte (legacy daemons reject it by size, which
-/// is why the client only sets bits it needs).
+/// 255) asks the daemon to apply its configured default. The second byte
+/// carries the `features` the client asks for (0 = none).
 void append_hello(std::vector<std::uint8_t>& out,
                   std::optional<serve::BackpressurePolicy> policy = std::nullopt,
                   std::uint8_t features = 0);
@@ -249,7 +247,7 @@ ScoreData decode_score(const Frame& frame);
 AlarmData decode_alarm(const Frame& frame);
 NackData decode_nack(const Frame& frame);
 WireStats decode_stats_reply(const Frame& frame);
-/// Accepts the legacy 1-byte payload (features = 0) and the 2-byte form.
+/// Requires the 2-byte payload and rejects unknown feature bits.
 HelloData decode_hello(const Frame& frame);
 /// WireError payload is the error message itself.
 std::string decode_wire_error(const Frame& frame);

@@ -30,8 +30,7 @@ constexpr std::size_t kMaxMetricsConns = 16;
 
 Server::Server(core::AnomalyDetector& detector, const data::MinMaxNormalizer& normalizer,
                ServerConfig config)
-    : detector_(&detector),
-      config_(std::move(config)),
+    : config_(std::move(config)),
       runtime_(detector, normalizer, config_.runtime) {
   check(config_.n_streams >= 1, "Server needs n_streams >= 1");
   check(config_.n_streams <= static_cast<Index>(0xFFFFFFFFU),
@@ -54,16 +53,10 @@ Server::Server(core::AnomalyDetector& detector, const data::MinMaxNormalizer& no
 
   runtime_.add_streams(config_.n_streams);
   runtime_.set_threshold(config_.threshold);
-  window_ = detector.context_window();
   n_channels_ = normalizer.n_channels();
   check(n_channels_ >= 1, "net: normalizer reports zero channels");
 
-  streams_.reserve(static_cast<std::size_t>(config_.n_streams));
-  for (Index s = 0; s < config_.n_streams; ++s) {
-    StreamMirror m;
-    m.tracker = core::AlarmTracker(config_.runtime.engine.monitor);
-    streams_.push_back(std::move(m));
-  }
+  streams_.resize(static_cast<std::size_t>(config_.n_streams));
 
   if (config_.tcp_port >= 0) {
     tcp_port_ = config_.tcp_port;
@@ -457,7 +450,7 @@ std::string Server::metrics_text() const {
               "Productive scorer round: ring drain + engine step + emit.", rt.total.round);
   w.histogram("varade_ring_drain_seconds", "Ring-drain sweep of a productive round.",
               rt.total.drain);
-  w.histogram("varade_result_emit_seconds", "Result-queue / callback hop per round.",
+  w.histogram("varade_result_emit_seconds", "Result-queue hop per round.",
               rt.total.emit);
   w.histogram("varade_wake_to_drain_seconds",
               "Nap wake to the end of the next productive drain sweep.", rt.total.wake_to_drain);
@@ -579,7 +572,6 @@ void Server::write_metrics(MetricsConn& conn) {
 }
 
 void Server::route_scores() {
-  const float threshold = runtime_.threshold();
   for (const serve::StreamScore& score : runtime_.drain_scores()) {
     StreamMirror& m = streams_[static_cast<std::size_t>(score.stream)];
     Connection* owner = m.owner;
@@ -590,33 +582,19 @@ void Server::route_scores() {
     } else {
       scores_unrouted_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Alarm mirror: identical inputs through the identical state machine as
-    // the engine's own per-stream tracker (which only updates once the ring
-    // holds a full context — sample index >= window).
-    if (score.sample >= window_) {
-      m.tracker.update(score.score, threshold, score.sample);
-      const std::vector<core::AnomalyEvent>& events = m.tracker.events();
-      if (!events.empty()) {
-        const core::AnomalyEvent& e = events.back();
-        const bool is_new = events.size() != m.n_events;
-        const bool changed = is_new || e.onset_sample != m.last_event.onset_sample ||
-                             e.last_sample != m.last_event.last_sample ||
-                             e.peak_score != m.last_event.peak_score;
-        if (changed) {
-          if (routable) {
-            AlarmData alarm;
-            alarm.stream = score.stream;
-            alarm.onset_sample = static_cast<std::uint64_t>(e.onset_sample);
-            alarm.last_sample = static_cast<std::uint64_t>(e.last_sample);
-            alarm.peak_score = e.peak_score;
-            alarm.raised = is_new;
-            append_alarm(owner->out, alarm);
-          }
-          m.n_events = events.size();
-          m.last_event = e;
-        }
-      }
-    }
+    // The engine already decided the alarm transition; fold it into the
+    // stream's onset/peak even when the owner is gone, so a later owner's
+    // ALARM frames still describe the engine's event.
+    if (score.alarm == core::AlarmEdge::None) continue;
+    const bool raised = score.alarm == core::AlarmEdge::Raised;
+    if (raised) m.onset = score.sample;
+    m.peak = raised ? score.score : std::max(m.peak, score.score);
+    if (routable)
+      append_alarm(owner->out, {.stream = score.stream,
+                                .onset_sample = static_cast<std::uint64_t>(m.onset),
+                                .last_sample = static_cast<std::uint64_t>(score.sample),
+                                .peak_score = m.peak,
+                                .raised = raised});
   }
 }
 
@@ -761,6 +739,9 @@ void Server::run() {
           continue;
         }
         set_nonblocking(fd, true);
+        // Without this, Nagle holds a tick's SCORE frames until the client's
+        // next segment arrives.
+        if (tcp_listener_.valid() && pfds[i].fd == tcp_listener_.fd()) set_tcp_nodelay(fd);
         auto conn = std::make_unique<Connection>();
         conn->sock = Socket(fd);
         conn->policy = config_.runtime.backpressure;

@@ -147,8 +147,7 @@ Socket tcp_connect(const std::string& host, int port) {
   if (!sock.valid()) fail_errno("socket(AF_INET)");
   if (connect(sock.fd(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0)
     fail_errno("connect(tcp:" + host + ":" + std::to_string(port) + ")");
-  const int one = 1;
-  (void)setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  set_tcp_nodelay(sock.fd());
   return sock;
 }
 
@@ -173,6 +172,11 @@ void set_nonblocking(int fd, bool on) {
   if (flags < 0) fail_errno("fcntl(F_GETFL)");
   const int want = on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
   if (fcntl(fd, F_SETFL, want) != 0) fail_errno("fcntl(F_SETFL)");
+}
+
+void set_tcp_nodelay(int fd) {
+  const int one = 1;
+  (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 void send_all(int fd, const void* data, std::size_t n) {

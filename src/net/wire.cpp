@@ -127,18 +127,18 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType type, const std::uin
 
 void append_hello(std::vector<std::uint8_t>& out,
                   std::optional<serve::BackpressurePolicy> policy, std::uint8_t features) {
-  std::uint8_t* p = begin_frame(out, FrameType::Hello, features != 0 ? 2 : 1);
+  std::uint8_t* p = begin_frame(out, FrameType::Hello, 2);
   p[0] = policy ? encode_policy_byte(*policy) : kDefaultPolicyByte;
-  if (features != 0) p[1] = features;
+  p[1] = features;
 }
 
 void append_welcome(std::vector<std::uint8_t>& out, const Welcome& welcome) {
-  std::uint8_t* p = begin_frame(out, FrameType::Welcome, welcome.features != 0 ? 14 : 13);
+  std::uint8_t* p = begin_frame(out, FrameType::Welcome, 14);
   store_u32(p, static_cast<std::uint32_t>(welcome.n_streams));
   store_u32(p + 4, static_cast<std::uint32_t>(welcome.n_channels));
   store_f32(p + 8, welcome.threshold);
   p[12] = encode_policy_byte(welcome.policy);
-  if (welcome.features != 0) p[13] = welcome.features;
+  p[13] = welcome.features;
 }
 
 void append_sample(std::vector<std::uint8_t>& out, Index stream, std::uint64_t seq,
@@ -226,34 +226,28 @@ void append_wire_error(std::vector<std::uint8_t>& out, const std::string& messag
 
 HelloData decode_hello(const Frame& frame) {
   require_type(frame, FrameType::Hello);
-  if (frame.payload.size() != 1 && frame.payload.size() != 2)
-    fail("net: HELLO frame payload is ", frame.payload.size(), " bytes, expected 1 or 2");
+  require_size(frame, 2);
   HelloData h;
   if (frame.payload[0] != kDefaultPolicyByte)
     h.policy = decode_policy_byte(frame.payload[0], "HELLO");
-  if (frame.payload.size() == 2) {
-    h.features = frame.payload[1];
-    if ((h.features & ~(kFeatureSampleBatch | kFeatureShm)) != 0)
-      fail("net: unknown feature bits ", static_cast<int>(h.features), " in HELLO frame");
-  }
+  h.features = frame.payload[1];
+  if ((h.features & ~(kFeatureSampleBatch | kFeatureShm)) != 0)
+    fail("net: unknown feature bits ", static_cast<int>(h.features), " in HELLO frame");
   return h;
 }
 
 Welcome decode_welcome(const Frame& frame) {
   require_type(frame, FrameType::Welcome);
-  if (frame.payload.size() != 13 && frame.payload.size() != 14)
-    fail("net: WELCOME frame payload is ", frame.payload.size(), " bytes, expected 13 or 14");
+  require_size(frame, 14);
   const std::uint8_t* p = frame.payload.data();
   Welcome w;
   w.n_streams = static_cast<Index>(load_u32(p));
   w.n_channels = static_cast<Index>(load_u32(p + 4));
   w.threshold = load_f32(p + 8);
   w.policy = decode_policy_byte(p[12], "WELCOME");
-  if (frame.payload.size() == 14) {
-    w.features = p[13];
-    if ((w.features & ~(kFeatureSampleBatch | kFeatureShm)) != 0)
-      fail("net: unknown feature bits ", static_cast<int>(w.features), " in WELCOME frame");
-  }
+  w.features = p[13];
+  if ((w.features & ~(kFeatureSampleBatch | kFeatureShm)) != 0)
+    fail("net: unknown feature bits ", static_cast<int>(w.features), " in WELCOME frame");
   check(w.n_streams >= 1, "net: WELCOME frame announces zero streams");
   check(w.n_channels >= 1, "net: WELCOME frame announces zero channels");
   return w;

@@ -6,8 +6,9 @@
 // AsyncScoringRuntime removes that cap: each stream gets a bounded lock-free
 // SampleRing (ingest.hpp), producers push raw samples from arbitrary threads
 // with a per-call backpressure policy, and background scoring threads drain
-// the rings round-robin into engine push()/step() loops. Scores flow out
-// either through a polling drain_scores() result queue or a user callback.
+// the rings round-robin into engine push()/step() loops. Scores — each
+// carrying the alarm transition its engine decided — flow out through one
+// polling drain_scores() result queue.
 //
 // Sharding: AsyncRuntimeConfig::n_shards statically partitions the stream
 // space across N shards (ShardPartition, a modulo map — the one place stream
@@ -32,9 +33,9 @@
 // ScoringEngine — or one OnlineMonitor per stream — fed the same samples,
 // for ANY shard count, producer timing, ring capacity, or batching.
 //
-// Lifecycle: add_streams() / calibrate() / on_score() before start(); the
-// shard engines are built by start() (cloning the detector per shard);
-// push() + drain_scores() while running; close() gates intake once, waits
+// Lifecycle: add_streams() / calibrate() before start(); the shard engines
+// are built by start() (cloning the detector per shard); push() +
+// drain_scores() while running; close() gates intake once, waits
 // for in-flight pushes, then drains every ring to empty and joins all
 // scorers deterministically — idempotent. Every push that returned Ok or
 // DroppedOldest is guaranteed scored by the time close() returns — unless a
@@ -45,8 +46,8 @@
 
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -88,7 +89,7 @@ struct AsyncRuntimeConfig {
   ScoringEngineConfig engine;
   /// Per-stream ring capacity in samples; rounded up to a power of two.
   Index ring_capacity = 1024;
-  /// Policy applied by the two-argument push(); per-call overload overrides.
+  /// Policy applied by push() calls that do not name one.
   BackpressurePolicy backpressure = BackpressurePolicy::Block;
   /// Empty polling rounds before a shard's scoring thread naps between
   /// wakeups (each shard backs off independently).
@@ -113,7 +114,7 @@ struct ShardStats {
   Index n_streams = 0;  ///< streams this shard owns
   long rounds = 0;      ///< scoring rounds (drain + engine step) run
   long naps = 0;        ///< times the shard's scorer actually went to sleep
-  long scored = 0;      ///< StreamScores emitted (result queue or callback)
+  long scored = 0;      ///< StreamScores emitted into the result queue
 };
 
 /// One aggregate snapshot of the whole runtime: the per-stream ingestion
@@ -149,7 +150,7 @@ struct RuntimeStats {
 struct ShardTelemetry {
   obs::HistogramSnapshot round;  ///< productive round: drain + step + emit
   obs::HistogramSnapshot drain;  ///< ring-drain sweep of a productive round
-  obs::HistogramSnapshot emit;   ///< result-queue / callback hop per round
+  obs::HistogramSnapshot emit;   ///< result-queue hop per round
   /// Nap/idle wake to end of the next productive drain sweep.
   obs::HistogramSnapshot wake_to_drain;
   EngineTelemetry engine;
@@ -201,34 +202,26 @@ class AsyncScoringRuntime {
   void set_threshold(float threshold);
   float threshold() const { return threshold_; }
 
-  /// Registers a callback invoked for every score. When set, scores are NOT
-  /// queued for drain_scores(). Only before start(). The callback runs on
-  /// the owning shard's scoring thread; invocations are serialised across
-  /// shards (one shard's batch at a time), and within a stream they arrive
-  /// in the engine's emission order.
-  void on_score(std::function<void(const StreamScore&)> callback);
-
   /// Builds the shard engines (one clone_fitted() replica per shard, shared
   /// borrowed instance when the detector is not replicable) and launches
   /// one scoring thread per active shard. Requires >= 1 stream and a
   /// calibrated threshold.
   void start();
 
-  /// Enqueues one raw sample for `stream` under the config's (or the given)
-  /// backpressure policy. `count` is the number of floats at `raw_sample`
-  /// and must equal the normalizer's channel count (validated — the explicit
-  /// length contract of the raw-pointer path). Thread-safe against any other
+  /// Enqueues one raw sample for `stream` under `policy`, or under the
+  /// config's backpressure policy when none is given. `count` is the number
+  /// of floats at `raw_sample` and must equal the normalizer's channel count
+  /// (validated — the explicit length contract of the raw-pointer path).
+  /// Thread-safe against any other
   /// push and the scorers; one producer per stream keeps that stream's order
   /// (see header comment). After close() begins, returns Rejected without
   /// enqueueing. Block-policy pushes also unblock with Rejected when the
   /// runtime closes under them.
-  PushResult push(Index stream, const float* raw_sample, Index count);
-  PushResult push(Index stream, const float* raw_sample, Index count, BackpressurePolicy policy);
-  PushResult push(Index stream, const std::vector<float>& raw_sample);
-  PushResult push(Index stream, const std::vector<float>& raw_sample, BackpressurePolicy policy);
+  PushResult push(Index stream, const float* raw_sample, Index count,
+                  std::optional<BackpressurePolicy> policy = std::nullopt);
 
   /// Moves out every score produced since the last call, merging the
-  /// per-shard result queues (empty when a callback is registered).
+  /// per-shard result queues — the runtime's one result path.
   /// Per-stream order is emission order; cross-stream interleaving between
   /// shards is unspecified. Callable from any one consumer thread, during
   /// operation and after close().
@@ -311,10 +304,6 @@ class AsyncScoringRuntime {
     /// start().
     std::unique_ptr<ScoringEngine> engine;
     std::thread scorer;
-    /// Published by the scoring thread at loop entry; close()'s self-join
-    /// guard compares against this instead of touching `scorer` (which the
-    /// first closer may concurrently join()).
-    std::atomic<std::thread::id> tid{};
     /// Per-shard nap handshake (see scorer loop): producers that observe
     /// asleep notify under wake_mu, so an idle shard sleeps independently
     /// of the others and a hot shard never wakes an idle one.
@@ -323,7 +312,7 @@ class AsyncScoringRuntime {
     std::atomic<bool> asleep{false};
     std::atomic<long> rounds{0};
     std::atomic<long> naps{0};
-    /// StreamScores emitted by this shard (result queue or callback).
+    /// StreamScores emitted into this shard's result queue.
     std::atomic<long> scored{0};
     /// Scorer-loop latency histograms (recorded by the shard's scorer only;
     /// snapshotted by telemetry() from any thread).
@@ -391,11 +380,6 @@ class AsyncScoringRuntime {
   /// accepting_ == true) would let an Ok push land after the final drain.
   std::atomic<bool> accepting_{false};
   std::atomic<bool> stop_{false};
-
-  /// Serialises on_score callback invocations across shards (taken per
-  /// emitted batch, not per score; uncontended when one shard is active).
-  std::mutex callback_mu_;
-  std::function<void(const StreamScore&)> callback_;
 };
 
 }  // namespace varade::serve

@@ -84,11 +84,18 @@ struct ScoringEngineConfig {
 /// registered via the subset-view add_stream(global_id) overload — so a
 /// shard-local engine serving a slice of a larger stream space reports
 /// scores under the ids its owner knows.
+///
+/// `alarm` is the transition the stream's alarm state machine made on this
+/// sample (None while warming up): the engine's own decision, so consumers
+/// (the daemon's ALARM frames) forward it instead of recomputing it.
 struct StreamScore {
   Index stream = 0;
   Index sample = 0;     // 0-based position within the stream
   float score = -1.0F;  // negative while the stream's ring is warming up
+  core::AlarmEdge alarm = core::AlarmEdge::None;
 };
+// The edge rides in the struct's tail padding: result queues stay 24 B/score.
+static_assert(sizeof(StreamScore) == 24, "StreamScore grew past its tail padding");
 
 class ScoringEngine {
  public:
@@ -126,16 +133,12 @@ class ScoringEngine {
 
   /// Buffers one raw (unnormalised) sample for a stream; scored at the next
   /// step(). `count` is the number of floats at `raw_sample` and must equal
-  /// n_channels() — the explicit length contract that lets the engine
-  /// validate raw-pointer pushes the way the vector overload always could.
-  void push(Index stream, const float* raw_sample, Index count);
-  /// Telemetry-carrying overload: `enqueue_ns` is an obs::tick() timestamp
-  /// taken when the sample entered the serving system (0 = unsampled). The
-  /// next step() that scores the sample records now - enqueue_ns into the
-  /// push_to_score histogram. With telemetry compiled off the timestamp is
-  /// dropped at the door.
-  void push(Index stream, const float* raw_sample, Index count, std::int64_t enqueue_ns);
-  void push(Index stream, const std::vector<float>& raw_sample);
+  /// n_channels() — the explicit length contract of the raw-pointer path.
+  /// `enqueue_ns` is an obs::tick() timestamp taken when the sample entered
+  /// the serving system (0 = unsampled): the next step() that scores the
+  /// sample records now - enqueue_ns into the push_to_score histogram. With
+  /// telemetry compiled off the timestamp is dropped at the door.
+  void push(Index stream, const float* raw_sample, Index count, std::int64_t enqueue_ns = 0);
 
   /// Drains every buffered sample; returns scores ordered chronologically
   /// per stream (round by round, stream id ascending within a round).
@@ -189,6 +192,7 @@ class ScoringEngine {
   std::vector<Index> samples_seen_;
   std::vector<Index> global_ids_;  // id reported in StreamScore
   std::vector<float> score_;       // this round's score per stream
+  std::vector<core::AlarmEdge> edge_;  // this round's alarm transition per stream
   /// Deque, not vector: references handed out by events() must survive
   /// add_stream().
   std::deque<core::AlarmTracker> alarms_;

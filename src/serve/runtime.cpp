@@ -82,11 +82,6 @@ void AsyncScoringRuntime::set_threshold(float threshold) {
   calibrated_ = true;
 }
 
-void AsyncScoringRuntime::on_score(std::function<void(const StreamScore&)> callback) {
-  check(!started_, "on_score after start()");
-  callback_ = std::move(callback);
-}
-
 void AsyncScoringRuntime::start() {
   check(!started_, "start() called twice");
   check(!closed(), "start() after close()");
@@ -167,13 +162,10 @@ const AsyncScoringRuntime::Shard& AsyncScoringRuntime::shard_at(Index shard) con
   return shards_[static_cast<std::size_t>(shard)];
 }
 
-PushResult AsyncScoringRuntime::push(Index stream, const float* raw_sample, Index count) {
-  return push(stream, raw_sample, count, config_.backpressure);
-}
-
 PushResult AsyncScoringRuntime::push(Index stream, const float* raw_sample, Index count,
-                                     BackpressurePolicy policy) {
+                                     std::optional<BackpressurePolicy> requested) {
   StreamIngest& ingest = ingest_at(stream);
+  const BackpressurePolicy policy = requested.value_or(config_.backpressure);
   if (count != normalizer_->n_channels())
     throw Error(detail::channel_mismatch_message(normalizer_->n_channels(), count));
   Shard& shard = shards_[static_cast<std::size_t>(partition_.shard_of(stream))];
@@ -248,15 +240,6 @@ PushResult AsyncScoringRuntime::push(Index stream, const float* raw_sample, Inde
   return result;
 }
 
-PushResult AsyncScoringRuntime::push(Index stream, const std::vector<float>& raw_sample) {
-  return push(stream, raw_sample, config_.backpressure);
-}
-
-PushResult AsyncScoringRuntime::push(Index stream, const std::vector<float>& raw_sample,
-                                     BackpressurePolicy policy) {
-  return push(stream, raw_sample.data(), static_cast<Index>(raw_sample.size()), policy);
-}
-
 void AsyncScoringRuntime::wake_shard(Shard& shard) {
   std::lock_guard<std::mutex> lock(shard.wake_mu);
   shard.wake_cv.notify_one();
@@ -287,13 +270,6 @@ void AsyncScoringRuntime::emit(Shard& shard, std::vector<StreamScore> scores) {
   // the final close() drain alike), so this counter is the ground truth for
   // "scored": after close(), scored == pushed - dropped.
   shard.scored.fetch_add(static_cast<long>(scores.size()), std::memory_order_relaxed);
-  if (callback_) {
-    // Serialised across shards so user callbacks never run concurrently;
-    // per-stream order is preserved (a stream has exactly one shard).
-    std::lock_guard<std::mutex> lock(callback_mu_);
-    for (const StreamScore& s : scores) callback_(s);
-    return;
-  }
   std::lock_guard<std::mutex> lock(shard.results_mu);
   shard.results.insert(shard.results.end(), scores.begin(), scores.end());
 }
@@ -315,7 +291,6 @@ std::vector<StreamScore> AsyncScoringRuntime::drain_scores() {
 }
 
 void AsyncScoringRuntime::shard_loop(Shard& shard) {
-  shard.tid.store(std::this_thread::get_id(), std::memory_order_relaxed);
   try {
     shard_loop_impl(shard);
   } catch (...) {
@@ -433,14 +408,6 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
 }
 
 void AsyncScoringRuntime::close() {
-  // Self-join guard: close() from a scoring thread (i.e. inside an on_score
-  // callback) would deadlock; fail loudly instead. The throw lands in
-  // shard_loop's catch and surfaces from the real close() call. An unstarted
-  // runtime's tids are the default id, which matches no running thread.
-  const std::thread::id self = std::this_thread::get_id();
-  for (const Shard& shard : shards_)
-    check(self != shard.tid.load(std::memory_order_relaxed),
-          "close() must not be called from a scoring thread (on_score callback)");
   // First caller performs the shutdown; any concurrent caller waits for it.
   if (closing_.exchange(true, std::memory_order_acq_rel)) {
     Backoff spin;
@@ -470,9 +437,6 @@ void AsyncScoringRuntime::close() {
   for (Index k = 0; k < active; ++k) {
     Shard& shard = shards_[static_cast<std::size_t>(k)];
     shard.scorer.join();
-    // Clear the published id: a future thread recycling it must not trip
-    // the self-join guard on a (legal, idempotent) later close().
-    shard.tid.store(std::thread::id{}, std::memory_order_relaxed);
     if (shard.error && !first_error) first_error = shard.error;
   }
   closed_.store(true, std::memory_order_release);

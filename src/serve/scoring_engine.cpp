@@ -62,6 +62,7 @@ Index ScoringEngine::add_stream(Index global_id) {
   samples_seen_.push_back(0);
   global_ids_.push_back(global_id);
   score_.push_back(-1.0F);
+  edge_.push_back(core::AlarmEdge::None);
   alarms_.emplace_back(config_.monitor);
   pending_.emplace_back();
   pending_head_.push_back(0);
@@ -97,10 +98,6 @@ Index ScoringEngine::global_id(Index stream) const {
   return global_ids_[static_cast<std::size_t>(stream)];
 }
 
-void ScoringEngine::push(Index stream, const float* raw_sample, Index count) {
-  push(stream, raw_sample, count, 0);
-}
-
 void ScoringEngine::push(Index stream, const float* raw_sample, Index count,
                          std::int64_t enqueue_ns) {
   require_stream(stream);
@@ -112,10 +109,6 @@ void ScoringEngine::push(Index stream, const float* raw_sample, Index count,
   // The timestamp lane stays index-parallel to the arena, so even unsampled
   // pushes append their 0 — but only when telemetry exists at all.
   if constexpr (obs::kEnabled) pending_ts_.push_back(enqueue_ns);
-}
-
-void ScoringEngine::push(Index stream, const std::vector<float>& raw_sample) {
-  push(stream, raw_sample.data(), static_cast<Index>(raw_sample.size()));
 }
 
 void ScoringEngine::score_chunks(const std::vector<Tensor>& contexts,
@@ -177,6 +170,7 @@ std::vector<StreamScore> ScoringEngine::step() {
       round_ready_[static_cast<std::size_t>(i)] =
           static_cast<std::uint8_t>(ring_fill_[s] == window);
       score_[s] = -1.0F;
+      edge_[s] = core::AlarmEdge::None;
       if constexpr (obs::kEnabled)
         round_ts_[static_cast<std::size_t>(i)] = pending_ts_[static_cast<std::size_t>(offset)];
     }
@@ -235,7 +229,7 @@ std::vector<StreamScore> ScoringEngine::step() {
       const auto s = static_cast<std::size_t>(active_[static_cast<std::size_t>(i)]);
       ++samples_seen_[s];
       if (round_ready_[static_cast<std::size_t>(i)] != 0U)
-        alarms_[s].update(score_[s], threshold_, samples_seen_[s] - 1);
+        edge_[s] = alarms_[s].update(score_[s], threshold_, samples_seen_[s] - 1);
       // Ring advance: while filling, the write position is ring_fill_ (start
       // stays 0); once warm, the oldest slot is overwritten and start moves.
       Index pos = ring_start_[s] + ring_fill_[s];
@@ -262,7 +256,7 @@ std::vector<StreamScore> ScoringEngine::step() {
 
     for (Index s : active_) {
       const auto si = static_cast<std::size_t>(s);
-      out.push_back({global_ids_[si], samples_seen_[si] - 1, score_[si]});
+      out.push_back({global_ids_[si], samples_seen_[si] - 1, score_[si], edge_[si]});
     }
 
     next_active_.clear();

@@ -110,6 +110,34 @@ TEST(OnlineMonitor, DebounceSuppressesSingleSpikes) {
   EXPECT_TRUE(strict.events().empty());
 }
 
+TEST(AlarmTracker, UpdateReportsEveryEdgeOfAHandWrittenTrace) {
+  // debounce 2, hold-off 3, threshold 1. Sample 1 stays below debounce, 4
+  // raises, 5 and 6 extend (6 moves the peak), 7 dips in alarm, 8 extends,
+  // 9-11 run the hold-off, 12 closes the event, 13 is below debounce again
+  // and 14 re-raises.
+  AlarmTracker tracker({.debounce_samples = 2, .holdoff_samples = 3});
+  using E = AlarmEdge;
+  const float scores[] = {0.5F, 1.5F, 0.5F, 2.0F, 3.0F, 2.5F, 4.0F, 0.5F,
+                          1.2F, 0.5F, 0.5F, 0.5F, 0.5F, 2.0F, 2.0F, 0.1F};
+  const E edges[] = {E::None,     E::None, E::None, E::None, E::Raised, E::Extended,
+                     E::Extended, E::None, E::Extended, E::None, E::None, E::None,
+                     E::None,     E::None, E::Raised,   E::None};
+  const bool open[] = {false, false, false, false, true,  true,  true, true,
+                       true,  true,  true,  true,  false, false, true, true};
+  for (Index i = 0; i < 16; ++i) {
+    EXPECT_EQ(tracker.update(scores[i], 1.0F, i), edges[i]) << "sample " << i;
+    EXPECT_EQ(tracker.in_alarm(), open[i]) << "sample " << i;
+  }
+  const std::vector<AnomalyEvent>& events = tracker.events();
+  ASSERT_EQ(events.size(), 2U);
+  EXPECT_EQ(events[0].onset_sample, 4);
+  EXPECT_EQ(events[0].last_sample, 8);
+  EXPECT_EQ(events[0].peak_score, 4.0F);
+  EXPECT_EQ(events[1].onset_sample, 14);
+  EXPECT_EQ(events[1].last_sample, 14);
+  EXPECT_EQ(events[1].peak_score, 2.0F);
+}
+
 TEST(OnlineMonitor, WarmupReturnsNegativeScores) {
   MonitorRig rig;
   OnlineMonitor monitor(rig.detector, rig.normalizer);

@@ -317,11 +317,6 @@ TEST(ScoringEngineAllDetectors, ShardedRuntimeReplicasMatchSequentialMonitors) {
     serve::AsyncScoringRuntime runtime(*detector, rig().normalizer, cfg);
     runtime.add_streams(kStreams);
     runtime.set_threshold(threshold);
-    std::vector<std::vector<float>> scores(kStreams);
-    // Callbacks are serialised across shards, so the vectors need no lock.
-    runtime.on_score([&scores](const serve::StreamScore& r) {
-      scores[static_cast<std::size_t>(r.stream)].push_back(r.score);
-    });
     runtime.start();
     EXPECT_FALSE(runtime.sharing_detector()) << detector->name();
     for (Index t = 0; t < kSamples; ++t)
@@ -329,6 +324,10 @@ TEST(ScoringEngineAllDetectors, ShardedRuntimeReplicasMatchSequentialMonitors) {
         ASSERT_EQ(runtime.push(s, inputs[static_cast<std::size_t>(s)].sample(t), 3),
                   serve::PushResult::Ok);
     runtime.close();
+    // drain_scores() keeps each stream's emission order across the shards.
+    std::vector<std::vector<float>> scores(kStreams);
+    for (const serve::StreamScore& r : runtime.drain_scores())
+      scores[static_cast<std::size_t>(r.stream)].push_back(r.score);
 
     for (Index s = 0; s < kStreams; ++s) {
       const SequentialRun want = run_monitor(*detector, inputs[static_cast<std::size_t>(s)],
@@ -365,14 +364,14 @@ TEST(ScoringEngineAllDetectors, OutOfRangeStreamIdsThrowWithClearMessage) {
   engine.add_streams(2);
   const std::vector<float> sample(static_cast<std::size_t>(kChannels), 0.0F);
 
-  EXPECT_THROW(engine.push(-1, sample), Error);
-  EXPECT_THROW(engine.push(2, sample), Error);
+  EXPECT_THROW(engine.push(-1, sample.data(), kChannels), Error);
+  EXPECT_THROW(engine.push(2, sample.data(), kChannels), Error);
   EXPECT_THROW(engine.events(7), Error);
   EXPECT_THROW(engine.in_alarm(-3), Error);
   EXPECT_THROW(engine.samples_seen(2), Error);
 
   try {
-    engine.push(99, sample);
+    engine.push(99, sample.data(), kChannels);
     FAIL() << "push(99) did not throw";
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()), "stream id 99 out of range [0, 2)");

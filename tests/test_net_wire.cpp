@@ -112,7 +112,7 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
 
     const HelloData h0 = decode_hello(frames[0]);
     EXPECT_EQ(h0.policy, serve::BackpressurePolicy::Reject);
-    EXPECT_EQ(h0.features, 0);  // a legacy 1-byte HELLO carries no features
+    EXPECT_EQ(h0.features, 0);  // no features requested
     EXPECT_EQ(decode_hello(frames[1]).policy, std::nullopt);
 
     const Welcome w = decode_welcome(frames[2]);
@@ -325,6 +325,11 @@ TEST(WireMalformed, WrongPayloadSize) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("SAMPLE frame payload is"), std::string::npos);
   }
+  // HELLO and WELCOME have one layout each (2 and 14 bytes), so a 1-byte
+  // HELLO or a 13-byte WELCOME is a size error too.
+  const std::vector<std::uint8_t> zeros(13, 0);
+  EXPECT_THROW(decode_hello({FrameType::Hello, {zeros.begin(), zeros.begin() + 1}}), Error);
+  EXPECT_THROW(decode_welcome({FrameType::Welcome, zeros}), Error);
 }
 
 TEST(WireMalformed, NonFiniteSampleValueIsNamedByChannel) {

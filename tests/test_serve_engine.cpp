@@ -8,6 +8,7 @@
 // rule verbatim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -101,7 +102,8 @@ TEST(ScoringEngine, RequiresFittedComponentsAndValidConfig) {
 TEST(ScoringEngine, StepBeforeCalibrationThrows) {
   ScoringEngine engine(rig().detector, rig().normalizer);
   engine.add_stream();
-  engine.push(0, std::vector<float>(3, 0.0F));
+  const float sample[3] = {};
+  engine.push(0, sample, 3);
   EXPECT_THROW(engine.step(), Error);
 }
 
@@ -155,12 +157,25 @@ TEST(ScoringEngine, EightStreamsBatchedMatchSequentialMonitors) {
   // Feed in chunks so step() sees many streams pending at once and batches
   // their contexts.
   std::vector<std::vector<float>> scores(kStreams);
+  // Events rebuilt from StreamScore::alarm alone, the way the daemon's ALARM
+  // frames rebuild them: Raised opens an event, Extended moves its end and
+  // folds the score into the peak.
+  std::vector<std::vector<core::AnomalyEvent>> folded(kStreams);
   constexpr Index kChunk = 25;
   for (Index t0 = 0; t0 < 400; t0 += kChunk) {
     for (Index s = 0; s < kStreams; ++s)
       for (Index t = t0; t < t0 + kChunk; ++t) engine.push(s, inputs[s].sample(t), 3);
-    for (const StreamScore& r : engine.step())
+    for (const StreamScore& r : engine.step()) {
       scores[static_cast<std::size_t>(r.stream)].push_back(r.score);
+      std::vector<core::AnomalyEvent>& ev = folded[static_cast<std::size_t>(r.stream)];
+      if (r.alarm == core::AlarmEdge::Raised) {
+        ev.push_back({.onset_sample = r.sample, .last_sample = r.sample, .peak_score = r.score});
+      } else if (r.alarm == core::AlarmEdge::Extended) {
+        ASSERT_FALSE(ev.empty()) << "Extended before any Raised on stream " << r.stream;
+        ev.back().last_sample = r.sample;
+        ev.back().peak_score = std::max(ev.back().peak_score, r.score);
+      }
+    }
   }
   EXPECT_GT(engine.forward_calls(), 0);
 
@@ -172,7 +187,10 @@ TEST(ScoringEngine, EightStreamsBatchedMatchSequentialMonitors) {
       EXPECT_EQ(got[i], want[i]) << "stream " << s << " sample " << i;
     expect_same_events(engine.events(s), expected[static_cast<std::size_t>(s)].events);
     EXPECT_EQ(engine.in_alarm(s), expected[static_cast<std::size_t>(s)].in_alarm);
+    expect_same_events(folded[static_cast<std::size_t>(s)], engine.events(s));
   }
+  // The planted streams must actually alarm, or the fold above proves nothing.
+  EXPECT_FALSE(folded[0].empty());
 }
 
 TEST(ScoringEngine, DeterministicAcrossRunsAndConfigs) {

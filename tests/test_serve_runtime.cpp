@@ -198,13 +198,12 @@ TEST(AsyncScoringRuntime, LifecycleContractIsEnforced) {
   EXPECT_THROW(runtime.start(), Error);  // no streams
   runtime.add_streams(2);
   EXPECT_THROW(runtime.start(), Error);  // not calibrated
-  EXPECT_THROW(runtime.push(0, sample), Error);  // before start
+  EXPECT_THROW(runtime.push(0, sample.data(), 3), Error);  // before start
   runtime.set_threshold(1e9F);
   runtime.start();
   EXPECT_THROW(runtime.add_stream(), Error);     // after start
   EXPECT_THROW(runtime.calibrate(rig().train), Error);
   EXPECT_THROW(runtime.set_threshold(1.0F), Error);
-  EXPECT_THROW(runtime.on_score([](const StreamScore&) {}), Error);
   EXPECT_THROW(runtime.start(), Error);          // started twice
   // Engine passthroughs race with the scorer while running.
   EXPECT_THROW(runtime.events(0), Error);
@@ -216,7 +215,7 @@ TEST(AsyncScoringRuntime, LifecycleContractIsEnforced) {
   EXPECT_TRUE(runtime.closed());
   EXPECT_EQ(runtime.samples_seen(0), 0);  // quiescent again
   // Intake is shut after close.
-  EXPECT_EQ(runtime.push(0, sample), PushResult::Rejected);
+  EXPECT_EQ(runtime.push(0, sample.data(), 3), PushResult::Rejected);
   EXPECT_EQ(runtime.stats(0).rejected, 1);
 }
 
@@ -226,7 +225,7 @@ TEST(AsyncScoringRuntime, CloseWithoutStartRejectsPushes) {
   runtime.close();
   EXPECT_TRUE(runtime.closed());
   const std::vector<float> sample(3, 0.0F);
-  EXPECT_EQ(runtime.push(0, sample), PushResult::Rejected);
+  EXPECT_EQ(runtime.push(0, sample.data(), 3), PushResult::Rejected);
   EXPECT_EQ(runtime.stats(0).rejected, 1);
 }
 
@@ -235,12 +234,12 @@ TEST(AsyncScoringRuntime, StreamIdBoundsMatchEngineWording) {
   runtime.add_streams(2);
   const std::vector<float> sample(3, 0.0F);
   try {
-    runtime.push(99, sample);
+    runtime.push(99, sample.data(), 3);
     FAIL() << "push(99) did not throw";
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()), "stream id 99 out of range [0, 2)");
   }
-  EXPECT_THROW(runtime.push(-1, sample), Error);
+  EXPECT_THROW(runtime.push(-1, sample.data(), 3), Error);
   EXPECT_THROW(runtime.stats(2), Error);
   // Quiescent passthroughs bounds-check with the same wording.
   try {
@@ -391,7 +390,7 @@ TEST(AsyncScoringRuntime, BlockNeverLosesUnderTinyRing) {
 }
 
 // ---------------------------------------------------------------------------
-// close() drain and callback delivery
+// close() drain
 // ---------------------------------------------------------------------------
 
 TEST(AsyncScoringRuntime, CloseMidStreamDrainsEverythingAccepted) {
@@ -419,39 +418,6 @@ TEST(AsyncScoringRuntime, CloseMidStreamDrainsEverythingAccepted) {
   const auto scores = runtime.drain_scores();
   EXPECT_EQ(static_cast<long>(scores.size()), total);
   EXPECT_TRUE(runtime.drain_scores().empty());  // drained once, queue is empty
-}
-
-TEST(AsyncScoringRuntime, CallbackReceivesEveryScoreInsteadOfQueue) {
-  AsyncScoringRuntime runtime(rig().detector, rig().normalizer);
-  runtime.add_stream();
-  runtime.set_threshold(1e9F);
-  std::vector<StreamScore> seen;  // only touched by the scoring thread
-  bool self_close_threw = false;
-  runtime.on_score([&](const StreamScore& s) {
-    if (seen.empty()) {
-      // close() on the scoring thread must fail loudly, not self-join.
-      try {
-        runtime.close();
-      } catch (const Error&) {
-        self_close_threw = true;
-      }
-    }
-    seen.push_back(s);
-  });
-  runtime.start();
-
-  const auto series = make_sine(200, false, 9);
-  for (Index t = 0; t < 200; ++t)
-    ASSERT_EQ(runtime.push(0, series.sample(t), series.n_channels()), PushResult::Ok);
-  runtime.close();
-
-  ASSERT_EQ(seen.size(), 200U);  // close() joins: `seen` is safe to read now
-  for (Index t = 0; t < 200; ++t) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(t)].stream, 0);
-    EXPECT_EQ(seen[static_cast<std::size_t>(t)].sample, t);
-  }
-  EXPECT_TRUE(self_close_threw);
-  EXPECT_TRUE(runtime.drain_scores().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -646,19 +612,17 @@ TEST(AsyncScoringRuntime, StatsSnapshotIsConsistentUnderConcurrentTraffic) {
 }
 
 TEST(AsyncScoringRuntime, DestructorClosesAndDrains) {
+  // No close(): the destructor must drain the rings and join the scorer
+  // with samples still in flight — under ASan and TSan this pins that an
+  // un-closed runtime tears down without a leak, race or hang. The drain
+  // guarantee itself is pinned by CloseMidStreamDrainsEverythingAccepted.
   const auto series = make_sine(100, false, 12);
-  std::vector<StreamScore> seen;
-  {
-    AsyncScoringRuntime runtime(rig().detector, rig().normalizer);
-    runtime.add_stream();
-    runtime.set_threshold(1e9F);
-    runtime.on_score([&seen](const StreamScore& s) { seen.push_back(s); });
-    runtime.start();
-    for (Index t = 0; t < 100; ++t)
-      ASSERT_EQ(runtime.push(0, series.sample(t), series.n_channels()), PushResult::Ok);
-    // No close(): the destructor must drain and join.
-  }
-  EXPECT_EQ(seen.size(), 100U);
+  AsyncScoringRuntime runtime(rig().detector, rig().normalizer);
+  runtime.add_stream();
+  runtime.set_threshold(1e9F);
+  runtime.start();
+  for (Index t = 0; t < 100; ++t)
+    ASSERT_EQ(runtime.push(0, series.sample(t), series.n_channels()), PushResult::Ok);
 }
 
 }  // namespace

@@ -153,8 +153,8 @@ TEST(ShardedRuntime, ClampsShardsToStreamsAndReportsStats) {
   runtime.set_threshold(1e9F);
   runtime.start();
   const std::vector<float> sample(3, 0.25F);
-  ASSERT_EQ(runtime.push(0, sample), PushResult::Ok);
-  ASSERT_EQ(runtime.push(1, sample), PushResult::Ok);
+  ASSERT_EQ(runtime.push(0, sample.data(), 3), PushResult::Ok);
+  ASSERT_EQ(runtime.push(1, sample.data(), 3), PushResult::Ok);
   runtime.close();
   EXPECT_EQ(runtime.samples_seen(0), 1);
   EXPECT_EQ(runtime.samples_seen(1), 1);
@@ -185,7 +185,7 @@ TEST(ShardedRuntime, GlobalStreamIdWordingSurvivesRemapping) {
   // Every frontend error reports the *global* id against the *global* range,
   // never a shard-local one (stream 99 would be local 24 of shard 3).
   try {
-    runtime.push(99, sample);
+    runtime.push(99, sample.data(), 3);
     FAIL() << "push(99) did not throw";
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()), "stream id 99 out of range [0, 8)");

@@ -256,7 +256,7 @@ TEST(SlabEngine, PushValidatesSampleLength) {
     EXPECT_EQ(std::string(e.what()), "sample channel count mismatch: expected 3 channels, got 2");
   }
   EXPECT_THROW(engine.push(0, sample, 4), Error);
-  EXPECT_THROW(engine.push(0, std::vector<float>{0.1F}), Error);
+  EXPECT_THROW(engine.push(0, sample, 1), Error);
   // A rejected push buffers nothing: the next step scores only valid pushes.
   engine.push(0, sample, 3);
   EXPECT_EQ(engine.step().size(), 1U);
