@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
     stddev[static_cast<std::size_t>(c)] =
         std::sqrt(m2[static_cast<std::size_t>(c)] / std::max(1L, n_stats - 1)) + 1e-6;
 
-  std::vector<float> variance_scores;
-  std::vector<float> zvariance_scores;
+  std::vector<float> paper_scores;
+  std::vector<float> zlogvar_scores;
   std::vector<float> forecast_scores;
   std::vector<int> labels;
   Tensor observed({c_count});
@@ -58,29 +58,24 @@ int main(int argc, char** argv) {
     const float* s = data.test.sample(t);
     for (Index ch = 0; ch < c_count; ++ch) observed[ch] = s[ch];
 
-    const auto out = det.model()->forward(ctx.reshaped({1, c_count, profile.varade.window}));
-    double var_sum = 0.0;
+    const Tensor logvar =
+        det.model()->logvar_inference(ctx.reshaped({1, c_count, profile.varade.window}));
     double z_sum = 0.0;
-    double err = 0.0;
-    for (Index ch = 0; ch < c_count; ++ch) {
-      var_sum += std::exp(out.logvar[ch]);
-      z_sum += (out.logvar[ch] - mean[static_cast<std::size_t>(ch)]) /
+    for (Index ch = 0; ch < c_count; ++ch)
+      z_sum += (logvar[ch] - mean[static_cast<std::size_t>(ch)]) /
                stddev[static_cast<std::size_t>(ch)];
-      const double d = static_cast<double>(out.mu[ch]) - observed[ch];
-      err += d * d;
-    }
-    variance_scores.push_back(static_cast<float>(var_sum / static_cast<double>(c_count)));
-    zvariance_scores.push_back(static_cast<float>(z_sum / static_cast<double>(c_count)));
-    forecast_scores.push_back(static_cast<float>(std::sqrt(err)));
+    paper_scores.push_back(core::VaradeDetector::score_from_logvar(logvar.data(), c_count));
+    zlogvar_scores.push_back(static_cast<float>(z_sum / static_cast<double>(c_count)));
+    forecast_scores.push_back(det.forecast_error_score(ctx, observed));
     labels.push_back(data.test.label(t));
   }
 
   std::printf("\n%-34s %10s\n", "Score function (same trained model)", "AUC-ROC");
   bench::print_rule(48);
   std::printf("%-34s %10.3f\n", "predicted variance (paper)",
-              eval::auc_roc(variance_scores, labels));
+              eval::auc_roc(paper_scores, labels));
   std::printf("%-34s %10.3f\n", "standardised log-variance",
-              eval::auc_roc(zvariance_scores, labels));
+              eval::auc_roc(zlogvar_scores, labels));
   std::printf("%-34s %10.3f\n", "forecast-error euclidean norm",
               eval::auc_roc(forecast_scores, labels));
   std::printf("\npaper claim (section 3.1): compact edge models fail to forecast accurately,\n"

@@ -73,9 +73,9 @@ double seconds_since(Clock::time_point start) {
 struct BenchResult {
   std::string detector;
   // Direct scoring path: the same pre-gathered (context, observation) pairs
-  // through a score_step loop vs. score_batch — isolates the native batched
-  // implementations from serving-layer overhead.
-  double seq_samples_per_s = 0.0;      // score_step row by row
+  // through 1-row score_batch calls (what OnlineMonitor runs) vs. chunks of
+  // kScoreChunk — isolates batching from serving-layer overhead.
+  double seq_samples_per_s = 0.0;      // score_batch, one row per call
   double batched_samples_per_s = 0.0;  // score_batch, chunks of kScoreChunk
   // End-to-end serving stack.
   double base_samples_per_s = 0.0;  // sequential OnlineMonitor
@@ -101,7 +101,7 @@ constexpr Index kScoreChunk = 64;
 
 /// Scores the tail of `series` (already normalised; the training recording —
 /// these are timing numbers, not detection quality) twice — once through a
-/// score_step loop and once through score_batch in chunks of kScoreChunk —
+/// loop of 1-row score_batch calls and once in chunks of kScoreChunk —
 /// taking the best of three timed repetitions per path, and exits the
 /// process unless the two score vectors are bit-identical.
 void score_path_bench(core::AnomalyDetector& detector, const data::MultivariateSeries& series,
@@ -123,40 +123,32 @@ void score_path_bench(core::AnomalyDetector& detector, const data::MultivariateS
 
   std::vector<float> seq_scores(static_cast<std::size_t>(rows));
   std::vector<float> batch_scores(static_cast<std::size_t>(rows));
-  double seq_s = 0.0;
-  double batch_s = 0.0;
-  Tensor context({c, window});
-  Tensor sample({c});
-  for (int rep = 0; rep < 3; ++rep) {
-    auto start = Clock::now();
-    for (Index r = 0; r < rows; ++r) {
-      std::memcpy(context.data(), contexts.data() + r * c * window,
-                  static_cast<std::size_t>(c * window) * sizeof(float));
-      std::memcpy(sample.data(), observed.data() + r * c,
-                  static_cast<std::size_t>(c) * sizeof(float));
-      seq_scores[static_cast<std::size_t>(r)] = detector.score_step(context, sample);
+  // Times score_batch over all rows in chunks of `chunk`; best of three.
+  const auto time_chunks = [&](Index chunk, std::vector<float>& scores) {
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = Clock::now();
+      for (Index begin = 0; begin < rows; begin += chunk) {
+        const Index n = std::min(chunk, rows - begin);
+        detector.score_batch(contexts.slice0(begin, begin + n),
+                             observed.slice0(begin, begin + n), scores.data() + begin);
+      }
+      const double s = seconds_since(start);
+      if (rep == 0 || s < best) best = s;
     }
-    const double s = seconds_since(start);
-    if (rep == 0 || s < seq_s) seq_s = s;
-
-    start = Clock::now();
-    for (Index begin = 0; begin < rows; begin += kScoreChunk) {
-      const Index n = std::min(kScoreChunk, rows - begin);
-      detector.score_batch(contexts.slice0(begin, begin + n), observed.slice0(begin, begin + n),
-                           batch_scores.data() + begin);
-    }
-    const double b = seconds_since(start);
-    if (rep == 0 || b < batch_s) batch_s = b;
-  }
+    return best;
+  };
+  const double seq_s = time_chunks(1, seq_scores);
+  const double batch_s = time_chunks(kScoreChunk, batch_scores);
   if (std::memcmp(seq_scores.data(), batch_scores.data(),
                   static_cast<std::size_t>(rows) * sizeof(float)) != 0) {
-    std::fprintf(stderr, "FATAL: %s score_batch drifted from score_step in the microbench\n",
-                 detector.name().c_str());
+    std::fprintf(stderr, "FATAL: %s score_batch(%ld) drifted from 1-row calls in the microbench\n",
+                 detector.name().c_str(), static_cast<long>(kScoreChunk));
     std::exit(1);
   }
   result.seq_samples_per_s = static_cast<double>(rows) / seq_s;
   result.batched_samples_per_s = static_cast<double>(rows) / batch_s;
-  std::printf("scoring path: score_step %.0f samples/s, score_batch(%ld) %.0f samples/s"
+  std::printf("scoring path: score_batch(1) %.0f samples/s, score_batch(%ld) %.0f samples/s"
               " (%.2fx, bit-identical)\n",
               result.seq_samples_per_s, static_cast<long>(kScoreChunk),
               result.batched_samples_per_s,

@@ -4,14 +4,16 @@
 # scope are printed (informational, never failing), and the stream sweep
 # writes its JSON next to the build.
 #
-# Configure the Release preset, build everything with -j, run the fast CTest
-# preset (everything except LABELS slow), then run the batched-vs-sequential
-# parity suites explicitly by label, a serve throughput smoke run covering
-# all six detectors, and two network-serving smokes: start varade-served on a
-# Unix socket (then on a shm: bootstrap socket with batched frames), drive it
-# with forked client processes, and shut it down over the wire. src/core,
-# src/serve, and src/net are compiled with -Werror unconditionally, so a
-# warning in any of them breaks the build itself.
+# Configure the Release preset, build everything with -j, compile every bench
+# and example (they sit off the default target, so an interface change could
+# otherwise break one unnoticed), run the fast CTest preset (everything except
+# LABELS slow), then run the batched-vs-single-row parity suites explicitly by
+# label, a serve throughput smoke run covering all six detectors, and two
+# network-serving smokes: start varade-served on a Unix socket (then on a
+# shm: bootstrap socket with batched frames), drive it with forked client
+# processes, and shut it down over the wire. src/core, src/serve, and src/net
+# are compiled with -Werror unconditionally, so a warning in any of them
+# breaks the build itself.
 #
 # --sanitize instead builds the library and tests under ASan + UBSan
 # (RelWithDebInfo, VARADE_SANITIZE=ON, separate build-asan tree) and runs the
@@ -23,9 +25,9 @@
 # tree) and runs the concurrency label — the async ingestion runtime
 # (lock-free rings, backpressure, multi-producer parity), the sharded
 # runtime (multi-engine parity at shards {1,2,4,auto} and all six detectors
-# on clone_fitted() replicas, serialized-sharing fallback), and the shm
-# ring's SPSC producer/consumer pair with doorbell arming (test_net_wire)
-# race-checked — then repeats the /metrics scrape test ten times.
+# on clone_fitted() replicas), and the shm ring's SPSC producer/consumer pair
+# with doorbell arming (test_net_wire) race-checked — then repeats the
+# /metrics scrape test ten times.
 set -euo pipefail
 
 cd "$(dirname "$0")"
@@ -91,10 +93,13 @@ if grep -E "warning:" "$BUILD_DIR/build.log" | grep -v "_deps" > "$BUILD_DIR/war
   cat "$BUILD_DIR/warnings.log"
 fi
 
+echo "== build (every bench and example) =="
+cmake --build "$BUILD_DIR" -j "$JOBS" --target benches examples
+
 echo "== test (fast preset: -LE slow) =="
 ctest --preset fast
 
-echo "== test (parity label: batched == sequential, all six detectors) =="
+echo "== test (parity label: batched == single-row, all six detectors) =="
 ctest --test-dir "$BUILD_DIR" -L parity --output-on-failure -j "$JOBS"
 
 echo "== smoke: serve throughput bench (quick, all six detectors, async + sharded) =="

@@ -82,18 +82,8 @@ Tensor ArLstmDetector::forecast(const Tensor& context) {
   check(fitted(), "AR-LSTM forecast before fit");
   const Tensor batch = context.reshaped({1, context.dim(0), context.dim(1)});
   // Inference-only forward: identical arithmetic to forward(), no activation
-  // caches — keeps score_step bit-identical while skipping the tape.
+  // caches.
   return model_->forward_inference(batch).reshaped({n_channels_});
-}
-
-float ArLstmDetector::score_step(const Tensor& context, const Tensor& observed) {
-  const Tensor pred = forecast(context);
-  double acc = 0.0;
-  for (Index i = 0; i < pred.numel(); ++i) {
-    const double d = static_cast<double>(pred[i]) - observed[i];
-    acc += d * d;
-  }
-  return static_cast<float>(std::sqrt(acc));
 }
 
 void ArLstmDetector::score_batch(const Tensor& contexts, const Tensor& observed, float* out) {

@@ -89,7 +89,7 @@ Tensor AutoencoderDetector::reconstruct(const Tensor& window) {
   check(fitted(), "AE reconstruct before fit");
   const Tensor batch = window.reshaped({1, window.dim(0), window.dim(1)});
   // Inference-only forward: identical arithmetic to forward(), no activation
-  // caches — keeps score_step bit-identical while skipping the tape.
+  // caches.
   return model_->forward_inference(batch).reshaped(window.shape());
 }
 
@@ -101,27 +101,6 @@ float AutoencoderDetector::window_reconstruction_error(const Tensor& window) {
     acc += d * d;
   }
   return static_cast<float>(acc / static_cast<double>(window.numel()));
-}
-
-float AutoencoderDetector::score_step(const Tensor& context, const Tensor& observed) {
-  check(fitted(), "AE scoring before fit");
-  const Index c = context.dim(0);
-  const Index t = context.dim(1);
-  // Shift the window to end at the current observation.
-  Tensor window({c, t});
-  for (Index ch = 0; ch < c; ++ch) {
-    for (Index s = 0; s + 1 < t; ++s) window[ch * t + s] = context[ch * t + s + 1];
-    window[ch * t + t - 1] = observed[ch];
-  }
-  const Tensor recon = reconstruct(window);
-  // Euclidean norm of the reconstruction error at the current time step.
-  double acc = 0.0;
-  for (Index ch = 0; ch < c; ++ch) {
-    const double d =
-        static_cast<double>(recon[ch * t + t - 1]) - static_cast<double>(window[ch * t + t - 1]);
-    acc += d * d;
-  }
-  return static_cast<float>(std::sqrt(acc));
 }
 
 void AutoencoderDetector::score_batch(const Tensor& contexts, const Tensor& observed, float* out) {

@@ -67,16 +67,6 @@ std::unique_ptr<AnomalyDetector> GbrfDetector::clone_fitted() const {
   return clone;
 }
 
-float GbrfDetector::score_step(const Tensor& context, const Tensor& observed) {
-  const Tensor pred = forecast(context);
-  double acc = 0.0;
-  for (Index i = 0; i < pred.numel(); ++i) {
-    const double diff = static_cast<double>(pred[i]) - observed[i];
-    acc += diff * diff;
-  }
-  return static_cast<float>(std::sqrt(acc));
-}
-
 void GbrfDetector::score_batch(const Tensor& contexts, const Tensor& observed, float* out) {
   check(fitted(), "GBRF scoring before fit");
   check_batch_args(contexts, observed);

@@ -13,11 +13,6 @@ void IForestDetector::fit(const data::MultivariateSeries& train) {
   forest_.fit(train.to_tensor());
 }
 
-float IForestDetector::score_step(const Tensor& /*context*/, const Tensor& observed) {
-  check(fitted(), "Isolation Forest scoring before fit");
-  return forest_.score_one(observed);
-}
-
 void IForestDetector::score_batch(const Tensor& contexts, const Tensor& observed, float* out) {
   check(fitted(), "Isolation Forest scoring before fit");
   check_batch_args(contexts, observed);

@@ -15,11 +15,6 @@ void KnnDetector::fit(const data::MultivariateSeries& train) {
   scorer_.fit(train.to_tensor());
 }
 
-float KnnDetector::score_step(const Tensor& /*context*/, const Tensor& observed) {
-  check(fitted(), "kNN scoring before fit");
-  return scorer_.score_one(observed);
-}
-
 void KnnDetector::score_batch(const Tensor& contexts, const Tensor& observed, float* out) {
   check(fitted(), "kNN scoring before fit");
   check_batch_args(contexts, observed);

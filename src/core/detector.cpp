@@ -8,37 +8,23 @@
 namespace varade::core {
 
 void AnomalyDetector::check_batch_args(const Tensor& contexts, const Tensor& observed) const {
-  check(contexts.rank() == 3,
-        name() + ": score_batch expects contexts [B, C, T], got " +
-            shape_to_string(contexts.shape()));
-  check(contexts.dim(2) == context_window(),
-        name() + ": score_batch expects context length " + std::to_string(context_window()) +
-            ", got " + std::to_string(contexts.dim(2)));
-  check(observed.rank() == 2 && observed.dim(0) == contexts.dim(0) &&
-            observed.dim(1) == contexts.dim(1),
-        name() + ": score_batch expects observed [" + std::to_string(contexts.dim(0)) + ", " +
-            std::to_string(contexts.dim(1)) + "], got " + shape_to_string(observed.shape()));
+  // Branch-then-fail (not check()): OnlineMonitor makes one call per sample,
+  // so the passing path must not build message strings.
+  if (contexts.rank() != 3)
+    fail(name(), ": score_batch expects contexts [B, C, T], got ",
+         shape_to_string(contexts.shape()));
+  if (contexts.dim(2) != context_window())
+    fail(name(), ": score_batch expects context length ", context_window(), ", got ",
+         contexts.dim(2));
+  if (observed.rank() != 2 || observed.dim(0) != contexts.dim(0) ||
+      observed.dim(1) != contexts.dim(1))
+    fail(name(), ": score_batch expects observed [", contexts.dim(0), ", ", contexts.dim(1),
+         "], got ", shape_to_string(observed.shape()));
 }
 
 void AnomalyDetector::check_batch_channels(const Tensor& contexts, Index expected) const {
-  check(contexts.dim(1) == expected,
-        name() + " score_batch expects " + std::to_string(expected) + " channels, got " +
-            std::to_string(contexts.dim(1)));
-}
-
-void AnomalyDetector::score_batch(const Tensor& contexts, const Tensor& observed, float* out) {
-  check(fitted(), name() + ": score_batch before fit");
-  check_batch_args(contexts, observed);
-  const Index b = contexts.dim(0);
-  const Index c = contexts.dim(1);
-  const Index t = contexts.dim(2);
-  Tensor context({c, t});
-  Tensor sample({c});
-  for (Index i = 0; i < b; ++i) {
-    std::copy_n(contexts.data() + i * c * t, static_cast<std::size_t>(c * t), context.data());
-    std::copy_n(observed.data() + i * c, static_cast<std::size_t>(c), sample.data());
-    out[i] = score_step(context, sample);
-  }
+  if (contexts.dim(1) != expected)
+    fail(name(), " score_batch expects ", expected, " channels, got ", contexts.dim(1));
 }
 
 SeriesScores AnomalyDetector::score_series(const data::MultivariateSeries& test, Index stride,

@@ -35,12 +35,11 @@ class ArLstmDetector : public AnomalyDetector {
 
   std::string name() const override { return "AR-LSTM"; }
   void fit(const data::MultivariateSeries& train) override;
-  float score_step(const Tensor& context, const Tensor& observed) override;
-  /// Native batched scoring: all B contexts run through the LSTM stack as one
-  /// [B, C, T] stepped inference forward (no training caches), then one
-  /// batched head evaluation. Every layer processes batch rows independently
-  /// with a fixed accumulation order, so scores are bit-identical to
-  /// score_step.
+  /// Forecast-error score ||observed - forecast||_2 per row: all B contexts
+  /// run through the LSTM stack as one [B, C, T] stepped inference forward
+  /// (no training caches), then one batched head evaluation. Every layer
+  /// processes batch rows independently with a fixed accumulation order, so
+  /// a row's score does not depend on B.
   void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override;
   /// Fresh detector with the same architecture and a deep copy of the weights.
   std::unique_ptr<AnomalyDetector> clone_fitted() const override;

@@ -40,12 +40,12 @@ class AutoencoderDetector : public AnomalyDetector {
 
   std::string name() const override { return "AE"; }
   void fit(const data::MultivariateSeries& train) override;
-  float score_step(const Tensor& context, const Tensor& observed) override;
-  /// Native batched scoring: the shifted windows of all B rows are gathered
-  /// into one [B, C, T] matrix and reconstructed in a single inference
-  /// forward (no training caches). Every layer processes batch rows
-  /// independently with a fixed accumulation order, so scores are
-  /// bit-identical to score_step.
+  /// Reconstruction-error score at the current step per row: each context is
+  /// shifted to end at its observation, the B windows are gathered into one
+  /// [B, C, T] matrix and reconstructed in a single inference forward (no
+  /// training caches), and the score is the Euclidean norm of the last-step
+  /// residual. Every layer processes batch rows independently with a fixed
+  /// accumulation order, so a row's score does not depend on B.
   void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override;
   /// Fresh detector with the same architecture and a deep copy of the weights.
   std::unique_ptr<AnomalyDetector> clone_fitted() const override;

@@ -25,11 +25,10 @@ class GbrfDetector : public AnomalyDetector {
 
   std::string name() const override { return "GBRF"; }
   void fit(const data::MultivariateSeries& train) override;
-  float score_step(const Tensor& context, const Tensor& observed) override;
-  /// Native batched scoring: the downsampled feature matrix
-  /// [B, C * feature_steps] is built once, then every boosted ensemble is
-  /// traversed tree-major over all rows. Per-row accumulation order matches
-  /// predict_one, so scores are bit-identical to score_step.
+  /// Forecast-error score ||observed - forecast||_2 per row: the downsampled
+  /// feature matrix [B, C * feature_steps] is built once, then every boosted
+  /// ensemble is traversed tree-major over all rows. Per-row accumulation
+  /// order matches predict_one, so a row's score does not depend on B.
   void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override;
   /// Deep copy of the fitted boosted ensembles.
   std::unique_ptr<AnomalyDetector> clone_fitted() const override;

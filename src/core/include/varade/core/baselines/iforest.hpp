@@ -20,9 +20,8 @@ class IForestDetector : public AnomalyDetector {
 
   std::string name() const override { return "Isolation Forest"; }
   void fit(const data::MultivariateSeries& train) override;
-  float score_step(const Tensor& context, const Tensor& observed) override;
-  /// Native batched scoring: traverses the ensemble once per observation row
-  /// without materialising per-row tensors.
+  /// Isolation score of each observation row (the context is not used):
+  /// traverses the ensemble once per row.
   void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override;
   /// Deep copy of the fitted ensemble.
   std::unique_ptr<AnomalyDetector> clone_fitted() const override;

@@ -23,10 +23,9 @@ class KnnDetector : public AnomalyDetector {
 
   std::string name() const override { return "kNN"; }
   void fit(const data::MultivariateSeries& train) override;
-  float score_step(const Tensor& context, const Tensor& observed) override;
-  /// Native batched scoring: queries the kd-tree (or brute-force backend)
-  /// straight from the observation rows, skipping the per-row tensor
-  /// round-trip of the base fallback.
+  /// Nearest-neighbour distance score of each observation row (the context
+  /// is not used), queried straight from the row through the kd-tree or
+  /// brute-force backend.
   void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override;
   /// Deep copy of the reference set and search structure.
   std::unique_ptr<AnomalyDetector> clone_fitted() const override;

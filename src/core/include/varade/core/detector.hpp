@@ -5,19 +5,18 @@
 // uniformly:
 //   - fit() consumes a normalised recording of *normal* behaviour
 //     (unsupervised training, section 2);
-//   - score_step() receives the context window of the T samples preceding the
-//     current one plus the current observation, and returns an anomaly score
-//     for that observation (higher = more anomalous);
-//   - score_batch() scores B independent (context, observation) pairs in one
-//     call — the contract every batched frontend (score_series, threshold
-//     calibration, serve::ScoringEngine) is built on. The default
-//     implementation loops score_step, so results are bit-identical to the
-//     sequential path by construction; detectors with a cheaper batched
-//     evaluation (VARADE's [N, C, T] forward, kNN's query loop, Isolation
-//     Forest's tree traversal) override it without changing the results;
+//   - score_batch() is the one way a detector scores: it receives B
+//     independent (context, observation) pairs — the context window of the T
+//     samples preceding each observation plus the observation itself — and
+//     writes one anomaly score per row (higher = more anomalous). Every
+//     frontend (score_series, threshold calibration, OnlineMonitor's 1-row
+//     call, serve::ScoringEngine) scores through it. Each detector evaluates
+//     rows independently with a fixed accumulation order, so a row's score
+//     does not depend on the batch size or on the row's position in the
+//     batch;
 //   - clone_fitted() deep-copies a fitted detector so a serving layer can
 //     give each scorer shard its own replica without knowing the model
-//     type. Detectors that cannot be replicated return null.
+//     type. Replicas score bit-identically to the original.
 #pragma once
 
 #include <memory>
@@ -51,20 +50,15 @@ class AnomalyDetector {
   /// Trains on a normalised series of normal behaviour.
   virtual void fit(const data::MultivariateSeries& train) = 0;
 
-  /// Scores the observation `observed` [C] given the `context` [C, T] of the
-  /// T samples immediately preceding it.
-  virtual float score_step(const Tensor& context, const Tensor& observed) = 0;
-
   /// Scores B independent pairs: `contexts` [B, C, T], `observed` [B, C],
-  /// writing one score per row into `out` [B]. The base implementation loops
-  /// score_step row by row; overrides must produce bit-identical scores.
-  virtual void score_batch(const Tensor& contexts, const Tensor& observed, float* out);
+  /// writing one score per row into `out` [B]. Row r's score is the score of
+  /// observation r given the T samples preceding it, bit-identical whatever B
+  /// is and wherever the row sits in the batch.
+  virtual void score_batch(const Tensor& contexts, const Tensor& observed, float* out) = 0;
 
   /// Deep copy of a fitted detector (weights, reference sets, thresholds —
-  /// everything scoring depends on) for per-shard serving replicas. Returns
-  /// null when the detector cannot be replicated; callers must fall back to
-  /// serialised scoring through the original instance.
-  virtual std::unique_ptr<AnomalyDetector> clone_fitted() const { return nullptr; }
+  /// everything scoring depends on) for per-shard serving replicas.
+  virtual std::unique_ptr<AnomalyDetector> clone_fitted() const = 0;
 
   /// Context length T the detector expects.
   virtual Index context_window() const = 0;
@@ -82,12 +76,12 @@ class AnomalyDetector {
 
  protected:
   /// Validates score_batch arguments ([B, C, T] / [B, C], T = context window);
-  /// shared by the base fallback and every native override.
+  /// shared by every detector's score_batch.
   void check_batch_args(const Tensor& contexts, const Tensor& observed) const;
 
   /// Validates the channel count of a score_batch call against the fitted
-  /// detector ("expects N channels, got M"); shared by every native override
-  /// that gathers per-channel data.
+  /// detector ("expects N channels, got M"); shared by every detector's
+  /// score_batch.
   void check_batch_channels(const Tensor& contexts, Index expected) const;
 };
 

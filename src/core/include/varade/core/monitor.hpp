@@ -150,8 +150,6 @@ class OnlineMonitor {
 
   AlarmTracker tracker_;
   std::function<void(const AnomalyEvent&)> callback_;
-
-  Tensor context_tensor() const;
 };
 
 }  // namespace varade::core

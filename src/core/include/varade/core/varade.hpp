@@ -104,11 +104,11 @@ class VaradeDetector : public AnomalyDetector {
 
   std::string name() const override { return "VARADE"; }
   void fit(const data::MultivariateSeries& train) override;
-  float score_step(const Tensor& context, const Tensor& observed) override;
-  /// Native batched scoring: one [B, C, T] forward through the model instead
-  /// of B single-row forwards. Every layer processes batch rows independently
-  /// with a fixed accumulation order, so scores are bit-identical to
-  /// score_step.
+  /// The paper's score: one [B, C, T] log-variance forward through the
+  /// model, then the mean predicted variance over channels per row. The
+  /// observations are not used — anomalies surface as predicted-variance
+  /// spikes one step ahead. Every layer processes batch rows independently
+  /// with a fixed accumulation order, so a row's score does not depend on B.
   void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override;
   /// Fresh detector with the same architecture and a deep copy of the
   /// weights; serving layers shard batches across such replicas.
@@ -117,13 +117,9 @@ class VaradeDetector : public AnomalyDetector {
   edge::ModelCost cost() const override;
   bool fitted() const override { return model_ != nullptr; }
 
-  /// Mean predicted variance over channels for a context [C, T] — the paper's
-  /// anomaly score.
-  float variance_score(const Tensor& context);
-
-  /// The scoring rule itself: mean exp(logvar) over `n` log-variance values.
-  /// Shared by variance_score and the serve::ScoringEngine batched path so
-  /// both stay bit-identical by construction.
+  /// The scoring rule itself: mean exp(logvar) over `n` log-variance values
+  /// — the mean predicted variance across channels (section 3.2). Shared by
+  /// score_batch and the score-function ablation so both apply one rule.
   static float score_from_logvar(const float* logvar, Index n);
 
   /// Forecast-error score ||observed - mu||_2 on the same model; used by the

@@ -72,9 +72,9 @@ float calibrate_threshold(AnomalyDetector& detector, const data::MultivariateSer
                           const MonitorConfig& config) {
   const Index window = detector.context_window();
   check(train.length() > window, "calibration series shorter than the context window");
-  // Batched scoring over the strided calibration positions: score_batch is
-  // bit-identical to score_step per the detector contract, so the threshold
-  // is unchanged from the sequential rule.
+  // Batched scoring over the strided calibration positions: a row's score
+  // does not depend on the batch size per the detector contract, so the
+  // threshold equals the one a sample-by-sample monitor would compute.
   const SeriesScores run = detector.score_series(train, config.calibration_stride,
                                                  config.calibration_batch);
   std::vector<float> scores = run.scores;
@@ -105,14 +105,6 @@ void OnlineMonitor::set_threshold(float threshold) {
   calibrated_ = true;
 }
 
-Tensor OnlineMonitor::context_tensor() const {
-  const Index c = normalizer_->n_channels();
-  const Index window = detector_->context_window();
-  Tensor out({c, window});
-  write_context(ring_, c, window, out.data());
-  return out;
-}
-
 float OnlineMonitor::push(const float* raw_sample) {
   check(calibrated_, "OnlineMonitor::push before calibrate()/set_threshold()");
   const Index window = detector_->context_window();
@@ -125,11 +117,14 @@ float OnlineMonitor::push(const float* raw_sample) {
   // window samples, so score before pushing the sample into the ring.
   float score = -1.0F;
   if (static_cast<Index>(ring_.size()) == window) {
-    const Tensor context = context_tensor();
-    Tensor observed({normalizer_->n_channels()});
-    for (Index c = 0; c < observed.numel(); ++c)
-      observed[c] = scratch_[static_cast<std::size_t>(c)];
-    score = detector_->score_step(context, observed);
+    // A 1-row score_batch call: the same contract every batched frontend
+    // scores through.
+    const Index channels = normalizer_->n_channels();
+    Tensor context({1, channels, window});
+    write_context(ring_, channels, window, context.data());
+    Tensor observed({1, channels});
+    std::copy(scratch_.begin(), scratch_.end(), observed.data());
+    detector_->score_batch(context, observed, &score);
 
     if (tracker_.update(score, threshold_, samples_seen_ - 1) == AlarmEdge::Raised && callback_)
       callback_(tracker_.events().back());

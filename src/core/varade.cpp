@@ -195,13 +195,6 @@ float VaradeDetector::score_from_logvar(const float* logvar, Index n) {
   return static_cast<float>(acc / static_cast<double>(n));
 }
 
-float VaradeDetector::variance_score(const Tensor& context) {
-  check(fitted(), "VARADE scoring before fit");
-  const Tensor batch = context.reshaped({1, context.dim(0), context.dim(1)});
-  const Tensor logvar = model_->logvar_inference(batch);
-  return score_from_logvar(logvar.data(), logvar.numel());
-}
-
 float VaradeDetector::forecast_error_score(const Tensor& context, const Tensor& observed) {
   check(fitted(), "VARADE scoring before fit");
   const Tensor batch = context.reshaped({1, context.dim(0), context.dim(1)});
@@ -214,15 +207,10 @@ float VaradeDetector::forecast_error_score(const Tensor& context, const Tensor& 
   return static_cast<float>(std::sqrt(acc));
 }
 
-float VaradeDetector::score_step(const Tensor& context, const Tensor& /*observed*/) {
-  // The variational score needs only the context: anomalies surface as
-  // predicted-variance spikes one step ahead.
-  return variance_score(context);
-}
-
 void VaradeDetector::score_batch(const Tensor& contexts, const Tensor& observed, float* out) {
   check(fitted(), "VARADE scoring before fit");
   check_batch_args(contexts, observed);
+  check_batch_channels(contexts, model_->in_channels());
   const Index channels = contexts.dim(1);
   if (contexts.dim(0) == 0) return;
   const Tensor logvar = model_->logvar_inference(contexts);

@@ -15,23 +15,21 @@
 // ids are remapped). Each shard owns its own scorer thread, its own rings
 // (a scorer never touches another shard's cache lines), its own result
 // queue, and its own ScoringEngine over a clone_fitted() replica of the
-// detector — so the shards share nothing on the hot path and scale across
-// cores. When the detector cannot be replicated (clone_fitted() returns
-// null), all shards fall back to the single borrowed instance and serialise
-// their engine calls on one mutex: correct, just not parallel. n_shards = 1
-// (the default) is exactly the pre-shard behaviour; 0 selects
-// hardware_concurrency; shards beyond n_streams() stay empty and get no
-// thread or engine.
+// detector (shard 0 keeps the borrowed instance) — so the shards share
+// nothing on the hot path and scale across cores. n_shards = 1 (the default)
+// is exactly the pre-shard behaviour; 0 selects hardware_concurrency; shards
+// beyond n_streams() stay empty and get no thread or engine.
 //
 // Determinism: a stream is owned by exactly one shard, that shard's scoring
 // thread is the only thread touching its engine, and each ring preserves its
 // producers' push order. With one producer per stream (the serving
 // contract), every stream's samples reach its engine in exactly the order
 // they were pushed; replicas are bit-identical to the original by the
-// clone_fitted contract and score_batch is bit-identical to score_step — so
-// per-stream scores and alarm events are bit-identical to a synchronous
-// ScoringEngine — or one OnlineMonitor per stream — fed the same samples,
-// for ANY shard count, producer timing, ring capacity, or batching.
+// clone_fitted contract and a row's score_batch score does not depend on the
+// batch it rides in — so per-stream scores and alarm events are
+// bit-identical to a synchronous ScoringEngine — or one OnlineMonitor per
+// stream — fed the same samples, for ANY shard count, producer timing, ring
+// capacity, or batching.
 //
 // Lifecycle: add_streams() / calibrate() before start(); the shard engines
 // are built by start() (cloning the detector per shard); push() +
@@ -190,10 +188,6 @@ class AsyncScoringRuntime {
   Index n_shards() const { return partition_.n_shards; }
   /// Shards that own streams and therefore get a scorer thread + engine.
   Index n_active_shards() const { return partition_.n_active(n_streams_); }
-  /// True when start() found the detector non-replicable (clone_fitted()
-  /// returned null) and the shards serialise scoring on the borrowed
-  /// instance instead of running parallel replicas.
-  bool sharing_detector() const { return share_detector_; }
 
   /// Threshold setup; only before start(). calibrate() computes the same
   /// quantile threshold as ScoringEngine::calibrate on the borrowed
@@ -202,10 +196,10 @@ class AsyncScoringRuntime {
   void set_threshold(float threshold);
   float threshold() const { return threshold_; }
 
-  /// Builds the shard engines (one clone_fitted() replica per shard, shared
-  /// borrowed instance when the detector is not replicable) and launches
-  /// one scoring thread per active shard. Requires >= 1 stream and a
-  /// calibrated threshold.
+  /// Builds the shard engines (shard 0 on the borrowed detector, one
+  /// clone_fitted() replica per further shard) and launches one scoring
+  /// thread per active shard. Requires >= 1 stream and a calibrated
+  /// threshold.
   void start();
 
   /// Enqueues one raw sample for `stream` under `policy`, or under the
@@ -283,7 +277,7 @@ class AsyncScoringRuntime {
 
   /// Everything one scorer thread owns. Rings, engine, result queue, and
   /// nap state are all per shard, so shards share no mutable state on the
-  /// hot path (except the detector in the non-replicable fallback).
+  /// hot path.
   struct Shard {
     /// Counters of the streams this shard owns, in local-index order. Deque:
     /// StreamIngest holds atomics (immovable) and producers keep references
@@ -298,7 +292,7 @@ class AsyncScoringRuntime {
     /// immovable). Only touched after start() published `started_`.
     std::deque<SampleRing> rings;
     /// This shard's detector replica; null for shard 0 (which scores
-    /// through the borrowed detector) and in the shared-detector fallback.
+    /// through the borrowed detector).
     std::unique_ptr<core::AnomalyDetector> replica;
     /// This shard's engine over its subset view of the streams; built by
     /// start().
@@ -352,12 +346,6 @@ class AsyncScoringRuntime {
   /// Deque: Shard is immovable (atomics, mutexes); sized n_shards() at
   /// construction, only the first n_active_shards() ever own anything.
   std::deque<Shard> shards_;
-  /// Serialises engine calls across shards when the detector is not
-  /// replicable (clone_fitted() returned null) and they all share the
-  /// borrowed instance. Unused — never locked — when replicas exist or
-  /// only one shard is active.
-  std::mutex shared_detector_mu_;
-  bool share_detector_ = false;
 
   float threshold_ = 0.0F;
   bool calibrated_ = false;

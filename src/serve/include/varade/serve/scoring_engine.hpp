@@ -23,11 +23,11 @@
 // The engine is generic over core::AnomalyDetector: any of the paper's six
 // detectors plugs in unchanged.
 //
-// Determinism: score_batch is bit-identical to score_step by the detector
-// contract and the slab normalisation applies the exact per-element
-// expression of transform_sample — so scores and alarm events are
-// bit-for-bit identical to running one OnlineMonitor per stream
-// sequentially, at any batch size.
+// Determinism: a row's score_batch score does not depend on the batch it
+// rides in (the detector contract; OnlineMonitor scores 1-row batches) and
+// the slab normalisation applies the exact per-element expression of
+// transform_sample — so scores and alarm events are bit-for-bit identical to
+// running one OnlineMonitor per stream sequentially, at any batch size.
 #pragma once
 
 #include <cstdint>

@@ -89,20 +89,14 @@ void AsyncScoringRuntime::start() {
   check(calibrated_, "start() before calibrate()/set_threshold()");
 
   const Index active = n_active_shards();
-  // One detector replica per shard beyond the first (shard 0 scores through
-  // the borrowed instance). A null clone marks the detector as non-replicable: every shard then
-  // shares the borrowed instance and serialises engine calls on
-  // shared_detector_mu_.
-  share_detector_ = false;
-  for (Index k = 1; k < active && !share_detector_; ++k) {
-    shards_[static_cast<std::size_t>(k)].replica = detector_->clone_fitted();
-    if (shards_[static_cast<std::size_t>(k)].replica == nullptr) share_detector_ = true;
-  }
-  if (share_detector_)
-    for (Shard& shard : shards_) shard.replica.reset();
-
   for (Index k = 0; k < active; ++k) {
     Shard& shard = shards_[static_cast<std::size_t>(k)];
+    // One detector replica per shard beyond the first (shard 0 scores
+    // through the borrowed instance), so shards share nothing while scoring.
+    if (k > 0) {
+      shard.replica = detector_->clone_fitted();
+      check(shard.replica != nullptr, detector_->name() + ": clone_fitted() returned null");
+    }
     core::AnomalyDetector& det = shard.replica ? *shard.replica : *detector_;
     shard.engine = std::make_unique<ScoringEngine>(det, *normalizer_, config_.engine);
     // Subset view: the engine sees this shard's streams under dense local
@@ -303,17 +297,6 @@ void AsyncScoringRuntime::shard_loop(Shard& shard) {
 
 void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
   const auto n = static_cast<Index>(shard.rings.size());
-  // Engine calls go through here so the non-replicable fallback (all shards
-  // share the borrowed detector) serialises scoring without touching the
-  // replicated fast path. Ring drains stay concurrent either way: push()
-  // into an engine only buffers into that engine's own stream state.
-  const auto step_engine = [&]() -> std::vector<StreamScore> {
-    if (share_detector_) {
-      std::lock_guard<std::mutex> lock(shared_detector_mu_);
-      return shard.engine->step();
-    }
-    return shard.engine->step();
-  };
   // Nap escalation, per shard: producers that observe this shard asleep
   // notify under its mutex, so a sleeping shard wakes immediately when its
   // own traffic resumes — and an idle shard sleeps through other shards'
@@ -346,7 +329,7 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
           wake_marker = 0;
         }
       }
-      std::vector<StreamScore> scores = step_engine();
+      std::vector<StreamScore> scores = shard.engine->step();
       const std::int64_t t_emit = obs::tick();
       emit(shard, std::move(scores));
       if constexpr (obs::kEnabled) {
@@ -366,7 +349,7 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
       long final_drained = 0;
       for (Index i = 0; i < n; ++i) final_drained += drain_ring(shard, i, false);
       if (final_drained > 0) {
-        emit(shard, step_engine());
+        emit(shard, shard.engine->step());
         shard.rounds.fetch_add(1, std::memory_order_relaxed);
       }
       return;

@@ -120,17 +120,19 @@ TEST(VaradeDetector, VarianceAndForecastScoresAreFinite) {
   Rng rng(5);
   const Tensor ctx = Tensor::randn({3, 32}, rng);
   const Tensor obs = Tensor::randn({3}, rng);
-  EXPECT_TRUE(std::isfinite(det.variance_score(ctx)));
-  EXPECT_GT(det.variance_score(ctx), 0.0F);  // a variance
+  float variance = 0.0F;
+  det.score_batch(ctx.reshaped({1, 3, 32}), obs.reshaped({1, 3}), &variance);
+  EXPECT_TRUE(std::isfinite(variance));
+  EXPECT_GT(variance, 0.0F);  // a variance
   EXPECT_TRUE(std::isfinite(det.forecast_error_score(ctx, obs)));
   EXPECT_GE(det.forecast_error_score(ctx, obs), 0.0F);
 }
 
 // The scoring path runs only the trunk and the logvar head (mu is discarded
 // at inference, section 3.2). Pin it to the full two-head forward on the
-// repro architecture (86 channels, window 32, base 16): both score_step and
-// score_batch must equal score_from_logvar(forward_inference(x).logvar) bit
-// for bit.
+// repro architecture (86 channels, window 32, base 16): score_batch over all
+// rows and over single rows must equal
+// score_from_logvar(forward_inference(x).logvar) bit for bit.
 TEST(VaradeDetector, LogvarOnlyScoreMatchesFullForwardBitForBit) {
   constexpr Index kChannels = 86;
   constexpr Index kRows = 16;
@@ -149,10 +151,10 @@ TEST(VaradeDetector, LogvarOnlyScoreMatchesFullForwardBitForBit) {
   for (Index r = 0; r < kRows; ++r) {
     const float expected =
         VaradeDetector::score_from_logvar(logvar.data() + r * kChannels, kChannels);
-    const Tensor context = contexts.slice0(r, r + 1).reshaped({kChannels, cfg.window});
-    const float stepped = det.score_step(context, observed.slice0(r, r + 1));
+    float single = 0.0F;
+    det.score_batch(contexts.slice0(r, r + 1), observed.slice0(r, r + 1), &single);
     EXPECT_EQ(std::memcmp(&batched[r], &expected, sizeof(float)), 0) << "score_batch row " << r;
-    EXPECT_EQ(std::memcmp(&stepped, &expected, sizeof(float)), 0) << "score_step row " << r;
+    EXPECT_EQ(std::memcmp(&single, &expected, sizeof(float)), 0) << "single-row batch " << r;
   }
 }
 
@@ -160,7 +162,8 @@ TEST(VaradeDetector, ErrorsBeforeFitAndOnShortSeries) {
   VaradeDetector det;
   EXPECT_FALSE(det.fitted());
   Rng rng(6);
-  EXPECT_THROW(det.score_step(Tensor::randn({3, 512}, rng), Tensor({3})), Error);
+  float score = 0.0F;
+  EXPECT_THROW(det.score_batch(Tensor::randn({1, 3, 512}, rng), Tensor({1, 3}), &score), Error);
   VaradeConfig cfg;
   cfg.window = 64;
   VaradeDetector det2(cfg);

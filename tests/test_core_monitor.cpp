@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 
 #include "varade/core/baselines/knn.hpp"
@@ -174,8 +175,13 @@ TEST(VaradePersistence, SaveLoadRoundTripPreservesScores) {
 
   Rng rng(7);
   for (int trial = 0; trial < 5; ++trial) {
-    const Tensor ctx = Tensor::randn({3, 32}, rng);
-    EXPECT_FLOAT_EQ(original.variance_score(ctx), restored.variance_score(ctx));
+    const Tensor ctx = Tensor::randn({1, 3, 32}, rng);
+    const Tensor obs({1, 3});
+    float before = 0.0F;
+    float after = 0.0F;
+    original.score_batch(ctx, obs, &before);
+    restored.score_batch(ctx, obs, &after);
+    EXPECT_EQ(std::memcmp(&before, &after, sizeof(float)), 0) << "trial " << trial;
   }
 }
 

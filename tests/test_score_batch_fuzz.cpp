@@ -1,11 +1,12 @@
 // Fuzzing harness for the batched scoring contract.
 //
-// Now that all six detectors implement a native score_batch, this suite pins
-// the contract the batched frontends (score_series, threshold calibration,
-// serve::ScoringEngine) depend on, against seeded-random inputs rather than
-// the well-behaved series the other parity suites use:
-//  1. score_batch == score_step to the last bit at batch sizes
-//     {1, 2, 5, 31, 64, 257} on random contexts/observations;
+// score_batch is the only way a detector scores. This suite pins the
+// contract the batched frontends (score_series, threshold calibration,
+// serve::ScoringEngine) and OnlineMonitor's 1-row calls depend on, against
+// seeded-random inputs rather than the well-behaved series the other parity
+// suites use:
+//  1. score_batch at batch sizes {1, 2, 5, 31, 64, 257} == 1-row score_batch
+//     calls to the last bit on random contexts/observations;
 //  2. the same parity holds after clone_fitted() (replicas share no state
 //     with the original, so a drifting copy would surface here);
 //  3. edge cases of the native paths: B = 0 is a no-op, a mismatched channel
@@ -123,21 +124,15 @@ void random_pairs(Index rows, Index window, std::uint64_t seed, Tensor& contexts
     observed[i] = rng.bernoulli(0.05) ? rng.normal(0.0F, 3.0F) : rng.uniform(0.0F, 1.0F);
 }
 
-/// score_step row by row — the sequential reference the batch must match.
-std::vector<float> sequential_scores(AnomalyDetector& detector, const Tensor& contexts,
+/// One 1-row score_batch call per row (what OnlineMonitor runs per sample) —
+/// the reference the batch must match.
+std::vector<float> single_row_scores(AnomalyDetector& detector, const Tensor& contexts,
                                      const Tensor& observed) {
   const Index rows = contexts.dim(0);
-  const Index window = contexts.dim(2);
   std::vector<float> out(static_cast<std::size_t>(rows));
-  Tensor context({kChannels, window});
-  Tensor sample({kChannels});
-  for (Index r = 0; r < rows; ++r) {
-    std::memcpy(context.data(), contexts.data() + r * kChannels * window,
-                static_cast<std::size_t>(kChannels * window) * sizeof(float));
-    std::memcpy(sample.data(), observed.data() + r * kChannels,
-                static_cast<std::size_t>(kChannels) * sizeof(float));
-    out[static_cast<std::size_t>(r)] = detector.score_step(context, sample);
-  }
+  for (Index r = 0; r < rows; ++r)
+    detector.score_batch(contexts.slice0(r, r + 1), observed.slice0(r, r + 1),
+                         &out[static_cast<std::size_t>(r)]);
   return out;
 }
 
@@ -155,7 +150,7 @@ void expect_bit_equal(const std::vector<float>& got, const std::vector<float>& w
   }
 }
 
-TEST(ScoreBatchFuzz, RandomContextsMatchScoreStepToTheLastBit) {
+TEST(ScoreBatchFuzz, RandomContextsMatchSingleRowToTheLastBit) {
   std::uint64_t seed = 1000;
   for (auto& detector : rig().detectors) {
     const Index window = detector->context_window();
@@ -163,7 +158,7 @@ TEST(ScoreBatchFuzz, RandomContextsMatchScoreStepToTheLastBit) {
       Tensor contexts;
       Tensor observed;
       random_pairs(batch, window, seed++, contexts, observed);
-      const std::vector<float> reference = sequential_scores(*detector, contexts, observed);
+      const std::vector<float> reference = single_row_scores(*detector, contexts, observed);
       std::vector<float> scores(static_cast<std::size_t>(batch), -1.0F);
       detector->score_batch(contexts, observed, scores.data());
       expect_bit_equal(scores, reference,
@@ -182,7 +177,7 @@ TEST(ScoreBatchFuzz, ClonedReplicasKeepBitParityOnRandomContexts) {
       Tensor contexts;
       Tensor observed;
       random_pairs(batch, window, seed++, contexts, observed);
-      const std::vector<float> reference = sequential_scores(*detector, contexts, observed);
+      const std::vector<float> reference = single_row_scores(*detector, contexts, observed);
       std::vector<float> scores(static_cast<std::size_t>(batch), -1.0F);
       clone->score_batch(contexts, observed, scores.data());
       expect_bit_equal(scores, reference,
@@ -229,14 +224,11 @@ TEST(ScoreBatchEdgeCases, MismatchedChannelCountThrowsWithExpectsGotWording) {
       detector->score_batch(contexts, observed, out.data());
       FAIL() << name << " did not throw";
     } catch (const Error& e) {
-      // The native baseline paths report the mismatch in the shared
-      // "expects N channels, got M" wording introduced by kNN/IForest
-      // (VARADE rejects the shape in its model forward instead).
-      if (name != "VARADE") {
-        const std::string message = e.what();
-        EXPECT_NE(message.find("expects 3 channels, got 5"), std::string::npos)
-            << name << " message: " << message;
-      }
+      // Every detector reports the mismatch in the shared
+      // "expects N channels, got M" wording of check_batch_channels.
+      const std::string message = e.what();
+      EXPECT_NE(message.find("expects 3 channels, got 5"), std::string::npos)
+          << name << " message: " << message;
     }
   }
 }

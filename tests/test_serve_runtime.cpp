@@ -2,10 +2,11 @@
 // policies, and the determinism contract of AsyncScoringRuntime.
 //
 // The contract under test: the scoring thread is the only thread touching the
-// engine, each stream's ring preserves its producer's push order, and the
-// engine pins score_batch == score_step — so a single-producer-per-stream
-// async run must yield bit-identical per-stream scores and alarm events to
-// the synchronous ScoringEngine fed the same samples, at any producer timing.
+// engine, each stream's ring preserves its producer's push order, and a
+// row's score_batch score does not depend on the batch it rides in — so a
+// single-producer-per-stream async run must yield bit-identical per-stream
+// scores and alarm events to the synchronous ScoringEngine fed the same
+// samples, at any producer timing.
 // This binary carries the `concurrency` label and runs under ThreadSanitizer
 // in CI (`ci.sh --tsan`).
 #include <gtest/gtest.h>

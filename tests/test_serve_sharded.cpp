@@ -7,7 +7,8 @@
 // engine — and for ANY shard count every stream's score/event sequence is
 // bit-identical to the synchronous ScoringEngine fed the same samples,
 // because a stream is owned by exactly one shard, rings preserve producer
-// order, replicas are bit-identical clones, and score_batch == score_step.
+// order, replicas are bit-identical clones, and a row's score_batch score
+// does not depend on the batch it rides in.
 // This binary carries the `concurrency` label and runs under ThreadSanitizer
 // in CI (`ci.sh --tsan`).
 #include <gtest/gtest.h>
@@ -66,27 +67,6 @@ ShardRig& rig() {
   static ShardRig* r = new ShardRig();
   return *r;
 }
-
-/// Delegating detector whose clone_fitted() stays null: exercises the
-/// shared-detector fallback (shards serialise on the borrowed instance).
-class NonReplicableDetector : public core::AnomalyDetector {
- public:
-  explicit NonReplicableDetector(core::AnomalyDetector& inner) : inner_(&inner) {}
-  std::string name() const override { return "NonReplicable(" + inner_->name() + ")"; }
-  void fit(const data::MultivariateSeries& train) override { inner_->fit(train); }
-  float score_step(const Tensor& context, const Tensor& observed) override {
-    return inner_->score_step(context, observed);
-  }
-  void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override {
-    inner_->score_batch(contexts, observed, out);
-  }
-  Index context_window() const override { return inner_->context_window(); }
-  edge::ModelCost cost() const override { return inner_->cost(); }
-  bool fitted() const override { return inner_->fitted(); }
-
- private:
-  core::AnomalyDetector* inner_;
-};
 
 // ---------------------------------------------------------------------------
 // ShardPartition: the one place stream ids are remapped
@@ -384,44 +364,6 @@ TEST(ShardedRuntime, EveryShardCountMatchesSynchronousEngineBitForBit) {
         expect_same_run(got[static_cast<std::size_t>(s)], want[static_cast<std::size_t>(s)],
                         s, label);
     }
-  }
-}
-
-TEST(ShardedRuntime, NonReplicableDetectorFallsBackToSerializedSharing) {
-  NonReplicableDetector wrapped(rig().detector);
-  ASSERT_EQ(wrapped.clone_fitted(), nullptr);
-  const auto inputs = parity_inputs();
-  // The reference scores are the inner detector's, shared detector or not.
-  const auto want = sync_reference(wrapped, inputs);
-  const auto got = async_run(wrapped, /*n_shards=*/2, /*n_producers=*/4, inputs,
-                             "non-replicable shards=2");
-  if (::testing::Test::HasFatalFailure()) return;
-  for (Index s = 0; s < kParityStreams; ++s)
-    expect_same_run(got[static_cast<std::size_t>(s)], want[static_cast<std::size_t>(s)], s,
-                    "non-replicable shards=2");
-}
-
-TEST(ShardedRuntime, SharingFlagReflectsCloneSupport) {
-  {
-    NonReplicableDetector wrapped(rig().detector);
-    AsyncRuntimeConfig cfg;
-    cfg.n_shards = 2;
-    AsyncScoringRuntime runtime(wrapped, rig().normalizer, cfg);
-    runtime.add_streams(2);
-    runtime.set_threshold(1e9F);
-    runtime.start();
-    EXPECT_TRUE(runtime.sharing_detector());
-    runtime.close();
-  }
-  {
-    AsyncRuntimeConfig cfg;
-    cfg.n_shards = 2;
-    AsyncScoringRuntime runtime(rig().detector, rig().normalizer, cfg);
-    runtime.add_streams(2);
-    runtime.set_threshold(1e9F);
-    runtime.start();
-    EXPECT_FALSE(runtime.sharing_detector());  // VARADE clones: replicas
-    runtime.close();
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "varade/trees/decision_tree.hpp"
 #include "varade/trees/gbrf.hpp"
@@ -182,6 +184,54 @@ TEST(MultiOutputGbrf, PredictsEachColumn) {
   const Tensor p1 = model.predict_one(x.row(0));
   EXPECT_NEAR(p1[0], pred[0], 1e-5F);
   EXPECT_NEAR(p1[1], pred[1], 1e-5F);
+}
+
+// predict_rows (tree-major, the batched GBRF scoring path) must reproduce
+// predict_one (row-major) bit for bit at every row count: GbrfDetector's
+// score_batch and a 1-row call through it rely on it, and the EXPECT_NEAR
+// check above would let a change in the per-row rounding through.
+TEST(GbrfPredictRows, BitIdenticalToPredictOneAtEveryRowCount) {
+  Rng rng(11);
+  const Index n_train = 300;
+  const Index d = 5;
+  const Index m = 3;
+  Tensor x({n_train, d});
+  Tensor y({n_train, m});
+  for (Index i = 0; i < n_train; ++i) {
+    for (Index j = 0; j < d; ++j) x[i * d + j] = rng.uniform(-1.0F, 1.0F);
+    for (Index k = 0; k < m; ++k)
+      y[i * m + k] = std::sin(3.0F * x[i * d + k]) * x[i * d + k + 1] + rng.normal(0.0F, 0.1F);
+  }
+  GbrfConfig cfg;
+  cfg.n_trees = 30;
+  cfg.tree.max_depth = 4;
+  cfg.subsample = 0.8F;
+  MultiOutputGbrf multi(cfg);
+  multi.fit(x, y);
+  Tensor column({n_train});
+  for (Index i = 0; i < n_train; ++i) column[i] = y[i * m];
+  GradientBoostedRegressor single(cfg);
+  single.fit(x, column);
+
+  for (const Index n : {Index{1}, Index{7}, Index{64}}) {
+    // Queries extend past the training range, so the edge leaves are hit too.
+    Tensor q({n, d});
+    for (Index i = 0; i < q.numel(); ++i) q[i] = rng.uniform(-1.5F, 1.5F);
+
+    std::vector<float> rows(static_cast<std::size_t>(n));
+    single.predict_rows(q.data(), n, d, rows.data());
+    Tensor multi_rows({n, m});
+    multi.predict_rows(q.data(), n, d, multi_rows.data());
+    for (Index i = 0; i < n; ++i) {
+      const float one = single.predict_one(q.data() + i * d);
+      EXPECT_EQ(std::memcmp(&rows[static_cast<std::size_t>(i)], &one, sizeof(float)), 0)
+          << "GradientBoostedRegressor n=" << n << " row " << i;
+      const Tensor multi_one = multi.predict_one(q.row(i));
+      EXPECT_EQ(std::memcmp(multi_rows.data() + i * m, multi_one.data(),
+                          static_cast<std::size_t>(m) * sizeof(float)), 0)
+          << "MultiOutputGbrf n=" << n << " row " << i;
+    }
+  }
 }
 
 TEST(IsolationForest, AveragePathLengthFormula) {
