@@ -8,7 +8,8 @@
 # and example (they sit off the default target, so an interface change could
 # otherwise break one unnoticed), run the fast CTest preset (everything except
 # LABELS slow), then run the batched-vs-single-row parity suites explicitly by
-# label, a serve throughput smoke run covering all six detectors, and two
+# label, a serve throughput smoke run covering all six detectors, GBRF and
+# VARADE stream sweeps checksum-pinned to OnlineMonitor, and two
 # network-serving smokes: start varade-served on a Unix socket (then on a
 # shm: bootstrap socket with batched frames), drive it with forked client
 # processes, and shut it down over the wire. src/core, src/serve, and src/net
@@ -111,6 +112,13 @@ echo "== smoke: fleet-scale stream sweep (10k SoA streams, checksum vs OnlineMon
 # per-archetype OnlineMonitor baseline by a single bit.
 "$BUILD_DIR/bench/bench_serve_throughput" --stream-sweep 10000 --samples 50 \
   --json "$BUILD_DIR/stream_sweep_smoke.json"
+
+echo "== smoke: VARADE stream sweep (1k streams of streamed per-layer state, checksum vs OnlineMonitor) =="
+# VARADE keeps one ring of activation columns per conv layer per stream in
+# place of the context ring; any one-bit divergence from the full-window
+# OnlineMonitor baseline fails the sweep.
+"$BUILD_DIR/bench/bench_serve_throughput" --stream-sweep 1000 --samples 200 --detector VARADE \
+  --json "$BUILD_DIR/stream_sweep_varade_smoke.json"
 
 echo "== smoke: net serving (in-process daemon, forked clients, checksum-pinned) =="
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_net_throughput varade-served

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "varade/core/monitor.hpp"
 #include "varade/data/window.hpp"
 
 namespace varade::core {
@@ -25,6 +26,44 @@ void AnomalyDetector::check_batch_args(const Tensor& contexts, const Tensor& obs
 void AnomalyDetector::check_batch_channels(const Tensor& contexts, Index expected) const {
   if (contexts.dim(1) != expected)
     fail(name(), " score_batch expects ", expected, " channels, got ", contexts.dim(1));
+}
+
+Index AnomalyDetector::stream_state_floats(Index channels) const {
+  Index floats = 0;
+  if (__builtin_mul_overflow(channels, context_window(), &floats))
+    fail(name(), ": stream state of ", channels, " channels overflows Index");
+  return floats;
+}
+
+void AnomalyDetector::score_streams(const StreamBatch& batch, StreamScratch& scratch,
+                                    float* out) {
+  const Index window = context_window();
+  const Index c = batch.channels;
+  const Index row_floats = c * window;
+  // Reuse the scratch tensors while the chunk shape repeats (full chunks).
+  if (scratch.contexts.rank() != 3 || scratch.contexts.dim(0) != batch.rows ||
+      scratch.contexts.dim(1) != c || scratch.contexts.dim(2) != window) {
+    scratch.contexts = Tensor({batch.rows, c, window});
+    scratch.observed = Tensor({batch.rows, c});
+  }
+  for (Index r = 0; r < batch.rows; ++r)
+    write_context(batch.states[r], c, window, batch.seen[r] % window,
+                  scratch.contexts.data() + r * row_floats);
+  std::copy_n(batch.samples, static_cast<std::size_t>(batch.rows * c), scratch.observed.data());
+  score_batch(scratch.contexts, scratch.observed, out);
+}
+
+void AnomalyDetector::advance_streams(const StreamBatch& batch, StreamScratch&) {
+  const Index window = context_window();
+  const Index c = batch.channels;
+  for (Index r = 0; r < batch.rows; ++r) {
+    // Sample k lives at time index k % T: while the ring fills that is the
+    // next free slot, once warm it is the oldest sample's slot.
+    const Index pos = batch.seen[r] % window;
+    float* ring = batch.states[r];
+    const float* x = batch.samples + r * c;
+    for (Index ch = 0; ch < c; ++ch) ring[ch * window + pos] = x[ch];
+  }
 }
 
 SeriesScores AnomalyDetector::score_series(const data::MultivariateSeries& test, Index stride,

@@ -89,12 +89,13 @@ float calibrate_threshold(AnomalyDetector& detector, const data::MultivariateSer
 
 /// Writes a normalising ring buffer (oldest sample first) as a channels-major
 /// [C, T] context into `dst` — the one place that fixes the context memory
-/// layout for both OnlineMonitor and serve::ScoringEngine.
+/// layout for both OnlineMonitor and the default per-stream state of
+/// AnomalyDetector::score_streams.
 void write_context(const std::deque<std::vector<float>>& ring, Index channels, Index window,
                    float* dst);
 
 /// Flat-slab overload: the ring is a contiguous channels-major [C, T] row
-/// (serve::ScoringEngine's per-stream slice of the context slab) whose
+/// (the default per-stream state a serving layer keeps per stream) whose
 /// oldest sample lives at time index `oldest`. Unrolls the ring into `dst`
 /// oldest-first with the same [C, T] layout as the deque overload — two
 /// memcpys per channel instead of a per-sample scatter.

@@ -84,6 +84,9 @@ class VaradeModel {
   nn::Sequential& trunk() { return trunk_; }
   nn::Linear& mu_head() { return *mu_head_; }
   nn::Linear& logvar_head() { return *logvar_head_; }
+  const nn::Linear& logvar_head() const { return *logvar_head_; }
+  /// Conv layer `layer` of the trunk, 0 <= layer < n_layers().
+  const nn::Conv1d& conv(Index layer) const { return *convs_[static_cast<std::size_t>(layer)]; }
 
  private:
   /// Shape-checked trunk inference shared by both inference entry points.
@@ -93,6 +96,7 @@ class VaradeModel {
   Index window_;
   Index n_conv_layers_;
   nn::Sequential trunk_;  // convs + relus + flatten
+  std::vector<nn::Conv1d*> convs_;  // the trunk's convs, owned by trunk_
   std::unique_ptr<nn::Linear> mu_head_;
   std::unique_ptr<nn::Linear> logvar_head_;
 };
@@ -114,6 +118,30 @@ class VaradeDetector : public AnomalyDetector {
   /// weights; serving layers shard batches across such replicas.
   std::unique_ptr<AnomalyDetector> clone_fitted() const override;
   Index context_window() const override { return config_.window; }
+
+  // Streamed inference. Every trunk conv has kernel 2 and stride 2, so conv
+  // l's output column ending at sample tau depends only on samples
+  // (tau - 2^(l+1), tau]: it combines conv l-1's columns ending at
+  // tau - 2^l and tau (conv 0: samples tau - 1 and tau). A stream's state
+  // therefore keeps, per level k = 0..L (level 0 = the normalised samples,
+  // level k = conv k-1's ReLU output), a ring of its last 2^k columns —
+  // conv k's tap distance — and the top level one more, because the head
+  // reads the top columns ending at tau - 2^L and tau. advance_streams
+  // computes one new column per conv with the packed conv1d kernel at
+  // l_in = 2, so every element keeps the full-window accumulation order;
+  // score_streams runs the logvar head on the two top columns. Scores equal
+  // score_batch on the full window bit for bit (test_score_batch_fuzz). At
+  // the served architecture (86 channels, T = 32, base 16) that is 11.8k
+  // MACs per sample instead of 61.8k, and 982 state floats per stream
+  // instead of a 2,752-float context ring.
+
+  /// State floats per stream: sum over levels of channels x ring slots.
+  Index stream_state_floats(Index channels) const override;
+  /// The logvar head on each row's two top-level columns, then the mean
+  /// predicted variance (the observation is not used, as in score_batch).
+  void score_streams(const StreamBatch& batch, StreamScratch& scratch, float* out) override;
+  /// One new column per conv layer per row, stored in the layer's ring.
+  void advance_streams(const StreamBatch& batch, StreamScratch& scratch) override;
   edge::ModelCost cost() const override;
   bool fitted() const override { return model_ != nullptr; }
 
@@ -134,15 +162,40 @@ class VaradeDetector : public AnomalyDetector {
   void save(const std::string& path) const;
 
   /// Restores a detector saved with save(); replaces config and weights.
+  /// All or nothing: if the file is unreadable, truncated or does not match
+  /// the architecture, load throws and the detector is left as it was.
   void load(const std::string& path);
 
+  /// The fitted network, for inspection and timing. The streamed path packs
+  /// the weights when the model is fitted, loaded or cloned, so writes to
+  /// its parameters afterwards are seen by score_batch but not by
+  /// score_streams.
   VaradeModel* model() { return model_.get(); }
   const VaradeConfig& config() const { return config_; }
 
  private:
+  /// One level of the streamed state: a ring of `slots` columns of
+  /// `channels` floats (column-major) at float `offset` of a stream's slot;
+  /// the column ending at sample tau lives in ring slot tau % slots.
+  struct StreamLevel {
+    Index offset = 0;
+    Index channels = 0;
+    Index slots = 0;
+  };
+
+  /// Makes `model` the fitted model and packs its conv and logvar-head
+  /// weights for the streamed path, so the two always change together.
+  void install(std::unique_ptr<VaradeModel> model);
+
   VaradeConfig config_;
   std::unique_ptr<VaradeModel> model_;
   std::vector<float> loss_history_;
+  // Streamed inference, rebuilt by install(): read-only while scoring.
+  std::vector<StreamLevel> stream_levels_;          // L + 1 levels
+  std::vector<nn::PackedWeights> packed_convs_;     // one per conv layer
+  nn::PackedWeights packed_logvar_;
+  Index stream_floats_ = 0;    // state floats per stream
+  Index stream_max_channels_ = 0;
 };
 
 }  // namespace varade::core

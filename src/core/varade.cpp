@@ -1,5 +1,6 @@
 #include "varade/core/varade.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -69,7 +70,7 @@ VaradeModel::VaradeModel(Index in_channels, const VaradeConfig& config, Rng& rng
   Index ch_out = config.base_channels;
   for (Index layer = 0; layer < n_conv_layers_; ++layer) {
     if (layer > 0 && layer % 2 == 0 && config.channel_doubling) ch_out *= 2;
-    trunk_.emplace<nn::Conv1d>(ch_in, ch_out, 2, 2, 0, rng);
+    convs_.push_back(&trunk_.emplace<nn::Conv1d>(ch_in, ch_out, 2, 2, 0, rng));
     trunk_.emplace<nn::ReLU>();
     ch_in = ch_out;
   }
@@ -150,13 +151,13 @@ void VaradeDetector::fit(const data::MultivariateSeries& train) {
   check(train.length() > config_.window + 1,
         "VARADE training series shorter than one window");
   Rng rng(config_.seed);
-  model_ = std::make_unique<VaradeModel>(train.n_channels(), config_, rng);
+  auto model = std::make_unique<VaradeModel>(train.n_channels(), config_, rng);
 
   const data::WindowDataset dataset(train, {config_.window, config_.train_stride});
   check(dataset.size() > 0, "no training windows available");
 
   nn::Adam optimizer(config_.learning_rate);
-  auto params = model_->parameters();
+  auto params = model->parameters();
   loss_history_.clear();
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -168,12 +169,12 @@ void VaradeDetector::fit(const data::MultivariateSeries& train) {
       Tensor targets;
       dataset.gather(batch, contexts, targets);
 
-      model_->zero_grad();
-      VaradeModel::Output out = model_->forward(contexts);
+      model->zero_grad();
+      VaradeModel::Output out = model->forward(contexts);
       const nn::VariationalLossResult loss =
           nn::elbo_loss(out.mu, out.logvar, targets, config_.lambda);
       check(std::isfinite(loss.value), "VARADE training diverged (non-finite loss)");
-      model_->backward(loss.grad_mu, loss.grad_logvar);
+      model->backward(loss.grad_mu, loss.grad_logvar);
       nn::clip_grad_norm(params, config_.grad_clip);
       optimizer.step(params);
 
@@ -185,6 +186,36 @@ void VaradeDetector::fit(const data::MultivariateSeries& train) {
     if (config_.verbose)
       std::printf("[VARADE] epoch %d/%d  loss %.5f\n", epoch + 1, config_.epochs, mean_loss);
   }
+  install(std::move(model));
+}
+
+void VaradeDetector::install(std::unique_ptr<VaradeModel> model) {
+  const Index layers = model->n_layers();
+  std::vector<StreamLevel> levels;
+  Index offset = 0;
+  Index max_channels = 0;
+  for (Index level = 0; level <= layers; ++level) {
+    const Index channels =
+        level == 0 ? model->in_channels() : model->conv(level - 1).out_channels();
+    // Conv k reads level k's columns 2^k apart, so the ring keeps the last
+    // 2^k; the head reads the top level's columns 2^L apart *after* the
+    // newest one is stored, so the top ring keeps one more.
+    const Index slots = (Index{1} << level) + (level == layers ? 1 : 0);
+    levels.push_back({offset, channels, slots});
+    offset += channels * slots;
+    max_channels = std::max(max_channels, channels);
+  }
+  std::vector<nn::PackedWeights> convs;
+  for (Index l = 0; l < layers; ++l) convs.push_back(model->conv(l).pack());
+  nn::PackedWeights logvar = model->logvar_head().pack();
+
+  // Nothing below throws: the model and its packed weights change together.
+  model_ = std::move(model);
+  stream_levels_ = std::move(levels);
+  packed_convs_ = std::move(convs);
+  packed_logvar_ = std::move(logvar);
+  stream_floats_ = offset;
+  stream_max_channels_ = max_channels;
 }
 
 float VaradeDetector::score_from_logvar(const float* logvar, Index n) {
@@ -218,12 +249,80 @@ void VaradeDetector::score_batch(const Tensor& contexts, const Tensor& observed,
     out[r] = score_from_logvar(logvar.data() + r * channels, channels);
 }
 
+Index VaradeDetector::stream_state_floats(Index channels) const {
+  check(fitted(), "VARADE stream state before fit");
+  if (channels != model_->in_channels())
+    fail(name(), " stream state expects ", model_->in_channels(), " channels, got ", channels);
+  return stream_floats_;
+}
+
+void VaradeDetector::advance_streams(const StreamBatch& batch, StreamScratch& scratch) {
+  const Index rows = batch.rows;
+  const Index layers = model_->n_layers();
+  // [rows, C, 2] tap pairs, then [rows, C] new columns.
+  scratch.floats.resize(static_cast<std::size_t>(rows * 3 * stream_max_channels_));
+  float* pairs = scratch.floats.data();
+  float* column = pairs + rows * 2 * stream_max_channels_;
+  const float* fresh = batch.samples;  // level 0's new column: the sample
+  for (Index l = 0; l < layers; ++l) {
+    const StreamLevel& in = stream_levels_[static_cast<std::size_t>(l)];
+    // Pair each row's new level-l column with the one 2^l samples back, and
+    // store the new column in the slot the old one leaves.
+    for (Index r = 0; r < rows; ++r) {
+      float* slot = batch.states[r] + in.offset + batch.seen[r] % in.slots * in.channels;
+      const float* x = fresh + r * in.channels;
+      float* pair = pairs + r * 2 * in.channels;
+      for (Index c = 0; c < in.channels; ++c) {
+        pair[2 * c] = slot[c];
+        pair[2 * c + 1] = x[c];
+      }
+      std::copy_n(x, in.channels, slot);
+    }
+    const nn::Conv1d& conv = model_->conv(l);
+    conv.forward_packed(packed_convs_[static_cast<std::size_t>(l)], pairs, rows, 2, column);
+    // nn::ReLU's expression.
+    const Index n = rows * conv.out_channels();
+    for (Index i = 0; i < n; ++i) column[i] = column[i] > 0.0F ? column[i] : 0.0F;
+    fresh = column;
+  }
+  const StreamLevel& top = stream_levels_.back();
+  for (Index r = 0; r < rows; ++r)
+    std::copy_n(fresh + r * top.channels, top.channels,
+                batch.states[r] + top.offset + batch.seen[r] % top.slots * top.channels);
+}
+
+void VaradeDetector::score_streams(const StreamBatch& batch, StreamScratch& scratch, float* out) {
+  const Index rows = batch.rows;
+  const Index channels = model_->in_channels();
+  const StreamLevel& top = stream_levels_.back();
+  const Index span = Index{1} << model_->n_layers();  // the head's tap distance 2^L
+  // [rows, C_L, 2] head features (Flatten's channel-major order), then
+  // [rows, C] log-variances.
+  scratch.floats.resize(static_cast<std::size_t>(rows * (2 * top.channels + channels)));
+  float* features = scratch.floats.data();
+  float* logvar = features + rows * 2 * top.channels;
+  for (Index r = 0; r < rows; ++r) {
+    const Index newest = batch.seen[r] - 1;  // the last folded sample
+    const float* ring = batch.states[r] + top.offset;
+    const float* older = ring + (newest - span) % top.slots * top.channels;
+    const float* latest = ring + newest % top.slots * top.channels;
+    float* f = features + r * 2 * top.channels;
+    for (Index c = 0; c < top.channels; ++c) {
+      f[2 * c] = older[c];
+      f[2 * c + 1] = latest[c];
+    }
+  }
+  model_->logvar_head().forward_packed(packed_logvar_, features, rows, logvar);
+  for (Index r = 0; r < rows; ++r) out[r] = score_from_logvar(logvar + r * channels, channels);
+}
+
 std::unique_ptr<AnomalyDetector> VaradeDetector::clone_fitted() const {
   check(fitted(), "cannot clone an unfitted VARADE detector");
   auto clone = std::make_unique<VaradeDetector>(config_);
   Rng rng(config_.seed);
-  clone->model_ = std::make_unique<VaradeModel>(model_->in_channels(), config_, rng);
-  nn::copy_parameter_values(model_->parameters(), clone->model_->parameters());
+  auto model = std::make_unique<VaradeModel>(model_->in_channels(), config_, rng);
+  nn::copy_parameter_values(model_->parameters(), model->parameters());
+  clone->install(std::move(model));
   clone->loss_history_ = loss_history_;
   return clone;
 }
@@ -255,14 +354,22 @@ void VaradeDetector::load(const std::string& path) {
         "unsupported detector file version " + std::to_string(version));
   const auto in_channels = static_cast<Index>(read_pod<std::int64_t>(f));
   check(in_channels > 0 && in_channels < (1 << 20), "implausible channel count");
-  config_.window = static_cast<Index>(read_pod<std::int64_t>(f));
-  config_.base_channels = static_cast<Index>(read_pod<std::int64_t>(f));
-  config_.lambda = read_pod<float>(f);
+  // Read into locals and commit only once the weights are in: a failed load
+  // leaves the detector as it was.
+  VaradeConfig config = config_;
+  config.window = static_cast<Index>(read_pod<std::int64_t>(f));
+  config.base_channels = static_cast<Index>(read_pod<std::int64_t>(f));
+  config.lambda = read_pod<float>(f);
+  check(config.window <= (1 << 20), "implausible window");
+  check(config.base_channels > 0 && config.base_channels < (1 << 16),
+        "implausible base channel count");
 
-  Rng rng(config_.seed);
-  model_ = std::make_unique<VaradeModel>(in_channels, config_, rng);
-  VaradeParams params(*model_);
+  Rng rng(config.seed);
+  auto model = std::make_unique<VaradeModel>(in_channels, config, rng);
+  VaradeParams params(*model);
   nn::load_weights(params, f);
+  install(std::move(model));
+  config_ = config;
   loss_history_.clear();
 }
 

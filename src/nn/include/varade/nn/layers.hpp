@@ -10,6 +10,16 @@
 
 namespace varade::nn {
 
+/// A Linear's or Conv1d's weights packed for the vectorised inference
+/// kernels: [rows][out_pad] doubles (rows = in for Linear, in_ch * kernel for
+/// Conv1d; out_pad = outputs rounded up to the kernel's lane block, padded
+/// lanes zero) followed by one bias row. A snapshot of the parameters at
+/// pack() time: later writes to the layer are not seen by it.
+struct PackedWeights {
+  std::vector<double> values;
+  Index out_pad = 0;
+};
+
 /// Fully connected layer: y = x W^T + b, x: [N, in], y: [N, out].
 class Linear : public Module {
  public:
@@ -23,6 +33,14 @@ class Linear : public Module {
   Shape output_shape(const Shape& in) const override;
   long flops(const Shape& in) const override;
 
+  /// Packs the current weights for forward_packed(). A model that is only
+  /// read after fitting packs once instead of on every forward_inference().
+  PackedWeights pack() const;
+  /// forward_inference() on raw rows with pre-packed weights: x [n, in] ->
+  /// y [n, out], bit-identical to forward_inference() with the weights `w`
+  /// was packed from. No shape checks.
+  void forward_packed(const PackedWeights& w, const float* x, Index n, float* y) const;
+
   Index in_features() const { return in_; }
   Index out_features() const { return out_; }
   Parameter& weight() { return weight_; }
@@ -31,9 +49,9 @@ class Linear : public Module {
  private:
   /// The scalar reference computation, used by forward (which must cache the
   /// input anyway). forward_inference packs the weights to [in][out] doubles
-  /// per call and runs a kernel vectorised across outputs that keeps
-  /// apply()'s per-element accumulation order, so both paths stay
-  /// bit-identical (pinned by test_nn_layers).
+  /// per call (forward_packed takes them pre-packed) and runs a kernel
+  /// vectorised across outputs that keeps apply()'s per-element accumulation
+  /// order, so both paths stay bit-identical (pinned by test_nn_layers).
   Tensor apply(const Tensor& x) const;
 
   Index in_;
@@ -98,12 +116,22 @@ class Conv1d : public Module {
   /// Output length for an input of length `l`.
   Index out_length(Index l) const;
 
+  /// Packs the current weights for forward_packed(), as Linear::pack().
+  PackedWeights pack() const;
+  /// forward_inference() on raw rows with pre-packed weights: x [n, in_ch,
+  /// l_in] -> y [n, out_ch, out_length(l_in)], bit-identical to
+  /// forward_inference() with the weights `w` was packed from. No shape
+  /// checks beyond out_length().
+  void forward_packed(const PackedWeights& w, const float* x, Index n, Index l_in,
+                      float* y) const;
+
  private:
   /// The scalar reference computation, used by forward (which must cache the
   /// input anyway). forward_inference packs the weights channel-major to
-  /// [ci][k][co] doubles per call and runs a kernel vectorised across output
-  /// channels that keeps apply()'s per-element accumulation order, so both
-  /// paths stay bit-identical (pinned by test_nn_layers).
+  /// [ci][k][co] doubles per call (forward_packed takes them pre-packed) and
+  /// runs a kernel vectorised across output channels that keeps apply()'s
+  /// per-element accumulation order, so both paths stay bit-identical
+  /// (pinned by test_nn_layers).
   Tensor apply(const Tensor& x) const;
 
   Index in_ch_;

@@ -63,21 +63,21 @@ constexpr Index kLanes = 4 * kVecs;
 
 Index round_up_lanes(Index n) { return (n + kLanes - 1) / kLanes * kLanes; }
 
-/// Packs a row-major [out][rows] weight matrix and its bias into a
-/// per-thread buffer as [rows][out_pad] doubles plus one bias row, with the
-/// padded lanes zero. Widening float to double is exact. The buffer is
-/// refilled from the live parameters on every call, never cached across
-/// calls: weights stay mutable through parameters(), and a const model may
-/// be read from several threads at once, so a member cache would go stale
-/// or race. The pointer is valid until the thread's next pack.
-const double* pack_weights(const float* w, const float* bias, Index out, Index rows,
-                           Index out_pad) {
-  thread_local std::vector<double> buf;
-  buf.assign(static_cast<std::size_t>((rows + 1) * out_pad), 0.0);
+/// Packs a row-major [out][rows] weight matrix and its bias into `dst` as
+/// [rows][out_pad] doubles plus one bias row, with the padded lanes zero.
+/// Widening float to double is exact. forward_inference packs into a
+/// per-thread buffer on every call, never caching across calls: weights stay
+/// mutable through parameters(), and a const model may be read from several
+/// threads at once, so a member cache would go stale or race. Callers that
+/// own a fitted model pack once with pack() and call forward_packed().
+void pack_weights(const float* w, const float* bias, Index out, Index rows, PackedWeights& dst) {
+  const Index out_pad = round_up_lanes(out);
+  dst.out_pad = out_pad;
+  dst.values.assign(static_cast<std::size_t>((rows + 1) * out_pad), 0.0);
+  double* buf = dst.values.data();
   for (Index r = 0; r < rows; ++r)
     for (Index o = 0; o < out; ++o) buf[r * out_pad + o] = w[o * rows + r];
   for (Index o = 0; o < out; ++o) buf[rows * out_pad + o] = bias[o];
-  return buf.data();
 }
 
 /// Conv1d over channel-major packed weights `wp`: rows [ci][k] of `co_pad`
@@ -334,19 +334,27 @@ Tensor Linear::forward(const Tensor& x) {
 }
 
 Tensor Linear::forward_inference(const Tensor& x) {
+  check(x.rank() == 2 && x.dim(1) == in_,
+        "Linear expected [N, " + std::to_string(in_) + "], got " + shape_to_string(x.shape()));
+  thread_local PackedWeights packed;
+  pack_weights(weight_.value.data(), bias_.value.data(), out_, in_, packed);
+  Tensor y({x.dim(0), out_});
+  forward_packed(packed, x.data(), x.dim(0), y.data());
+  return y;
+}
+
+PackedWeights Linear::pack() const {
+  PackedWeights packed;
+  pack_weights(weight_.value.data(), bias_.value.data(), out_, in_, packed);
+  return packed;
+}
+
+void Linear::forward_packed(const PackedWeights& w, const float* x, Index n, float* y) const {
   // Packed kernel: the weights are transposed to [in][out] doubles (plus a
   // bias row) so the outputs of a row fill the vector lanes. Every output
   // keeps apply()'s accumulation order, so the two paths are bit-identical
   // (pinned by test_nn_layers).
-  check(x.rank() == 2 && x.dim(1) == in_,
-        "Linear expected [N, " + std::to_string(in_) + "], got " + shape_to_string(x.shape()));
-  const Index n = x.dim(0);
-  const Index out_pad = round_up_lanes(out_);
-  const double* wp =
-      pack_weights(weight_.value.data(), bias_.value.data(), out_, in_, out_pad);
-  Tensor y({n, out_});
-  kernels().linear(x.data(), wp, y.data(), n, in_, out_, out_pad);
-  return y;
+  kernels().linear(x, w.values.data(), y, n, in_, out_, w.out_pad);
 }
 
 Tensor Linear::apply(const Tensor& x) const {
@@ -483,27 +491,34 @@ Tensor Conv1d::forward(const Tensor& x) {
 }
 
 Tensor Conv1d::forward_inference(const Tensor& x) {
+  check(x.rank() == 3 && x.dim(1) == in_ch_,
+        "Conv1d expected [N, " + std::to_string(in_ch_) + ", L], got " +
+            shape_to_string(x.shape()));
+  // [out_ch][in_ch][kernel] is a row-major [out_ch][in_ch * kernel] matrix,
+  // so packing it gives one row per (ci, k) tap.
+  thread_local PackedWeights packed;
+  pack_weights(weight_.value.data(), bias_.value.data(), out_ch_, in_ch_ * kernel_, packed);
+  Tensor y({x.dim(0), out_ch_, out_length(x.dim(2))});
+  forward_packed(packed, x.data(), x.dim(0), x.dim(2), y.data());
+  return y;
+}
+
+PackedWeights Conv1d::pack() const {
+  PackedWeights packed;
+  pack_weights(weight_.value.data(), bias_.value.data(), out_ch_, in_ch_ * kernel_, packed);
+  return packed;
+}
+
+void Conv1d::forward_packed(const PackedWeights& w, const float* x, Index n, Index l_in,
+                            float* y) const {
   // Packed kernel: the weights are transposed to channel-major [ci][k][co]
   // doubles (plus a bias row) so independent output channels fill the vector
   // lanes. Every output element is still bias plus ascending-ci float
   // additions of ascending-k double dot products over the in-bounds taps —
   // apply()'s exact accumulation order, so the results are bit-identical to
   // forward() (pinned by test_nn_layers).
-  check(x.rank() == 3 && x.dim(1) == in_ch_,
-        "Conv1d expected [N, " + std::to_string(in_ch_) + ", L], got " +
-            shape_to_string(x.shape()));
-  const Index n = x.dim(0);
-  const Index l_in = x.dim(2);
-  const Index l_out = out_length(l_in);
-  const Index co_pad = round_up_lanes(out_ch_);
-  // [out_ch][in_ch][kernel] is a row-major [out_ch][in_ch * kernel] matrix,
-  // so packing it gives one row per (ci, k) tap.
-  const double* wp = pack_weights(weight_.value.data(), bias_.value.data(), out_ch_,
-                                  in_ch_ * kernel_, co_pad);
-  Tensor y({n, out_ch_, l_out});
-  kernels().conv1d(x.data(), wp, y.data(), n, in_ch_, out_ch_, co_pad, l_in, l_out, kernel_,
-                   stride_, padding_);
-  return y;
+  kernels().conv1d(x, w.values.data(), y, n, in_ch_, out_ch_, w.out_pad, l_in,
+                   out_length(l_in), kernel_, stride_, padding_);
 }
 
 Tensor Conv1d::apply(const Tensor& x) const {

@@ -1,31 +1,35 @@
 // Multi-stream batched scoring engine: the serving layer of the reproduction.
 //
 // Turns the per-sample OnlineMonitor loop into a throughput-oriented
-// frontend: N independent streams — each with its own normalizing ring
-// buffer, warm-up state, and debounce/hold-off alarm state machine — are
+// frontend: N independent streams — each with its own detector-defined
+// state, warm-up count, and debounce/hold-off alarm state machine — are
 // multiplexed onto one fitted AnomalyDetector. step() drains buffered
 // samples round by round (one sample per stream per round): it normalises
-// the round's samples, assembles ready contexts into [B, C, T] / [B, C]
-// batches, runs the batches through the detector's score_batch contract,
-// and applies the per-stream alarm logic. One engine runs on one thread;
-// AsyncScoringRuntime scales across cores by giving each shard its own
-// engine over its own clone_fitted() replica.
+// the round's samples, scores the warm streams in max_batch chunks through
+// the detector's score_streams contract, folds every sample into its
+// stream's state with advance_streams, and applies the per-stream alarm
+// logic. One engine runs on one thread; AsyncScoringRuntime scales across
+// cores by giving each shard its own engine over its own clone_fitted()
+// replica.
 //
-// Per-stream state is structure-of-arrays, sized for fleets: context rings
-// live in one contiguous [n_streams, C, T] float slab (ring-indexed per
-// stream), raw pushed samples are staged in one append-only arena, and all
-// bookkeeping (ring positions, warm-up counts, scores) is flat parallel
-// arrays. Pushing a sample and scoring a round allocate nothing per stream,
-// step()'s gather memcpys from contiguous slab rows, and normalisation runs
-// vectorised over stream-major blocks — the layout that keeps 100k–1M
-// streams memory- and cache-viable on one host.
+// Per-stream state is structure-of-arrays, sized for fleets: the detector's
+// state slots live in one contiguous [n_streams, stream_state_floats()]
+// float slab (the [C, T] context ring by default; VARADE keeps one ring of
+// activation columns per conv layer instead), raw pushed samples are staged
+// in one append-only arena, and all bookkeeping (warm-up counts, scores) is
+// flat parallel arrays. Pushing a sample and scoring a round allocate
+// nothing per stream, and normalisation runs vectorised over stream-major
+// blocks — the layout that keeps 100k–1M streams memory- and cache-viable on
+// one host. The engine owns the slab and the detector scratch, so two
+// engines may share one fitted detector.
 //
 // The engine is generic over core::AnomalyDetector: any of the paper's six
 // detectors plugs in unchanged.
 //
-// Determinism: a row's score_batch score does not depend on the batch it
-// rides in (the detector contract; OnlineMonitor scores 1-row batches) and
-// the slab normalisation applies the exact per-element expression of
+// Determinism: a stream's score_streams score equals score_batch on its
+// full context window bit for bit whatever chunk it rides in (the detector
+// contract; OnlineMonitor scores 1-row score_batch calls) and the slab
+// normalisation applies the exact per-element expression of
 // transform_sample — so scores and alarm events are bit-for-bit identical to
 // running one OnlineMonitor per stream sequentially, at any batch size.
 #pragma once
@@ -41,8 +45,18 @@
 
 namespace varade::serve {
 
-/// The five phases of one step() round, in execution order. Indexes into
-/// EngineTelemetry::phases and the phase labels of every exposition.
+/// The five phases of one step() round. Indexes into EngineTelemetry::phases
+/// and the phase labels of every exposition. A round runs them in the order
+/// stage, normalize, score, gather, alarm:
+///   - stage: copy each active stream's next raw sample out of the arena;
+///   - normalize: min-max normalise the round's samples;
+///   - score: the detector's score_streams calls over the warm streams, in
+///     chunks of max_batch (for the default context state this includes
+///     unrolling each ring into a [rows, C, T] batch);
+///   - gather: the detector's advance_streams calls, folding every active
+///     stream's sample into its state (a ring write by default; one new
+///     column per conv layer for VARADE);
+///   - alarm: the per-stream alarm state machines and bookkeeping.
 inline constexpr int kStepPhases = 5;
 inline constexpr const char* kStepPhaseName[kStepPhases] = {
     "stage", "normalize", "gather", "score", "alarm"};
@@ -50,8 +64,8 @@ inline constexpr const char* kStepPhaseName[kStepPhases] = {
 /// Telemetry snapshot of one engine (merge shard snapshots for fleet-wide
 /// views). All durations are nanoseconds.
 struct EngineTelemetry {
-  /// Per-round duration of each step() phase (gather/score only recorded on
-  /// rounds with warm streams).
+  /// Per-round duration of each step() phase (score only recorded on rounds
+  /// with warm streams).
   obs::HistogramSnapshot phases[kStepPhases];
   /// Whole step() call duration (calls that had buffered work only).
   obs::HistogramSnapshot step;
@@ -72,7 +86,7 @@ std::string channel_mismatch_message(Index expected, Index got);
 }  // namespace detail
 
 struct ScoringEngineConfig {
-  /// Maximum contexts per score_batch call.
+  /// Maximum streams per score_streams (and advance_streams) call.
   Index max_batch = 32;
   /// Alarm behaviour shared by every stream.
   core::MonitorConfig monitor;
@@ -150,7 +164,8 @@ class ScoringEngine {
   const std::vector<core::AnomalyEvent>& events(Index stream) const;
   Index samples_seen(Index stream) const;
 
-  /// Batched score_batch calls issued so far (throughput accounting).
+  /// score_streams calls issued so far, one per max_batch chunk of warm
+  /// streams per round (throughput accounting).
   long forward_calls() const { return forward_calls_; }
   const ScoringEngineConfig& config() const { return config_; }
 
@@ -165,11 +180,12 @@ class ScoringEngine {
   /// Branch-before-message: push() runs through here once per sample and
   /// must not allocate on success.
   void require_stream(Index id) const;
-  /// Scores the per-chunk batches (chunk ci holds the contexts/observations
-  /// of streams ready[ci*max_batch ...]) and writes each row's score into
+  /// Scores the round's warm streams (ready_) in max_batch chunks into
   /// score_[stream].
-  void score_chunks(const std::vector<Tensor>& contexts, const std::vector<Tensor>& observed,
-                    const std::vector<Index>& ready);
+  void score_ready();
+  /// Folds every active stream's normalised sample into its state slot, in
+  /// max_batch chunks.
+  void advance_active();
 
   core::AnomalyDetector* detector_;
   const data::MinMaxNormalizer* normalizer_;
@@ -179,16 +195,15 @@ class ScoringEngine {
   bool calibrated_ = false;
   long forward_calls_ = 0;
 
-  Index window_ = 0;    // detector context window, fixed at construction
-  Index channels_ = 0;  // normalizer channel count, fixed at construction
+  Index window_ = 0;        // detector context window, fixed at construction
+  Index channels_ = 0;      // normalizer channel count, fixed at construction
+  Index state_floats_ = 0;  // detector state slot per stream, fixed at construction
 
   // --- Structure-of-arrays per-stream state (indexed by local stream id) ---
-  // Context rings: one [C, T] row per stream in a single contiguous slab.
-  // ring_start_ is the time index of the oldest sample (always 0 while the
-  // ring is filling); ring_fill_ counts stored samples (== window_ once warm).
-  std::vector<float> ctx_slab_;  // [n_streams, C, T]
-  std::vector<Index> ring_start_;
-  std::vector<Index> ring_fill_;
+  // Detector state: one stream_state_floats() slot per stream in a single
+  // contiguous, zero-initialised slab. A stream is warm (scored) once
+  // samples_seen_ reaches window_.
+  std::vector<float> state_slab_;  // [n_streams, state_floats_]
   std::vector<Index> samples_seen_;
   std::vector<Index> global_ids_;  // id reported in StreamScore
   std::vector<float> score_;       // this round's score per stream
@@ -220,11 +235,17 @@ class ScoringEngine {
   // active streams; capacity retained).
   std::vector<float> round_raw_;           // [n_active, C] raw samples
   std::vector<float> round_norm_;          // [n_active, C] normalised samples
-  std::vector<std::uint8_t> round_ready_;  // per active stream: ring was full
+  std::vector<float*> round_states_;       // per active stream: its state slot
+  std::vector<Index> round_seen_;          // per active stream: samples folded
   std::vector<Index> active_;
   std::vector<Index> next_active_;
-  std::vector<Index> ready_;
-  std::vector<Index> ready_pos_;  // index into the round slabs per ready row
+  std::vector<Index> ready_;  // round-slab index of each warm active stream
+  // One score_streams chunk: state slots, fold counts, observations, scores.
+  std::vector<float*> chunk_states_;
+  std::vector<Index> chunk_seen_;
+  std::vector<float> chunk_obs_;
+  std::vector<float> chunk_scores_;
+  core::StreamScratch scratch_;  // detector working memory
 };
 
 }  // namespace varade::serve

@@ -38,6 +38,8 @@ ScoringEngine::ScoringEngine(core::AnomalyDetector& detector,
   window_ = detector.context_window();
   channels_ = normalizer.n_channels();
   check(window_ >= 1, "ScoringEngine requires a detector with a context window");
+  state_floats_ = detector.stream_state_floats(channels_);
+  check(state_floats_ >= 1, "ScoringEngine requires a detector with per-stream state");
 }
 
 Index ScoringEngine::add_stream() { return add_stream(n_streams()); }
@@ -54,11 +56,8 @@ Index ScoringEngine::add_stream(Index global_id) {
     throw Error("stream id " + std::to_string(global_id) + " already registered");
 
   const Index s = n_streams();
-  const Index row = checked_mul(channels_, window_, "per-stream context row");
-  const Index slab = checked_mul(s + 1, row, "context slab");
-  ctx_slab_.resize(static_cast<std::size_t>(slab), 0.0F);
-  ring_start_.push_back(0);
-  ring_fill_.push_back(0);
+  const Index slab = checked_mul(s + 1, state_floats_, "stream state slab");
+  state_slab_.resize(static_cast<std::size_t>(slab), 0.0F);
   samples_seen_.push_back(0);
   global_ids_.push_back(global_id);
   score_.push_back(-1.0F);
@@ -111,30 +110,50 @@ void ScoringEngine::push(Index stream, const float* raw_sample, Index count,
   if constexpr (obs::kEnabled) pending_ts_.push_back(enqueue_ns);
 }
 
-void ScoringEngine::score_chunks(const std::vector<Tensor>& contexts,
-                                 const std::vector<Tensor>& observed,
-                                 const std::vector<Index>& ready) {
-  Index row_offset = 0;
-  std::vector<float> scores;
-  for (std::size_t ci = 0; ci < contexts.size(); ++ci) {
-    const Index rows = contexts[ci].dim(0);
-    scores.resize(static_cast<std::size_t>(rows));
-    detector_->score_batch(contexts[ci], observed[ci], scores.data());
+void ScoringEngine::score_ready() {
+  const auto n_ready = static_cast<Index>(ready_.size());
+  const Index channels = channels_;
+  for (Index b = 0; b < n_ready; b += config_.max_batch) {
+    const Index rows = std::min(config_.max_batch, n_ready - b);
+    chunk_states_.resize(static_cast<std::size_t>(rows));
+    chunk_seen_.resize(static_cast<std::size_t>(rows));
+    chunk_obs_.resize(static_cast<std::size_t>(rows * channels));
+    chunk_scores_.resize(static_cast<std::size_t>(rows));
     for (Index r = 0; r < rows; ++r) {
-      score_[static_cast<std::size_t>(ready[static_cast<std::size_t>(row_offset + r)])] =
-          scores[static_cast<std::size_t>(r)];
+      const auto i = static_cast<std::size_t>(ready_[static_cast<std::size_t>(b + r)]);
+      chunk_states_[static_cast<std::size_t>(r)] = round_states_[i];
+      chunk_seen_[static_cast<std::size_t>(r)] = round_seen_[i];
+      const float* norm = round_norm_.data() + static_cast<Index>(i) * channels;
+      std::copy(norm, norm + channels, chunk_obs_.data() + r * channels);
     }
+    const core::StreamBatch batch{chunk_states_.data(), chunk_seen_.data(), chunk_obs_.data(),
+                                  rows, channels};
+    detector_->score_streams(batch, scratch_, chunk_scores_.data());
     ++forward_calls_;
-    row_offset += rows;
+    for (Index r = 0; r < rows; ++r) {
+      const Index i = ready_[static_cast<std::size_t>(b + r)];
+      score_[static_cast<std::size_t>(active_[static_cast<std::size_t>(i)])] =
+          chunk_scores_[static_cast<std::size_t>(r)];
+    }
+  }
+}
+
+void ScoringEngine::advance_active() {
+  // The round slabs are already stream-major over the active set, so every
+  // chunk is a contiguous slice of them.
+  const auto n_active = static_cast<Index>(active_.size());
+  for (Index b = 0; b < n_active; b += config_.max_batch) {
+    const core::StreamBatch batch{round_states_.data() + b, round_seen_.data() + b,
+                                  round_norm_.data() + b * channels_,
+                                  std::min(config_.max_batch, n_active - b), channels_};
+    detector_->advance_streams(batch, scratch_);
   }
 }
 
 std::vector<StreamScore> ScoringEngine::step() {
   check(calibrated_, "ScoringEngine::step before calibrate()/set_threshold()");
   const std::int64_t t_step = obs::tick();
-  const Index window = window_;
   const Index channels = channels_;
-  const Index row_floats = channels * window;  // checked at add_stream time
 
   std::vector<StreamScore> out;
 
@@ -154,25 +173,27 @@ std::vector<StreamScore> ScoringEngine::step() {
     const std::int64_t t_stage = obs::tick();
 
     // Phase 1a: stage this round's raw sample from the arena into the round
-    // slab and flag streams whose ring already holds a full context. The
-    // sampled enqueue timestamps ride along so push->score latency can be
-    // recorded when the round completes.
+    // slab and note each stream's state slot and fold count. The sampled
+    // enqueue timestamps ride along so push->score latency can be recorded
+    // when the round completes.
     round_raw_.resize(static_cast<std::size_t>(
         checked_mul(n_active, channels, "round staging slab")));
     round_norm_.resize(round_raw_.size());
-    round_ready_.resize(static_cast<std::size_t>(n_active));
+    round_states_.resize(static_cast<std::size_t>(n_active));
+    round_seen_.resize(static_cast<std::size_t>(n_active));
     if constexpr (obs::kEnabled) round_ts_.resize(static_cast<std::size_t>(n_active));
     for (Index i = 0; i < n_active; ++i) {
-      const auto s = static_cast<std::size_t>(active_[static_cast<std::size_t>(i)]);
+      const Index stream = active_[static_cast<std::size_t>(i)];
+      const auto s = static_cast<std::size_t>(stream);
+      const auto si = static_cast<std::size_t>(i);
       const Index offset = pending_[s][static_cast<std::size_t>(pending_head_[s])];
       const float* src = pending_arena_.data() + offset * channels;
       std::copy(src, src + channels, round_raw_.data() + i * channels);
-      round_ready_[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(ring_fill_[s] == window);
+      round_states_[si] = state_slab_.data() + stream * state_floats_;
+      round_seen_[si] = samples_seen_[s];
       score_[s] = -1.0F;
       edge_[s] = core::AlarmEdge::None;
-      if constexpr (obs::kEnabled)
-        round_ts_[static_cast<std::size_t>(i)] = pending_ts_[static_cast<std::size_t>(offset)];
+      if constexpr (obs::kEnabled) round_ts_[si] = pending_ts_[static_cast<std::size_t>(offset)];
     }
     const std::int64_t t_norm = obs::tick();
     obs::record_span(phase_hist_[0], t_stage, t_norm);
@@ -181,66 +202,35 @@ std::vector<StreamScore> ScoringEngine::step() {
     // order — the same arithmetic per element as transform_sample, so
     // results are bit-identical.
     normalizer_->transform_rows(round_raw_.data(), n_active, round_norm_.data());
-    obs::record_span(phase_hist_[1], t_norm, obs::tick());
+    const std::int64_t t_normed = obs::tick();
+    obs::record_span(phase_hist_[1], t_norm, t_normed);
 
+    // Warm streams: their state already covers a full context.
     ready_.clear();
-    ready_pos_.clear();
-    for (Index i = 0; i < n_active; ++i) {
-      if (round_ready_[static_cast<std::size_t>(i)] != 0U) {
-        ready_.push_back(active_[static_cast<std::size_t>(i)]);
-        ready_pos_.push_back(i);
-      }
-    }
+    for (Index i = 0; i < n_active; ++i)
+      if (round_seen_[static_cast<std::size_t>(i)] >= window_) ready_.push_back(i);
 
+    // Phase 2: score the warm streams from their states, before this
+    // round's sample is folded in (a sample is scored against the samples
+    // before it).
+    std::int64_t t_gather = t_normed;
     if (!ready_.empty()) {
-      // Phase 2a: unroll slab context rings and current observations
-      // straight into per-chunk [rows, C, T] / [rows, C] batches.
-      const std::int64_t t_gather = obs::tick();
-      const auto n_ready = static_cast<Index>(ready_.size());
-      std::vector<Tensor> contexts;
-      std::vector<Tensor> observations;
-      for (Index b = 0; b < n_ready; b += config_.max_batch) {
-        const Index rows = std::min(config_.max_batch, n_ready - b);
-        contexts.emplace_back(Shape{rows, channels, window});
-        observations.emplace_back(Shape{rows, channels});
-      }
-      for (Index i = 0; i < n_ready; ++i) {
-        const auto s = static_cast<std::size_t>(ready_[static_cast<std::size_t>(i)]);
-        const auto chunk = static_cast<std::size_t>(i / config_.max_batch);
-        const Index row = i % config_.max_batch;
-        core::write_context(ctx_slab_.data() + static_cast<Index>(s) * row_floats, channels,
-                            window, ring_start_[s], contexts[chunk].data() + row * row_floats);
-        const float* norm = round_norm_.data() +
-                            ready_pos_[static_cast<std::size_t>(i)] * channels;
-        std::copy(norm, norm + channels, observations[chunk].data() + row * channels);
-      }
-
-      const std::int64_t t_score = obs::tick();
-      obs::record_span(phase_hist_[2], t_gather, t_score);
-
-      // Phase 2b: batched scoring, chunked by max_batch.
-      score_chunks(contexts, observations, ready_);
-      obs::record_span(phase_hist_[3], t_score, obs::tick());
+      score_ready();
+      t_gather = obs::tick();
+      obs::record_span(phase_hist_[3], t_normed, t_gather);
     }
 
-    // Phase 3: alarm update and ring advance.
+    // Phase 3: fold every active stream's sample into its state.
+    advance_active();
     const std::int64_t t_alarm = obs::tick();
+    obs::record_span(phase_hist_[2], t_gather, t_alarm);
+
+    // Phase 4: alarm update.
     for (Index i = 0; i < n_active; ++i) {
       const auto s = static_cast<std::size_t>(active_[static_cast<std::size_t>(i)]);
       ++samples_seen_[s];
-      if (round_ready_[static_cast<std::size_t>(i)] != 0U)
+      if (round_seen_[static_cast<std::size_t>(i)] >= window_)
         edge_[s] = alarms_[s].update(score_[s], threshold_, samples_seen_[s] - 1);
-      // Ring advance: while filling, the write position is ring_fill_ (start
-      // stays 0); once warm, the oldest slot is overwritten and start moves.
-      Index pos = ring_start_[s] + ring_fill_[s];
-      if (pos >= window) pos -= window;
-      if (ring_fill_[s] == window)
-        ring_start_[s] = (ring_start_[s] + 1 == window) ? 0 : ring_start_[s] + 1;
-      else
-        ++ring_fill_[s];
-      float* slab_row = ctx_slab_.data() + static_cast<Index>(s) * row_floats;
-      const float* norm = round_norm_.data() + i * channels;
-      for (Index ch = 0; ch < channels; ++ch) slab_row[ch * window + pos] = norm[ch];
       ++pending_head_[s];
     }
     if constexpr (obs::kEnabled) {

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "varade/core/baselines/ar_lstm.hpp"
 #include "varade/core/baselines/autoencoder.hpp"
@@ -156,6 +160,84 @@ TEST(VaradeDetector, LogvarOnlyScoreMatchesFullForwardBitForBit) {
     EXPECT_EQ(std::memcmp(&batched[r], &expected, sizeof(float)), 0) << "score_batch row " << r;
     EXPECT_EQ(std::memcmp(&single, &expected, sizeof(float)), 0) << "single-row batch " << r;
   }
+}
+
+/// Scores of a normalised series through the per-stream-state calls, one
+/// stream fed one sample at a time (-1 while warming up).
+std::vector<float> streamed_scores(AnomalyDetector& det, const data::MultivariateSeries& series) {
+  const Index c = series.n_channels();
+  std::vector<float> state(static_cast<std::size_t>(det.stream_state_floats(c)), 0.0F);
+  float* slot = state.data();
+  StreamScratch scratch;
+  std::vector<float> scores;
+  for (Index t = 0; t < series.length(); ++t) {
+    const StreamBatch row{&slot, &t, series.sample(t), 1, c};
+    float score = -1.0F;
+    if (t >= det.context_window()) det.score_streams(row, scratch, &score);
+    det.advance_streams(row, scratch);
+    scores.push_back(score);
+  }
+  return scores;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// load() is all or nothing: a truncated file or one whose weights do not fit
+// the architecture throws and leaves the detector exactly as it was.
+TEST(VaradeDetector, FailedLoadLeavesTheDetectorUnchanged) {
+  const auto train = make_sine_series(300, 4, false, 1);
+  const auto test = make_sine_series(80, 4, true, 2);
+  const VaradeConfig cfg{.window = 16, .base_channels = 4, .epochs = 1, .train_stride = 4};
+  VaradeDetector trained(cfg);
+  trained.fit(train);
+  const std::string path = ::testing::TempDir() + "varade_load_test.bin";
+  trained.save(path);
+
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string truncated_path = path + ".truncated";
+  {
+    std::ofstream out(truncated_path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 20));
+  }
+
+  // A successful load scores like the saved detector, on both paths.
+  VaradeDetector loaded(cfg);
+  loaded.load(path);
+  const SeriesScores want = trained.score_series(test);
+  EXPECT_TRUE(same_bits(loaded.score_series(test).scores, want.scores));
+  EXPECT_TRUE(same_bits(streamed_scores(loaded, test), streamed_scores(trained, test)));
+
+  // Unfitted detectors stay unfitted. Without channel doubling the trunk's
+  // last conv is narrower than the saved one: a shape mismatch.
+  VaradeDetector blank(cfg);
+  EXPECT_THROW(blank.load(truncated_path), Error);
+  EXPECT_FALSE(blank.fitted());
+  VaradeConfig narrow = cfg;
+  narrow.channel_doubling = false;
+  VaradeDetector blank_narrow(narrow);
+  EXPECT_THROW(blank_narrow.load(path), Error);
+  EXPECT_FALSE(blank_narrow.fitted());
+
+  // Fitted detectors keep their model, config and scores bit for bit.
+  VaradeDetector fitted_narrow(narrow);
+  fitted_narrow.fit(train);
+  const std::vector<float> before = fitted_narrow.score_series(test).scores;
+  const std::vector<float> before_streamed = streamed_scores(fitted_narrow, test);
+  for (const std::string& bad : {truncated_path, path}) {
+    EXPECT_THROW(fitted_narrow.load(bad), Error) << bad;
+    EXPECT_TRUE(fitted_narrow.fitted());
+    EXPECT_EQ(fitted_narrow.context_window(), cfg.window);
+    EXPECT_TRUE(same_bits(fitted_narrow.score_series(test).scores, before)) << bad;
+    EXPECT_TRUE(same_bits(streamed_scores(fitted_narrow, test), before_streamed)) << bad;
+  }
+  std::remove(path.c_str());
+  std::remove(truncated_path.c_str());
 }
 
 TEST(VaradeDetector, ErrorsBeforeFitAndOnShortSeries) {

@@ -177,6 +177,39 @@ TEST(Conv1d, InferenceKernelMatchesForwardBitForBit) {
   }
 }
 
+// pack() + forward_packed() is forward_inference() with the packing done
+// once: bit-identical output, and a snapshot that later weight writes do not
+// reach.
+TEST(PackedWeights, ForwardPackedMatchesForwardInferenceAndIsASnapshot) {
+  Rng rng(21);
+  Conv1d conv(86, 16, 2, 2, 0, rng);
+  conv.parameters()[1]->value = Tensor::randn({16}, rng);
+  const Tensor x = relu_style({5, 86, 2}, rng);
+  const nn::PackedWeights conv_packed = conv.pack();
+  const Tensor conv_ref = conv.forward_inference(x);
+  Tensor conv_out({5, 16, 1});
+  conv.forward_packed(conv_packed, x.data(), 5, 2, conv_out.data());
+  EXPECT_EQ(first_bit_mismatch(conv_ref, conv_out), -1);
+
+  Linear head(64, 86, rng);
+  head.bias().value = Tensor::randn({86}, rng);
+  const Tensor h = relu_style({3, 64}, rng);
+  const nn::PackedWeights head_packed = head.pack();
+  const Tensor head_ref = head.forward_inference(h);
+  Tensor head_out({3, 86});
+  head.forward_packed(head_packed, h.data(), 3, head_out.data());
+  EXPECT_EQ(first_bit_mismatch(head_ref, head_out), -1);
+
+  conv.parameters()[0]->value *= 2.0F;
+  head.weight().value *= 2.0F;
+  EXPECT_NE(first_bit_mismatch(conv.forward_inference(x), conv_ref), -1);
+  EXPECT_NE(first_bit_mismatch(head.forward_inference(h), head_ref), -1);
+  conv.forward_packed(conv_packed, x.data(), 5, 2, conv_out.data());
+  head.forward_packed(head_packed, h.data(), 3, head_out.data());
+  EXPECT_EQ(first_bit_mismatch(conv_ref, conv_out), -1);
+  EXPECT_EQ(first_bit_mismatch(head_ref, head_out), -1);
+}
+
 TEST(ConvTranspose1d, ForwardGeometryAndValues) {
   Rng rng(1);
   ConvTranspose1d c(1, 1, 2, 2, rng);

@@ -14,7 +14,12 @@
 //     "expects N ... got M" wording;
 //  4. the convolution kernel dispatch table actually selects the vectorised
 //     kernel on AVX2 hosts, including sanitized builds (this suite carries
-//     the parity label, so ci.sh runs it under ASan/UBSan).
+//     the parity label, so ci.sh runs it under ASan/UBSan);
+//  5. streamed VARADE inference (one new column per conv layer per sample,
+//     kept in per-stream state by serve::ScoringEngine) scores every sample
+//     exactly like a full-window 1-row score_batch call, across windows of
+//     2-5 conv layers, with and without channel doubling, ragged stream
+//     starts, ring wrap-around, exact zeros and large inputs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,8 +29,10 @@
 #include <vector>
 
 #include "varade/core/profiles.hpp"
+#include "varade/core/varade.hpp"
 #include "varade/data/normalize.hpp"
 #include "varade/nn/layers.hpp"
+#include "varade/serve/scoring_engine.hpp"
 
 namespace varade::core {
 namespace {
@@ -248,6 +255,112 @@ TEST(ScoreBatchEdgeCases, ContextShorterThanWindowThrowsWithExpectsGotWording) {
                              std::to_string(window - 1)),
                 std::string::npos)
           << detector->name() << " message: " << message;
+    }
+  }
+}
+
+/// Raw fuzz samples for the streamed path: mostly uniform in the normaliser's
+/// [-1, 1] range, with exact zeros (which normalise to exactly 0) and large
+/// excursions far outside the training range.
+std::vector<float> streamed_fuzz_samples(Index length, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> raw(static_cast<std::size_t>(length * kChannels));
+  for (float& v : raw) {
+    const float u = rng.uniform(0.0F, 1.0F);
+    if (u < 0.1F)
+      v = 0.0F;
+    else if (u < 0.13F)
+      v = rng.bernoulli(0.5) ? rng.uniform(1e3F, 1e6F) : -rng.uniform(1e3F, 1e6F);
+    else
+      v = rng.uniform(-1.0F, 1.0F);
+  }
+  return raw;
+}
+
+TEST(StreamedVarade, EngineScoresEqualFullWindowScoreBatchToTheLastBit) {
+  // Fitted on a series spanning exactly [-1, 1] per channel, so a raw 0
+  // normalises to an exact 0.
+  data::MultivariateSeries span(kChannels);
+  span.append(std::vector<float>(kChannels, -1.0F));
+  span.append(std::vector<float>(kChannels, 1.0F));
+  data::MinMaxNormalizer normalizer;
+  normalizer.fit(span);
+
+  std::uint64_t seed = 9000;
+  for (const Index window : {8, 16, 32, 64}) {
+    for (const bool doubling : {true, false}) {
+      VaradeDetector detector({.window = window,
+                               .base_channels = 4,
+                               .channel_doubling = doubling,
+                               .epochs = 1,
+                               .learning_rate = 1e-3F,
+                               .train_stride = 16});
+      detector.fit(rig().train);
+      for (const Index n_streams : {1, 7, 16}) {
+        const std::string label = "window " + std::to_string(window) + " doubling " +
+                                  std::to_string(doubling) + " streams " +
+                                  std::to_string(n_streams);
+        // Ragged starts: stream s joins at round start[s]; every stream sees
+        // at least 4 * T samples, so every layer ring wraps several times.
+        std::vector<Index> start(static_cast<std::size_t>(n_streams));
+        std::vector<Index> length(start.size());
+        std::vector<std::vector<float>> raw(start.size());
+        Index rounds = 0;
+        for (Index s = 0; s < n_streams; ++s) {
+          const auto si = static_cast<std::size_t>(s);
+          start[si] = (s * 5) % 13;
+          length[si] = 4 * window + 1 + (s * 3) % 7;
+          raw[si] = streamed_fuzz_samples(length[si], seed++);
+          rounds = std::max(rounds, start[si] + length[si]);
+        }
+
+        // max_batch 5: several chunks per round, the last one ragged. A step
+        // every third round also covers multi-round steps.
+        serve::ScoringEngine engine(detector, normalizer, {.max_batch = 5});
+        engine.add_streams(n_streams);
+        engine.set_threshold(0.0F);
+        std::vector<std::vector<float>> streamed(start.size());
+        for (Index round = 0; round < rounds; ++round) {
+          for (Index s = 0; s < n_streams; ++s) {
+            const auto si = static_cast<std::size_t>(s);
+            const Index t = round - start[si];
+            if (t >= 0 && t < length[si]) engine.push(s, raw[si].data() + t * kChannels, kChannels);
+          }
+          if (round % 3 == 2 || round + 1 == rounds)
+            for (const serve::StreamScore& sc : engine.step()) {
+              auto& scores = streamed[static_cast<std::size_t>(sc.stream)];
+              ASSERT_EQ(static_cast<Index>(scores.size()), sc.sample) << label;
+              scores.push_back(sc.score);
+            }
+        }
+
+        for (Index s = 0; s < n_streams; ++s) {
+          const auto si = static_cast<std::size_t>(s);
+          ASSERT_EQ(static_cast<Index>(streamed[si].size()), length[si]) << label;
+          std::vector<float> norm(raw[si].size());
+          normalizer.transform_rows(raw[si].data(), length[si], norm.data());
+          for (Index t = 0; t < window; ++t)
+            EXPECT_LT(streamed[si][static_cast<std::size_t>(t)], 0.0F) << label << " warm-up";
+          // Reference: one full-window 1-row score_batch per warm sample.
+          std::vector<float> reference;
+          Tensor context({1, kChannels, window});
+          Tensor observed({1, kChannels});
+          for (Index t = window; t < length[si]; ++t) {
+            for (Index j = 0; j < window; ++j)
+              for (Index c = 0; c < kChannels; ++c)
+                context[c * window + j] =
+                    norm[static_cast<std::size_t>((t - window + j) * kChannels + c)];
+            for (Index c = 0; c < kChannels; ++c)
+              observed[c] = norm[static_cast<std::size_t>(t * kChannels + c)];
+            float score = 0.0F;
+            detector.score_batch(context, observed, &score);
+            reference.push_back(score);
+          }
+          const std::vector<float> got(streamed[si].begin() + window, streamed[si].end());
+          ASSERT_EQ(got.size(), reference.size()) << label;
+          expect_bit_equal(got, reference, label + " stream " + std::to_string(s));
+        }
+      }
     }
   }
 }

@@ -268,5 +268,42 @@ TEST(ScoringEngine, UnevenStreamsWarmupAndBookkeeping) {
   EXPECT_TRUE(engine.step().empty());
 }
 
+// perfbench divides engine samples by forward_calls() to report rows per
+// scoring call, so the count must be exactly one per score_streams call: one
+// per round per max_batch chunk of warm streams, none during warm-up.
+TEST(ScoringEngine, ForwardCallsCountOneScoringCallPerChunkOfWarmStreams) {
+  ScoringEngine engine(rig().detector, rig().normalizer, {.max_batch = 3});
+  engine.add_streams(7);
+  engine.set_threshold(1e9F);
+  const Index window = rig().detector.context_window();
+  const auto quiet = make_sine(window + 10, false, 31);
+
+  // Warm-up: every stream folds `window` samples, none is scored.
+  for (Index t = 0; t < window; ++t) {
+    for (Index s = 0; s < 7; ++s) engine.push(s, quiet.sample(t), 3);
+    engine.step();
+    EXPECT_EQ(engine.forward_calls(), 0) << "warm-up round " << t;
+  }
+
+  // One warm round of 7 streams: chunks of 3 + 3 + 1.
+  for (Index s = 0; s < 7; ++s) engine.push(s, quiet.sample(window), 3);
+  engine.step();
+  EXPECT_EQ(engine.forward_calls(), 3);
+
+  // Two rounds in one step(): three chunks each.
+  for (Index s = 0; s < 7; ++s)
+    for (Index t = window + 1; t < window + 3; ++t) engine.push(s, quiet.sample(t), 3);
+  engine.step();
+  EXPECT_EQ(engine.forward_calls(), 9);
+
+  // Two warm streams plus a new one still warming up: one chunk.
+  const Index fresh = engine.add_stream();
+  engine.push(0, quiet.sample(window + 3), 3);
+  engine.push(4, quiet.sample(window + 3), 3);
+  engine.push(fresh, quiet.sample(0), 3);
+  engine.step();
+  EXPECT_EQ(engine.forward_calls(), 10);
+}
+
 }  // namespace
 }  // namespace varade::serve

@@ -16,10 +16,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "varade/core/monitor.hpp"
 #include "varade/core/varade.hpp"
 #include "varade/serve/runtime.hpp"
 
@@ -428,6 +430,59 @@ TEST(ShardedRuntime, IdleShardSleepsWhileAnotherIsHot) {
   EXPECT_GT(hot.rounds, 0);
   EXPECT_EQ(idle.rounds, 0);      // nothing to score
   EXPECT_GE(idle.naps, 1) << "idle shard never slept: busy-spinning?";
+}
+
+// ---------------------------------------------------------------------------
+// One fitted detector shared by several engines
+// ---------------------------------------------------------------------------
+
+// The detector keeps no mutable state on the streamed scoring path (each
+// engine owns its stream states and scratch), so two engines may step
+// concurrently over one fitted VaradeDetector. Under TSan this pins that the
+// shared reads race with nothing; the scores pin that neither engine sees
+// the other's state.
+TEST(SharedDetector, TwoEnginesStepConcurrentlyAndMatchSequentialMonitors) {
+  constexpr Index kStreams = 3;
+  constexpr Index kLength = 120;
+  constexpr Index kChunk = 10;
+  std::vector<data::MultivariateSeries> inputs[2];
+  for (int e = 0; e < 2; ++e)
+    for (Index s = 0; s < kStreams; ++s)
+      inputs[e].push_back(
+          make_sine(kLength, s % 2 == 0, 700 + 10 * e + static_cast<std::uint64_t>(s)));
+
+  std::vector<std::vector<float>> scores[2];
+  auto drive = [&](int e) {
+    ScoringEngine engine(rig().detector, rig().normalizer, {.max_batch = 2});
+    engine.add_streams(kStreams);
+    engine.set_threshold(1.0F);
+    scores[e].assign(kStreams, {});
+    for (Index t0 = 0; t0 < kLength; t0 += kChunk) {
+      for (Index s = 0; s < kStreams; ++s)
+        for (Index t = t0; t < t0 + kChunk; ++t)
+          engine.push(s, inputs[e][static_cast<std::size_t>(s)].sample(t), 3);
+      for (const StreamScore& r : engine.step())
+        scores[e][static_cast<std::size_t>(r.stream)].push_back(r.score);
+    }
+  };
+  std::thread first(drive, 0);
+  std::thread second(drive, 1);
+  first.join();
+  second.join();
+
+  for (int e = 0; e < 2; ++e) {
+    for (Index s = 0; s < kStreams; ++s) {
+      core::OnlineMonitor monitor(rig().detector, rig().normalizer);
+      monitor.set_threshold(1.0F);
+      const data::MultivariateSeries& input = inputs[e][static_cast<std::size_t>(s)];
+      std::vector<float> want;
+      for (Index t = 0; t < kLength; ++t) want.push_back(monitor.push(input.sample(t)));
+      const std::vector<float>& got = scores[e][static_cast<std::size_t>(s)];
+      ASSERT_EQ(got.size(), want.size()) << "engine " << e << " stream " << s;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+          << "engine " << e << " stream " << s;
+    }
+  }
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 //    must match one OnlineMonitor per stream bit-for-bit at stream counts
 //    {1, 16, 1000} x shard counts {1, 4} — scores, warm-up negatives, alarm
 //    events, the lot (`parity` label, runs under ASan/UBSan in CI);
-//  - ragged warm-up: streams at different ring fill levels (empty, below,
-//    at, above the window) share one context slab without interfering;
+//  - ragged warm-up: streams at different warm-up levels (empty, below,
+//    at, above the window) share one state slab without interfering;
 //  - RingArena: arena-backed SampleRings stay isolated under concurrent
 //    producers/poppers and size_approx() stays within bounds under
 //    contention (`concurrency` label, runs under TSan);
