@@ -12,9 +12,10 @@
 # VARADE stream sweeps checksum-pinned to OnlineMonitor, and two
 # network-serving smokes: start varade-served on a Unix socket (then on a
 # shm: bootstrap socket with batched frames), drive it with forked client
-# processes, and shut it down over the wire. src/core, src/serve, and src/net
-# are compiled with -Werror unconditionally, so a warning in any of them
-# breaks the build itself.
+# processes, and shut it down over the wire; finally build perfbench and run
+# each of its workloads for one second against its correctness check.
+# src/core, src/serve, and src/net are compiled with -Werror unconditionally,
+# so a warning in any of them breaks the build itself.
 #
 # --sanitize instead builds the library and tests under ASan + UBSan
 # (RelWithDebInfo, VARADE_SANITIZE=ON, separate build-asan tree) and runs the
@@ -168,5 +169,15 @@ wait "$SHM_PID"
 grep -q '^shutdown: .* samples pushed, .* scored, ' "$SHM_LOG" \
   || { echo "FATAL: daemon exit report missing from $SHM_LOG"; cat "$SHM_LOG"; exit 1; }
 rm -f "$SHM_SOCK"
+
+echo "== perfbench: build from source + 1 s run per workload (scores vs OnlineMonitor) =="
+# perfbench is its own CMake project (built under .bench_build/) linking the
+# engine, runtime and server APIs. Each run exits non-zero on a build failure
+# or on any score that differs by one bit from a sequential OnlineMonitor.
+for WORKLOAD in varade-cell gbrf-imu varade-paced; do
+  python3 perfbench/run.py --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 0 \
+    > "$BUILD_DIR/perfbench_$WORKLOAD.log"
+  tail -n 1 "$BUILD_DIR/perfbench_$WORKLOAD.log"
+done
 
 echo "CI OK"

@@ -22,14 +22,14 @@ class MinMaxNormalizer {
   /// values, naming the offending channel and row.
   void fit(const Tensor& x);
 
-  /// Maps values into [-1, 1]; constant channels map to 0.
+  /// Maps one sample's values into [-1, 1]; constant channels map to 0.
+  /// transform_rows(in, 1, out).
   void transform_sample(const float* in, float* out) const;
 
-  /// Batched transform_sample over `rows` contiguous channel-count-wide rows
-  /// (`in`/`out` hold rows * n_channels() floats). Element-for-element the
-  /// same arithmetic expression as transform_sample, so results are
-  /// bit-identical — this exists so slab-resident serving state normalises
-  /// in one vectorisable pass instead of a call per sample.
+  /// transform_sample over `rows` contiguous channel-count-wide rows
+  /// (`in`/`out` hold rows * n_channels() floats) in one vectorisable pass —
+  /// the normalisation's one expression, so slab-resident serving state and
+  /// the per-sample monitor normalise bit-identically.
   void transform_rows(const float* in, Index rows, float* out) const;
   Tensor transform(const Tensor& x) const;
   MultivariateSeries transform(const MultivariateSeries& series) const;

@@ -38,13 +38,7 @@ void MinMaxNormalizer::fit(const Tensor& x) {
 }
 
 void MinMaxNormalizer::transform_sample(const float* in, float* out) const {
-  check(fitted(), "normalizer used before fit");
-  const Index d = n_channels();
-  for (Index j = 0; j < d; ++j) {
-    auto js = static_cast<std::size_t>(j);
-    const float range = maxs_[js] - mins_[js];
-    out[j] = range > 0.0F ? 2.0F * (in[j] - mins_[js]) / range - 1.0F : 0.0F;
-  }
+  transform_rows(in, 1, out);
 }
 
 void MinMaxNormalizer::transform_rows(const float* in, Index rows, float* out) const {
@@ -56,8 +50,8 @@ void MinMaxNormalizer::transform_rows(const float* in, Index rows, float* out) c
     const float* src = in + i * d;
     float* dst = out + i * d;
     for (Index j = 0; j < d; ++j) {
-      // Exact transform_sample expression (no hoisted reciprocal): bit
-      // parity with the per-sample path is part of the serving contract.
+      // No hoisted reciprocal: this division is the normalisation's one
+      // expression, which every scoring path shares.
       const float range = maxs[j] - mins[j];
       dst[j] = range > 0.0F ? 2.0F * (src[j] - mins[j]) / range - 1.0F : 0.0F;
     }

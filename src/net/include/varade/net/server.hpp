@@ -69,11 +69,6 @@ struct ServerConfig {
   /// the *default* admission policy (config.runtime.backpressure) used by
   /// connections whose HELLO does not override it.
   serve::AsyncRuntimeConfig runtime;
-  /// poll() timeout: the score-routing latency floor while connections are
-  /// quiet.
-  int poll_interval_ms = 2;
-  Index max_connections = 128;
-  int listen_backlog = 64;
   /// Prometheus-style metrics endpoint: port >= 0 enables a plain-HTTP
   /// listener serving GET /metrics (0 picks an ephemeral port, readable via
   /// metrics_port() after construction); -1 disables. The endpoint is served
@@ -174,6 +169,16 @@ class Server {
   void handle_hello(Connection& conn, const Frame& frame);
   void handle_sample(Connection& conn, const Frame& frame);
   void handle_sample_batch(Connection& conn, const Frame& frame);
+  /// The one sample-ingest path behind SAMPLE and SAMPLE_BATCH: stream range
+  /// check, first-push-wins ownership, one runtime push per sample, and the
+  /// NACKs. Pushes the `valid` leading samples of `values` (seq base_seq,
+  /// base_seq + 1, ...); when valid < count, a non-finite value cut the
+  /// batch and the tail is NACKed MalformedSample at base_seq + valid.
+  void ingest_samples(Connection& conn, Index stream, std::uint64_t base_seq,
+                      const float* values, Index valid, Index count);
+  /// Appends one NACK frame to `conn` and counts it.
+  void nack(Connection& conn, Index stream, std::uint64_t seq, serve::PushResult result,
+            NackReason reason);
   /// Sends WIRE_ERROR with `message` and schedules the connection for close.
   void protocol_error(Connection& conn, const std::string& message);
   void route_scores();

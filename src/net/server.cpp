@@ -26,6 +26,14 @@ constexpr std::size_t kMaxMetricsRequest = 8192;
 /// scraper storm cannot crowd out producers.
 constexpr std::size_t kMaxMetricsConns = 16;
 
+/// poll() timeout: the score-routing latency floor while connections are
+/// quiet.
+constexpr int kPollIntervalMs = 2;
+/// Wire connections beyond this are refused at accept.
+constexpr Index kMaxConnections = 128;
+/// listen() backlog of every listener.
+constexpr int kListenBacklog = 64;
+
 }  // namespace
 
 Server::Server(core::AnomalyDetector& detector, const data::MinMaxNormalizer& normalizer,
@@ -46,8 +54,6 @@ Server::Server(core::AnomalyDetector& detector, const data::MinMaxNormalizer& no
           "net: shm_ring_bytes must be a power of two in [" +
               std::to_string(kShmMinRingBytes) + ", " + std::to_string(kShmMaxRingBytes) + "]");
   }
-  check(config_.max_connections >= 1, "net: max_connections must be >= 1");
-  check(config_.poll_interval_ms >= 1, "net: poll_interval_ms must be >= 1");
   check(config_.metrics_port >= -1 && config_.metrics_port <= 65535,
         "net: metrics_port out of range [-1, 65535]");
 
@@ -60,20 +66,20 @@ Server::Server(core::AnomalyDetector& detector, const data::MinMaxNormalizer& no
 
   if (config_.tcp_port >= 0) {
     tcp_port_ = config_.tcp_port;
-    tcp_listener_ = tcp_listen(config_.tcp_host, tcp_port_, config_.listen_backlog);
+    tcp_listener_ = tcp_listen(config_.tcp_host, tcp_port_, kListenBacklog);
     set_nonblocking(tcp_listener_.fd(), true);
   }
   if (!config_.uds_path.empty()) {
-    uds_listener_ = unix_listen(config_.uds_path, config_.listen_backlog);
+    uds_listener_ = unix_listen(config_.uds_path, kListenBacklog);
     set_nonblocking(uds_listener_.fd(), true);
   }
   if (!config_.shm_path.empty()) {
-    shm_listener_ = unix_listen(config_.shm_path, config_.listen_backlog);
+    shm_listener_ = unix_listen(config_.shm_path, kListenBacklog);
     set_nonblocking(shm_listener_.fd(), true);
   }
   if (config_.metrics_port >= 0) {
     metrics_port_ = config_.metrics_port;
-    metrics_listener_ = tcp_listen(config_.metrics_host, metrics_port_, config_.listen_backlog);
+    metrics_listener_ = tcp_listen(config_.metrics_host, metrics_port_, kListenBacklog);
     set_nonblocking(metrics_listener_.fd(), true);
   }
   if (pipe(stop_pipe_) != 0) fail("net: pipe(): ", std::strerror(errno));
@@ -108,37 +114,20 @@ void Server::protocol_error(Connection& conn, const std::string& message) {
   conn.closing = true;
 }
 
+void Server::nack(Connection& conn, Index stream, std::uint64_t seq, serve::PushResult result,
+                  NackReason reason) {
+  NackData data;
+  data.stream = stream;
+  data.seq = seq;
+  data.result = result;
+  data.reason = reason;
+  append_nack(conn.out, data);
+  frames_nacked_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void Server::handle_sample(Connection& conn, const Frame& frame) {
   decode_sample(frame, n_channels_, conn.sample);  // throws on size/NaN -> WIRE_ERROR
-  const auto stream = static_cast<Index>(conn.sample.stream);
-  if (stream >= config_.n_streams) {
-    protocol_error(conn, "net: " + serve::detail::stream_range_message(stream, config_.n_streams));
-    return;
-  }
-  StreamMirror& mirror = streams_[static_cast<std::size_t>(stream)];
-  if (mirror.owner == nullptr) mirror.owner = &conn;  // first-push-wins ownership
-  if (mirror.owner != &conn) {
-    NackData nack;
-    nack.stream = conn.sample.stream;
-    nack.seq = conn.sample.seq;
-    nack.result = serve::PushResult::Rejected;
-    nack.reason = NackReason::StreamBusy;
-    append_nack(conn.out, nack);
-    frames_nacked_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const serve::PushResult result =
-      runtime_.push(stream, conn.sample.values.data(),
-                    static_cast<Index>(conn.sample.values.size()), conn.policy);
-  if (result == serve::PushResult::Rejected) {
-    NackData nack;
-    nack.stream = conn.sample.stream;
-    nack.seq = conn.sample.seq;
-    nack.result = result;
-    nack.reason = NackReason::Backpressure;
-    append_nack(conn.out, nack);
-    frames_nacked_.fetch_add(1, std::memory_order_relaxed);
-  }
+  ingest_samples(conn, conn.sample.stream, conn.sample.seq, conn.sample.values.data(), 1, 1);
 }
 
 void Server::handle_sample_batch(Connection& conn, const Frame& frame) {
@@ -149,7 +138,12 @@ void Server::handle_sample_batch(Connection& conn, const Frame& frame) {
   decode_sample_batch(frame, n_channels_, conn.batch);  // structural throws -> WIRE_ERROR
   obs::count(batch_frames_);
   obs::count(batch_samples_, static_cast<std::uint64_t>(conn.batch.count));
-  const Index stream = conn.batch.stream;
+  ingest_samples(conn, conn.batch.stream, conn.batch.base_seq, conn.batch.values.data(),
+                 conn.batch.valid, conn.batch.count);
+}
+
+void Server::ingest_samples(Connection& conn, Index stream, std::uint64_t base_seq,
+                            const float* values, Index valid, Index count) {
   if (stream >= config_.n_streams) {
     protocol_error(conn, "net: " + serve::detail::stream_range_message(stream, config_.n_streams));
     return;
@@ -157,43 +151,24 @@ void Server::handle_sample_batch(Connection& conn, const Frame& frame) {
   StreamMirror& mirror = streams_[static_cast<std::size_t>(stream)];
   if (mirror.owner == nullptr) mirror.owner = &conn;  // first-push-wins ownership
   if (mirror.owner != &conn) {
-    NackData nack;
-    nack.stream = stream;
-    nack.seq = conn.batch.base_seq;
-    nack.result = serve::PushResult::Rejected;
-    nack.reason = NackReason::StreamBusy;
-    append_nack(conn.out, nack);
-    frames_nacked_.fetch_add(1, std::memory_order_relaxed);
+    nack(conn, stream, base_seq, serve::PushResult::Rejected, NackReason::StreamBusy);
     return;
   }
-  // The valid prefix enters the ring sample by sample, exactly as unbatched
-  // SAMPLE frames would — the runtime (and therefore every score) cannot
-  // tell the difference.
-  for (Index i = 0; i < conn.batch.valid; ++i) {
-    const serve::PushResult result = runtime_.push(
-        stream, conn.batch.values.data() + static_cast<std::size_t>(i) * n_channels_,
-        n_channels_, conn.policy);
-    if (result == serve::PushResult::Rejected) {
-      NackData nack;
-      nack.stream = stream;
-      nack.seq = conn.batch.base_seq + static_cast<std::uint64_t>(i);
-      nack.result = result;
-      nack.reason = NackReason::Backpressure;
-      append_nack(conn.out, nack);
-      frames_nacked_.fetch_add(1, std::memory_order_relaxed);
-    }
+  // A batch enters the ring sample by sample, exactly as unbatched SAMPLE
+  // frames would — the runtime (and therefore every score) cannot tell the
+  // difference.
+  for (Index i = 0; i < valid; ++i) {
+    const serve::PushResult result =
+        runtime_.push(stream, values + i * n_channels_, n_channels_, conn.policy);
+    if (result == serve::PushResult::Rejected)
+      nack(conn, stream, base_seq + static_cast<std::uint64_t>(i), result,
+           NackReason::Backpressure);
   }
-  if (conn.batch.valid < conn.batch.count) {
-    // A non-finite value truncated the batch: name the offending in-batch
-    // sample and drop only the tail — the connection survives.
-    NackData nack;
-    nack.stream = stream;
-    nack.seq = conn.batch.base_seq + static_cast<std::uint64_t>(conn.batch.valid);
-    nack.result = serve::PushResult::Rejected;
-    nack.reason = NackReason::MalformedSample;
-    append_nack(conn.out, nack);
-    frames_nacked_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // A non-finite value truncated the batch: name the offending in-batch
+  // sample and drop only the tail — the connection survives.
+  if (valid < count)
+    nack(conn, stream, base_seq + static_cast<std::uint64_t>(valid), serve::PushResult::Rejected,
+         NackReason::MalformedSample);
 }
 
 void Server::handle_hello(Connection& conn, const Frame& frame) {
@@ -677,7 +652,7 @@ void Server::run() {
     // ordering contract). A ring with bytes already in it forces a zero
     // timeout instead: the data is older than this poll.
     const std::size_t first_bell = pfds.size();
-    int poll_timeout = config_.poll_interval_ms;
+    int poll_timeout = kPollIntervalMs;
     for (const std::unique_ptr<Connection>& conn : conns_) {
       if (!conn->shm_active || !conn->sock.valid()) continue;
       if (conn->shm.c2s().arm_waiting()) {
@@ -734,7 +709,7 @@ void Server::run() {
           if (errno == EINTR) continue;
           break;  // EAGAIN (drained) or a transient accept failure
         }
-        if (static_cast<Index>(conns_.size()) >= config_.max_connections) {
+        if (static_cast<Index>(conns_.size()) >= kMaxConnections) {
           ::close(fd);  // over capacity: refuse outright
           continue;
         }

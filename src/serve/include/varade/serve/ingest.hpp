@@ -2,7 +2,9 @@
 // runtime.
 //
 // Each stream owns one SampleRing — a bounded, power-of-two-capacity ring of
-// fixed-width float samples with cache-line-padded head/tail positions. The
+// fixed-width float samples with cache-line-padded head/tail positions. Ring
+// storage has one provider: a RingArena builds a shard's rings over two (three
+// with the telemetry lane) slabs it owns, and hands them out by index. The
 // slot-sequence protocol (Vyukov bounded queue) makes push and pop both
 // CAS-claimed and wait-free of each other, so:
 //   - a producer thread can push while the scoring thread pops (the SPSC
@@ -15,7 +17,7 @@
 //     (a second concurrent popper) without a lock.
 //
 // No mutex is taken anywhere in this header; full/empty are communicated by
-// try_push/try_pop return values and mapped to a BackpressurePolicy by the
+// try_push/try_pop_with return values and mapped to a BackpressurePolicy by the
 // AsyncScoringRuntime, and Backoff paces the retry loops around them.
 #pragma once
 
@@ -60,28 +62,12 @@ class Backoff {
   int spins_ = 0;
 };
 
-/// Bounded lock-free ring of fixed-width float samples. Storage is either
-/// owned (the two-argument constructor) or borrowed from a RingArena slab
-/// (the four-argument constructor) — the protocol is identical; arena-backed
-/// rings exist so 100k+ streams cost two large allocations per shard instead
-/// of two small ones per stream.
+/// Bounded lock-free ring of fixed-width float samples over storage carved
+/// from a RingArena slab (the only way to get one: see RingArena::ring).
 class SampleRing {
  public:
-  /// `channels` floats per sample; `min_capacity` samples, rounded up to the
-  /// next power of two (capacity() reports the actual value). Owns storage.
-  SampleRing(Index channels, Index min_capacity);
-
-  /// Arena-backed ring over caller-owned storage: `slots` must hold
-  /// `capacity_pow2` sequence slots and `data` `capacity_pow2 * channels`
-  /// floats, both outliving the ring (the RingArena contract). `capacity_pow2`
-  /// must already be a power of two. Slot sequences are (re)initialised here.
-  /// `ts` is the optional telemetry timestamp lane (`capacity_pow2` entries,
-  /// same lifetime); rings without one carry 0 timestamps.
-  SampleRing(Index channels, Index capacity_pow2, std::atomic<std::uint64_t>* slots, float* data,
-             std::int64_t* ts = nullptr);
-
-  /// The capacity the two-argument constructor would pick for `min_capacity`
-  /// — exposed so a RingArena can size its slabs before building rings.
+  /// The capacity a RingArena gives a ring asked for `min_capacity` samples:
+  /// the next power of two.
   static Index round_up_capacity(Index min_capacity);
 
   SampleRing(const SampleRing&) = delete;
@@ -91,18 +77,14 @@ class SampleRing {
   Index capacity() const { return static_cast<Index>(mask_ + 1); }
 
   /// Copies `channels()` floats into the ring. Returns false when full.
-  /// Safe to call concurrently with try_pop and with other try_push callers.
+  /// Safe to call concurrently with the pops and with other try_push callers.
   bool try_push(const float* sample) { return try_push(sample, 0); }
 
   /// try_push carrying a telemetry timestamp (an obs::tick() value, 0 =
   /// unsampled) through the ring's timestamp lane alongside the sample data.
   /// The consumer receives it in try_pop_with's sink. Dropped when the ring
-  /// has no lane (telemetry compiled off, or lane-less arena storage).
+  /// has no lane (telemetry compiled off).
   bool try_push(const float* sample, std::int64_t enqueue_ns);
-
-  /// Copies the oldest sample into `out` (`channels()` floats). Returns false
-  /// when empty. Safe to call concurrently with try_push and other poppers.
-  bool try_pop(float* out);
 
   /// Zero-copy pop: claims the oldest sample and invokes
   /// `sink(const float* slot, std::int64_t enqueue_ns)` on its in-ring data
@@ -110,9 +92,9 @@ class SampleRing {
   /// into its own structures without an intermediate staging buffer. The
   /// pointer is only valid inside the call; `enqueue_ns` is the telemetry
   /// timestamp the producer pushed with (0 when unsampled or the ring has no
-  /// lane). Returns false when empty. Same concurrency guarantees as
-  /// try_pop; the slot is recycled even if `sink` throws (the sample is then
-  /// lost, but the ring stays usable).
+  /// lane). Returns false when empty. Safe to call concurrently with try_push
+  /// and other poppers; the slot is recycled even if `sink` throws (the
+  /// sample is then lost, but the ring stays usable).
   template <typename Sink>
   bool try_pop_with(Sink&& sink) {
     std::uint64_t pos = 0;
@@ -147,8 +129,12 @@ class SampleRing {
   // slot for the next lap with pos + capacity.
   static constexpr std::size_t kCacheLine = 64;
 
+  friend class RingArena;
+  /// Unbound ring; RingArena binds it to its slab slices (and nothing else
+  /// may construct one).
+  SampleRing() = default;
+
   bool claim_pop(std::uint64_t& pos_out);
-  void init_slots();
 
   Index channels_ = 0;
   std::uint64_t mask_ = 0;
@@ -159,26 +145,24 @@ class SampleRing {
   // written between the tail CAS claiming the slot and the release store
   // publishing it, exactly like the sample data, so the consumer's acquire
   // load of the sequence orders the read. nullptr when telemetry is
-  // compiled off or the storage provider carved no lane.
+  // compiled off.
   std::int64_t* ts_ = nullptr;
-
-  // Set only by the owning constructor; arena-backed rings leave these empty.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> owned_slots_;
-  std::vector<float> owned_data_;
-  std::vector<std::int64_t> owned_ts_;
 
   alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};  // next push position
   alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};  // next pop position
 };
 
-/// Backing storage for a shard's worth of SampleRings: one slot-sequence slab
-/// and one sample-data slab, carved into `n_rings` equal-capacity rings. All
-/// sizing arithmetic is overflow-checked, so a fleet-scale configuration that
-/// cannot fit in Index fails at construction instead of wrapping.
+/// A shard's worth of SampleRings and their storage: one slot-sequence slab
+/// and one sample-data slab (plus the telemetry timestamp lane when telemetry
+/// is compiled in), carved into `n_rings` equal-capacity rings — two large
+/// allocations per shard instead of two small ones per stream, the layout
+/// that makes 100k+ streams per host cheap. All sizing arithmetic is
+/// overflow-checked, so a fleet-scale configuration that cannot fit in Index
+/// fails at construction instead of wrapping.
 class RingArena {
  public:
-  /// Storage for `n_rings` rings of `channels`-float samples, each with the
-  /// capacity SampleRing would round `min_capacity` up to.
+  /// `n_rings` rings of `channels`-float samples, each with capacity
+  /// SampleRing::round_up_capacity(min_capacity).
   RingArena(Index n_rings, Index channels, Index min_capacity);
 
   RingArena(const RingArena&) = delete;
@@ -186,23 +170,25 @@ class RingArena {
 
   Index n_rings() const { return n_rings_; }
   Index channels() const { return channels_; }
-  /// Per-ring capacity (already a power of two) — pass to the arena-backed
-  /// SampleRing constructor together with slots(i)/data(i).
+  /// Per-ring capacity (a power of two).
   Index capacity() const { return capacity_; }
 
-  std::atomic<std::uint64_t>* slots(Index ring);
-  float* data(Index ring);
-  /// Telemetry timestamp lane for ring `ring` — nullptr when telemetry is
-  /// compiled off (the arena then allocates no lane at all).
-  std::int64_t* ts(Index ring);
+  /// Ring `i`; throws unless i is in [0, n_rings()).
+  SampleRing& ring(Index i) {
+    if (i < 0 || i >= n_rings_) throw_out_of_range();  // branch before message: per push
+    return rings_[static_cast<std::size_t>(i)];
+  }
 
  private:
+  [[noreturn]] static void throw_out_of_range();
+
   Index n_rings_ = 0;
   Index channels_ = 0;
   Index capacity_ = 0;
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
   std::vector<float> data_;
   std::vector<std::int64_t> ts_;  // empty when telemetry is compiled off
+  std::unique_ptr<SampleRing[]> rings_;
 };
 
 }  // namespace varade::serve

@@ -12,7 +12,9 @@
 //
 // Sharding: AsyncRuntimeConfig::n_shards statically partitions the stream
 // space across N shards (ShardPartition, a modulo map — the one place stream
-// ids are remapped). Each shard owns its own scorer thread, its own rings
+// ids are remapped: a shard engine numbers its streams 0..owned-1, and emit()
+// rewrites every score's id through global_of before it reaches the result
+// queue). Each shard owns its own scorer thread, its own rings
 // (a scorer never touches another shard's cache lines), its own result
 // queue, and its own ScoringEngine over a clone_fitted() replica of the
 // detector (shard 0 keeps the borrowed instance) — so the shards share
@@ -30,6 +32,9 @@
 // bit-identical to a synchronous ScoringEngine — or one OnlineMonitor per
 // stream — fed the same samples, for ANY shard count, producer timing, ring
 // capacity, or batching.
+//
+// Stats: stats() is the one counter read — one aggregate snapshot whose
+// streams/shards vectors carry the per-stream and per-shard breakdowns.
 //
 // Lifecycle: add_streams() / calibrate() before start(); the shard engines
 // are built by start() (cloning the detector per shard); push() +
@@ -89,9 +94,6 @@ struct AsyncRuntimeConfig {
   Index ring_capacity = 1024;
   /// Policy applied by push() calls that do not name one.
   BackpressurePolicy backpressure = BackpressurePolicy::Block;
-  /// Empty polling rounds before a shard's scoring thread naps between
-  /// wakeups (each shard backs off independently).
-  int idle_spin_rounds = 64;
   /// Scorer shards the stream space is partitioned across: the serving
   /// stack's one parallelism setting. 1 = one scoring thread and one engine
   /// (the pre-shard behaviour); 0 = auto (hardware_concurrency). Shards
@@ -230,15 +232,11 @@ class AsyncScoringRuntime {
   bool started() const { return started_.load(std::memory_order_acquire); }
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
-  /// Per-stream ingestion counters; valid any time.
-  IngestStats stats(Index stream) const;
-  /// Aggregate snapshot across every stream and shard; valid any time (see
-  /// RuntimeStats for the exact memory-order contract).
+  /// The runtime's one stats read: an aggregate snapshot across every
+  /// stream and shard, with the per-stream (`streams[s]`) and per-shard
+  /// (`shards[k]`) breakdowns; valid any time (see RuntimeStats for the
+  /// exact memory-order contract).
   RuntimeStats stats() const;
-  /// Scoring rounds (drain + engine step) across all shards.
-  long rounds() const;
-  /// Per-shard scorer counters (shard in [0, n_shards())).
-  ShardStats shard_stats(Index shard) const;
   /// Latency telemetry across every active shard; valid any time (relaxed
   /// histogram snapshots — see obs::LogHistogram). Before start() the
   /// engine sections are empty.
@@ -253,18 +251,15 @@ class AsyncScoringRuntime {
   Index samples_seen(Index stream) const;
 
   /// Shard `shard`'s engine, for quiescent inspection after start() (same
-  /// caveat as above; streams appear under engine-local ids, with
-  /// global_id() mapping back).
+  /// caveat as above). Its streams appear under engine-local ids
+  /// 0..owned-1; partition().global_of(shard, local) maps them back.
   const ScoringEngine& shard_engine(Index shard) const;
-  /// The single engine of an unsharded (n_shards() == 1) runtime, for
-  /// quiescent inspection after start(); throws on a sharded runtime.
-  const ScoringEngine& engine() const;
 
   const AsyncRuntimeConfig& config() const { return config_; }
 
  private:
   /// Per-stream ingestion counters. The stream's ring itself lives in the
-  /// owning Shard's arena-backed `rings` (built by start()); this struct is
+  /// owning Shard's `arena` (built by start()); this struct is
   /// pure bookkeeping so registering 100k streams allocates no ring storage
   /// until the shard layout is final.
   struct StreamIngest {
@@ -279,22 +274,20 @@ class AsyncScoringRuntime {
   /// nap state are all per shard, so shards share no mutable state on the
   /// hot path.
   struct Shard {
+    /// This shard's index: emit() remaps its engine's local ids through it.
+    Index id = 0;
     /// Counters of the streams this shard owns, in local-index order. Deque:
     /// StreamIngest holds atomics (immovable) and producers keep references
     /// across add_stream() calls made before start().
     std::deque<StreamIngest> ingest;
-    /// Backing slabs for this shard's rings: one slot-sequence array and one
-    /// float array for ALL owned streams, instead of two heap blocks per
-    /// stream — the allocation layout that makes 100k+ streams per host
-    /// cheap. Built by start(), before intake opens.
+    /// This shard's rings, one per owned stream in local-index order, over
+    /// slabs shared by all of them. Built by start(), before intake opens;
+    /// only touched after start() published `started_`.
     std::unique_ptr<RingArena> arena;
-    /// Arena-backed rings in local-index order (deque: SampleRing is
-    /// immovable). Only touched after start() published `started_`.
-    std::deque<SampleRing> rings;
     /// This shard's detector replica; null for shard 0 (which scores
     /// through the borrowed detector).
     std::unique_ptr<core::AnomalyDetector> replica;
-    /// This shard's engine over its subset view of the streams; built by
+    /// This shard's engine over its owned streams under local ids; built by
     /// start().
     std::unique_ptr<ScoringEngine> engine;
     std::thread scorer;
@@ -329,14 +322,14 @@ class AsyncScoringRuntime {
   /// slot) — one ring's worth when `bounded` (round-robin fairness), until
   /// empty otherwise (final drain); returns the number drained.
   long drain_ring(Shard& shard, Index local, bool bounded);
+  /// Rewrites each score's engine-local stream id to its global id and
+  /// appends the batch to the shard's result queue.
   void emit(Shard& shard, std::vector<StreamScore> scores);
   void wake_shard(Shard& shard);
   void require_quiescent(const char* what) const;
   void require_started_shards(const char* what) const;
   StreamIngest& ingest_at(Index stream);
   const StreamIngest& ingest_at(Index stream) const;
-  Shard& shard_at(Index shard);
-  const Shard& shard_at(Index shard) const;
 
   core::AnomalyDetector* detector_;
   const data::MinMaxNormalizer* normalizer_;

@@ -12,6 +12,11 @@
 // cores by giving each shard its own engine over its own clone_fitted()
 // replica.
 //
+// Stream ids are dense engine-local ids 0..n_streams()-1, and StreamScore
+// reports exactly those ids. The engine keeps no other id map: a sharded
+// frontend that serves a slice of a larger stream space remaps the ids it
+// receives (AsyncScoringRuntime does so through its ShardPartition).
+//
 // Per-stream state is structure-of-arrays, sized for fleets: the detector's
 // state slots live in one contiguous [n_streams, stream_state_floats()]
 // float slab (the [C, T] context ring by default; VARADE keeps one ring of
@@ -23,15 +28,20 @@
 // one host. The engine owns the slab and the detector scratch, so two
 // engines may share one fitted detector.
 //
+// One round slab: each round stages its active streams warm first and cold
+// after, each group in ascending stream id, so score_streams reads the warm
+// prefix of the round slab and advance_streams reads all of it — both in
+// max_batch slices straight out of the slab.
+//
 // The engine is generic over core::AnomalyDetector: any of the paper's six
 // detectors plugs in unchanged.
 //
 // Determinism: a stream's score_streams score equals score_batch on its
 // full context window bit for bit whatever chunk it rides in (the detector
 // contract; OnlineMonitor scores 1-row score_batch calls) and the slab
-// normalisation applies the exact per-element expression of
-// transform_sample — so scores and alarm events are bit-for-bit identical to
-// running one OnlineMonitor per stream sequentially, at any batch size.
+// normalisation is transform_rows, the one expression transform_sample also
+// runs — so scores and alarm events are bit-for-bit identical to running one
+// OnlineMonitor per stream sequentially, at any batch size.
 #pragma once
 
 #include <cstdint>
@@ -93,11 +103,8 @@ struct ScoringEngineConfig {
 };
 
 /// Score of one (stream, sample) pair produced by step(). `stream` is the
-/// stream's *global* id: identical to the engine-local id for streams
-/// registered via add_stream(), or the caller-chosen label for streams
-/// registered via the subset-view add_stream(global_id) overload — so a
-/// shard-local engine serving a slice of a larger stream space reports
-/// scores under the ids its owner knows.
+/// engine's own dense id (AsyncScoringRuntime rewrites it to the global id
+/// before a score leaves the runtime).
 ///
 /// `alarm` is the transition the stream's alarm state machine made on this
 /// sample (None while warming up): the engine's own decision, so consumers
@@ -119,21 +126,11 @@ class ScoringEngine {
   ScoringEngine(core::AnomalyDetector& detector, const data::MinMaxNormalizer& normalizer,
                 ScoringEngineConfig config = {});
 
-  /// Registers a new independent stream; returns its id (dense, from 0).
-  /// The global id reported in StreamScore equals the local id.
+  /// Registers a new independent stream; returns its id (dense, from 0),
+  /// the id StreamScore reports it under.
   Index add_stream();
-  /// Subset-view registration: the stream is engine-local (dense local id
-  /// returned, used by push()/events()/...), but StreamScore::stream carries
-  /// `global_id` — so a sharded frontend can run one engine per disjoint
-  /// slice of a larger stream space and merge the scores without remapping.
-  /// Throws on negative or already-registered global ids (either would emit
-  /// misattributed StreamScores through a subset view).
-  Index add_stream(Index global_id);
   Index add_streams(Index n);
-  Index n_streams() const { return static_cast<Index>(global_ids_.size()); }
-  /// Global id of a local stream (== the local id unless the subset-view
-  /// overload chose otherwise).
-  Index global_id(Index stream) const;
+  Index n_streams() const { return static_cast<Index>(samples_seen_.size()); }
   /// Channels per sample, as fixed by the normalizer (runtime wiring: the
   /// AsyncScoringRuntime sizes its ingestion rings off this).
   Index n_channels() const;
@@ -180,12 +177,12 @@ class ScoringEngine {
   /// Branch-before-message: push() runs through here once per sample and
   /// must not allocate on success.
   void require_stream(Index id) const;
-  /// Scores the round's warm streams (ready_) in max_batch chunks into
-  /// score_[stream].
-  void score_ready();
-  /// Folds every active stream's normalised sample into its state slot, in
-  /// max_batch chunks.
-  void advance_active();
+  /// Scores the warm prefix [0, n_warm) of the round slab in max_batch
+  /// slices into round_scores_.
+  void score_warm(Index n_warm);
+  /// Folds every staged sample into its stream's state slot, in max_batch
+  /// slices of the whole round slab.
+  void advance_round(Index n_active);
 
   core::AnomalyDetector* detector_;
   const data::MinMaxNormalizer* normalizer_;
@@ -205,18 +202,17 @@ class ScoringEngine {
   // samples_seen_ reaches window_.
   std::vector<float> state_slab_;  // [n_streams, state_floats_]
   std::vector<Index> samples_seen_;
-  std::vector<Index> global_ids_;  // id reported in StreamScore
   std::vector<float> score_;       // this round's score per stream
   std::vector<core::AlarmEdge> edge_;  // this round's alarm transition per stream
   /// Deque, not vector: references handed out by events() must survive
   /// add_stream().
   std::deque<core::AlarmTracker> alarms_;
-  Index max_global_id_ = -1;  // fast duplicate check for increasing ids
 
   // Pending raw samples: one append-only float arena shared by all streams
   // (no per-sample allocation), plus per-stream offset queues into it.
   // pending_head_[s] is the next unconsumed entry of pending_[s]; both reset
-  // at the end of every step().
+  // when the stream's last buffered sample is consumed, and the arena at the
+  // end of every step().
   std::vector<float> pending_arena_;        // count * channels_ floats
   std::vector<std::vector<Index>> pending_;  // per-stream sample offsets
   std::vector<Index> pending_head_;
@@ -229,22 +225,20 @@ class ScoringEngine {
   obs::LogHistogram phase_hist_[kStepPhases];
   obs::LogHistogram step_hist_;
   obs::LogHistogram push_to_score_hist_;
-  std::vector<std::int64_t> round_ts_;  // per-active-stream enqueue ts scratch
 
-  // Round-scratch slabs reused across step() rounds (sized to the round's
-  // active streams; capacity retained).
+  // The round slab, reused across step() rounds (capacity retained): one
+  // entry per active stream in staging order — warm streams first, cold
+  // after, each group in ascending stream id.
+  std::vector<Index> round_streams_;       // stream id of each slab row
   std::vector<float> round_raw_;           // [n_active, C] raw samples
   std::vector<float> round_norm_;          // [n_active, C] normalised samples
-  std::vector<float*> round_states_;       // per active stream: its state slot
-  std::vector<Index> round_seen_;          // per active stream: samples folded
+  std::vector<float*> round_states_;       // each row's state slot
+  std::vector<Index> round_seen_;          // each row's samples folded
+  std::vector<float> round_scores_;        // scores of the warm prefix
+  std::vector<std::int64_t> round_ts_;     // each row's enqueue ts (telemetry only)
+  // Streams with buffered work, ascending: this round's and the next's.
   std::vector<Index> active_;
   std::vector<Index> next_active_;
-  std::vector<Index> ready_;  // round-slab index of each warm active stream
-  // One score_streams chunk: state slots, fold counts, observations, scores.
-  std::vector<float*> chunk_states_;
-  std::vector<Index> chunk_seen_;
-  std::vector<float> chunk_obs_;
-  std::vector<float> chunk_scores_;
   core::StreamScratch scratch_;  // detector working memory
 };
 

@@ -51,37 +51,6 @@ Index SampleRing::round_up_capacity(Index min_capacity) {
   return p;
 }
 
-void SampleRing::init_slots() {
-  const std::uint64_t capacity = mask_ + 1;
-  for (std::uint64_t i = 0; i < capacity; ++i) slots_[i].store(i, std::memory_order_relaxed);
-}
-
-SampleRing::SampleRing(Index channels, Index min_capacity) : channels_(channels) {
-  check(channels >= 1, "SampleRing needs at least one channel");
-  const auto capacity = static_cast<std::uint64_t>(round_up_capacity(min_capacity));
-  mask_ = capacity - 1;
-  owned_slots_ = std::make_unique<std::atomic<std::uint64_t>[]>(capacity);
-  owned_data_.assign(capacity * static_cast<std::uint64_t>(channels), 0.0F);
-  slots_ = owned_slots_.get();
-  data_ = owned_data_.data();
-  if constexpr (obs::kEnabled) {
-    owned_ts_.assign(capacity, 0);
-    ts_ = owned_ts_.data();
-  }
-  init_slots();
-}
-
-SampleRing::SampleRing(Index channels, Index capacity_pow2, std::atomic<std::uint64_t>* slots,
-                       float* data, std::int64_t* ts)
-    : channels_(channels), slots_(slots), data_(data), ts_(ts) {
-  check(channels >= 1, "SampleRing needs at least one channel");
-  check(capacity_pow2 >= 1 && (capacity_pow2 & (capacity_pow2 - 1)) == 0,
-        "arena-backed SampleRing capacity must be a power of two");
-  check(slots != nullptr && data != nullptr, "arena-backed SampleRing needs storage");
-  mask_ = static_cast<std::uint64_t>(capacity_pow2) - 1;
-  init_slots();
-}
-
 RingArena::RingArena(Index n_rings, Index channels, Index min_capacity)
     : n_rings_(n_rings), channels_(channels), capacity_(SampleRing::round_up_capacity(min_capacity)) {
   check(n_rings >= 1, "RingArena needs at least one ring");
@@ -92,24 +61,24 @@ RingArena::RingArena(Index n_rings, Index channels, Index min_capacity)
   slots_ = std::make_unique<std::atomic<std::uint64_t>[]>(static_cast<std::size_t>(total_slots));
   data_.assign(static_cast<std::size_t>(total_floats), 0.0F);
   if constexpr (obs::kEnabled) ts_.assign(static_cast<std::size_t>(total_slots), 0);
+  // new[] rather than make_unique: SampleRing's constructor is private to
+  // this class.
+  rings_.reset(new SampleRing[static_cast<std::size_t>(n_rings_)]);
+  const auto cap = static_cast<std::size_t>(capacity_);
+  for (Index i = 0; i < n_rings_; ++i) {
+    SampleRing& r = rings_[static_cast<std::size_t>(i)];
+    const std::size_t first = static_cast<std::size_t>(i) * cap;
+    r.channels_ = channels_;
+    r.mask_ = cap - 1;
+    r.slots_ = slots_.get() + first;
+    r.data_ = data_.data() + first * static_cast<std::size_t>(channels_);
+    if (!ts_.empty()) r.ts_ = ts_.data() + first;
+    // Every slot starts free on lap 0 (sequence == position).
+    for (std::size_t j = 0; j < cap; ++j) r.slots_[j].store(j, std::memory_order_relaxed);
+  }
 }
 
-std::atomic<std::uint64_t>* RingArena::slots(Index ring) {
-  check(ring >= 0 && ring < n_rings_, "RingArena ring index out of range");
-  return slots_.get() + static_cast<std::size_t>(ring) * static_cast<std::size_t>(capacity_);
-}
-
-float* RingArena::data(Index ring) {
-  check(ring >= 0 && ring < n_rings_, "RingArena ring index out of range");
-  return data_.data() +
-         static_cast<std::size_t>(ring) * static_cast<std::size_t>(capacity_ * channels_);
-}
-
-std::int64_t* RingArena::ts(Index ring) {
-  check(ring >= 0 && ring < n_rings_, "RingArena ring index out of range");
-  if (ts_.empty()) return nullptr;
-  return ts_.data() + static_cast<std::size_t>(ring) * static_cast<std::size_t>(capacity_);
-}
+void RingArena::throw_out_of_range() { throw Error("RingArena ring index out of range"); }
 
 bool SampleRing::try_push(const float* sample, std::int64_t enqueue_ns) {
   std::uint64_t pos = tail_.load(std::memory_order_relaxed);
@@ -156,16 +125,6 @@ bool SampleRing::claim_pop(std::uint64_t& pos_out) {
       pos = head_.load(std::memory_order_relaxed);  // another pop won the slot
     }
   }
-}
-
-bool SampleRing::try_pop(float* out) {
-  std::uint64_t pos = 0;
-  if (!claim_pop(pos)) return false;
-  const float* src = data_ + (pos & mask_) * static_cast<std::uint64_t>(channels_);
-  std::copy(src, src + channels_, out);
-  // Recycle the slot for the next lap.
-  slots_[pos & mask_].store(pos + mask_ + 1, std::memory_order_release);
-  return true;
 }
 
 bool SampleRing::try_pop_discard() {

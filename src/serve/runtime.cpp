@@ -14,6 +14,10 @@ namespace {
 /// two so the hot-path check is a mask.
 constexpr long kPushSampleEvery = 64;
 
+/// Empty polling rounds before a shard's scoring thread naps between wakeups
+/// (each shard backs off independently).
+constexpr int kIdleSpinRounds = 64;
+
 }  // namespace
 
 Index ShardPartition::resolve(Index requested) {
@@ -38,8 +42,7 @@ AsyncScoringRuntime::AsyncScoringRuntime(core::AnomalyDetector& detector,
   check(config_.engine.max_batch >= 1, "max_batch must be >= 1");
   core::validate(config_.engine.monitor);
   check(config_.ring_capacity >= 1, "ring_capacity must be >= 1");
-  check(config_.idle_spin_rounds >= 1, "idle_spin_rounds must be >= 1");
-  for (Index k = 0; k < partition_.n_shards; ++k) shards_.emplace_back();
+  for (Index k = 0; k < partition_.n_shards; ++k) shards_.emplace_back().id = k;
 }
 
 AsyncScoringRuntime::~AsyncScoringRuntime() {
@@ -99,21 +102,16 @@ void AsyncScoringRuntime::start() {
     }
     core::AnomalyDetector& det = shard.replica ? *shard.replica : *detector_;
     shard.engine = std::make_unique<ScoringEngine>(det, *normalizer_, config_.engine);
-    // Subset view: the engine sees this shard's streams under dense local
-    // ids but reports scores under their global ids.
+    // The engine numbers the shard's streams 0..owned-1 (local ids); emit()
+    // maps its scores back to global ids.
     const Index owned = partition_.n_owned(k, n_streams_);
-    for (Index i = 0; i < owned; ++i) shard.engine->add_stream(partition_.global_of(k, i));
+    shard.engine->add_streams(owned);
     shard.engine->set_threshold(threshold_);
-    // Ring storage: one arena per shard backing every owned stream's ring —
-    // two slab allocations instead of two per stream. Built before the
-    // accepting_/started_ stores below, so any push that observes an open
-    // intake also sees fully constructed rings.
+    // Ring storage: one arena per shard holding every owned stream's ring.
+    // Built before the accepting_/started_ stores below, so any push that
+    // observes an open intake also sees fully constructed rings.
     shard.arena =
         std::make_unique<RingArena>(owned, normalizer_->n_channels(), config_.ring_capacity);
-    for (Index i = 0; i < owned; ++i)
-      shard.rings.emplace_back(normalizer_->n_channels(), shard.arena->capacity(),
-                               shard.arena->slots(i), shard.arena->data(i),
-                               shard.arena->ts(i));
   }
 
   // accepting_ first: a push that observes started_ must find intake open.
@@ -142,20 +140,6 @@ const AsyncScoringRuntime::StreamIngest& AsyncScoringRuntime::ingest_at(Index st
       .ingest[static_cast<std::size_t>(partition_.local_of(stream))];
 }
 
-AsyncScoringRuntime::Shard& AsyncScoringRuntime::shard_at(Index shard) {
-  check(shard >= 0 && shard < n_shards(),
-        "shard id " + std::to_string(shard) + " out of range [0, " +
-            std::to_string(n_shards()) + ")");
-  return shards_[static_cast<std::size_t>(shard)];
-}
-
-const AsyncScoringRuntime::Shard& AsyncScoringRuntime::shard_at(Index shard) const {
-  check(shard >= 0 && shard < n_shards(),
-        "shard id " + std::to_string(shard) + " out of range [0, " +
-            std::to_string(n_shards()) + ")");
-  return shards_[static_cast<std::size_t>(shard)];
-}
-
 PushResult AsyncScoringRuntime::push(Index stream, const float* raw_sample, Index count,
                                      std::optional<BackpressurePolicy> requested) {
   StreamIngest& ingest = ingest_at(stream);
@@ -163,7 +147,7 @@ PushResult AsyncScoringRuntime::push(Index stream, const float* raw_sample, Inde
   if (count != normalizer_->n_channels())
     throw Error(detail::channel_mismatch_message(normalizer_->n_channels(), count));
   Shard& shard = shards_[static_cast<std::size_t>(partition_.shard_of(stream))];
-  const auto local = static_cast<std::size_t>(partition_.local_of(stream));
+  const Index local = partition_.local_of(stream);
   if (!started_.load(std::memory_order_acquire)) {
     // A closed runtime rejects (documented contract) even if it was never
     // started; pushing before start() on a live runtime is a usage error.
@@ -184,7 +168,7 @@ PushResult AsyncScoringRuntime::push(Index stream, const float* raw_sample, Inde
   if (accepting_.load(std::memory_order_seq_cst)) {
     // Safe to touch only here: an open intake implies start() finished
     // building the shard's arena-backed rings (release/acquire on started_).
-    SampleRing& ring = shard.rings[local];
+    SampleRing& ring = shard.arena->ring(local);
     // Sampled end-to-end latency: every kPushSampleEvery-th accepted push on
     // a stream stamps the ring slot with its enqueue time; the timestamp
     // rides the lane to the engine and is recorded when the sample's round
@@ -240,7 +224,7 @@ void AsyncScoringRuntime::wake_shard(Shard& shard) {
 }
 
 long AsyncScoringRuntime::drain_ring(Shard& shard, Index local, bool bounded) {
-  SampleRing& ring = shard.rings[static_cast<std::size_t>(local)];
+  SampleRing& ring = shard.arena->ring(local);
   ScoringEngine& engine = *shard.engine;
   const Index channels = ring.channels();
   const Index max_pops = bounded ? ring.capacity() : -1;
@@ -262,7 +246,9 @@ void AsyncScoringRuntime::emit(Shard& shard, std::vector<StreamScore> scores) {
   if (scores.empty()) return;
   // The one choke point every emitted score passes (steady-state rounds and
   // the final close() drain alike), so this counter is the ground truth for
-  // "scored": after close(), scored == pushed - dropped.
+  // "scored": after close(), scored == pushed - dropped. It is also the one
+  // place a score's engine-local stream id becomes its global id.
+  for (StreamScore& score : scores) score.stream = partition_.global_of(shard.id, score.stream);
   shard.scored.fetch_add(static_cast<long>(scores.size()), std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(shard.results_mu);
   shard.results.insert(shard.results.end(), scores.begin(), scores.end());
@@ -296,7 +282,7 @@ void AsyncScoringRuntime::shard_loop(Shard& shard) {
 }
 
 void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
-  const auto n = static_cast<Index>(shard.rings.size());
+  const Index n = shard.arena->n_rings();
   // Nap escalation, per shard: producers that observe this shard asleep
   // notify under its mutex, so a sleeping shard wakes immediately when its
   // own traffic resumes — and an idle shard sleeps through other shards'
@@ -354,7 +340,7 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
       }
       return;
     }
-    if (++idle < config_.idle_spin_rounds) {
+    if (++idle < kIdleSpinRounds) {
       std::this_thread::yield();
       continue;
     }
@@ -368,7 +354,7 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
       shard.asleep.store(true, std::memory_order_release);
       bool pending = stop_.load(std::memory_order_acquire);
       for (Index i = 0; i < n && !pending; ++i)
-        pending = !shard.rings[static_cast<std::size_t>(i)].empty_approx();
+        pending = !shard.arena->ring(i).empty_approx();
       if (!pending) {
         shard.naps.fetch_add(1, std::memory_order_relaxed);
         timed_out = shard.wake_cv.wait_for(lock, nap) == std::cv_status::timeout;
@@ -382,7 +368,7 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
       // Still quiet: back off harder, and go straight to the next nap after
       // one ring scan (skip the yield rounds — they are for active traffic).
       nap = std::min(nap * 2, kNapCeiling);
-      idle = config_.idle_spin_rounds;
+      idle = kIdleSpinRounds;
     } else {
       nap = kNapFloor;
       idle = 0;
@@ -426,48 +412,31 @@ void AsyncScoringRuntime::close() {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-IngestStats AsyncScoringRuntime::stats(Index stream) const {
-  const StreamIngest& ingest = ingest_at(stream);
-  IngestStats s;
-  s.pushed = ingest.pushed.load(std::memory_order_relaxed);
-  s.dropped = ingest.dropped.load(std::memory_order_relaxed);
-  s.rejected = ingest.rejected.load(std::memory_order_relaxed);
-  return s;
-}
-
 RuntimeStats AsyncScoringRuntime::stats() const {
   RuntimeStats total;
   total.streams.reserve(static_cast<std::size_t>(n_streams_));
   for (Index s = 0; s < n_streams_; ++s) {
-    total.streams.push_back(stats(s));
-    total.pushed += total.streams.back().pushed;
-    total.dropped += total.streams.back().dropped;
-    total.rejected += total.streams.back().rejected;
+    const StreamIngest& ingest = ingest_at(s);
+    IngestStats& st = total.streams.emplace_back();
+    st.pushed = ingest.pushed.load(std::memory_order_relaxed);
+    st.dropped = ingest.dropped.load(std::memory_order_relaxed);
+    st.rejected = ingest.rejected.load(std::memory_order_relaxed);
+    total.pushed += st.pushed;
+    total.dropped += st.dropped;
+    total.rejected += st.rejected;
   }
   total.shards.reserve(static_cast<std::size_t>(n_shards()));
-  for (Index k = 0; k < n_shards(); ++k) {
-    total.shards.push_back(shard_stats(k));
-    total.rounds += total.shards.back().rounds;
-    total.naps += total.shards.back().naps;
-    total.scored += total.shards.back().scored;
+  for (const Shard& sh : shards_) {
+    ShardStats& st = total.shards.emplace_back();
+    st.n_streams = static_cast<Index>(sh.ingest.size());
+    st.rounds = sh.rounds.load(std::memory_order_relaxed);
+    st.naps = sh.naps.load(std::memory_order_relaxed);
+    st.scored = sh.scored.load(std::memory_order_relaxed);
+    total.rounds += st.rounds;
+    total.naps += st.naps;
+    total.scored += st.scored;
   }
   return total;
-}
-
-long AsyncScoringRuntime::rounds() const {
-  long total = 0;
-  for (const Shard& shard : shards_) total += shard.rounds.load(std::memory_order_relaxed);
-  return total;
-}
-
-ShardStats AsyncScoringRuntime::shard_stats(Index shard) const {
-  const Shard& sh = shard_at(shard);
-  ShardStats s;
-  s.n_streams = static_cast<Index>(sh.ingest.size());
-  s.rounds = sh.rounds.load(std::memory_order_relaxed);
-  s.naps = sh.naps.load(std::memory_order_relaxed);
-  s.scored = sh.scored.load(std::memory_order_relaxed);
-  return s;
 }
 
 void ShardTelemetry::merge(const ShardTelemetry& other) {
@@ -539,16 +508,12 @@ Index AsyncScoringRuntime::samples_seen(Index stream) const {
 const ScoringEngine& AsyncScoringRuntime::shard_engine(Index shard) const {
   require_quiescent("shard_engine()");
   require_started_shards("shard_engine()");
-  const Shard& sh = shard_at(shard);
+  check(shard >= 0 && shard < n_shards(),
+        "shard id " + std::to_string(shard) + " out of range [0, " +
+            std::to_string(n_shards()) + ")");
+  const Shard& sh = shards_[static_cast<std::size_t>(shard)];
   check(sh.engine != nullptr, "shard " + std::to_string(shard) + " owns no streams");
   return *sh.engine;
-}
-
-const ScoringEngine& AsyncScoringRuntime::engine() const {
-  require_quiescent("engine()");
-  check(n_shards() == 1, "engine() on a sharded runtime: use shard_engine(shard)");
-  require_started_shards("engine()");
-  return *shards_.front().engine;
 }
 
 }  // namespace varade::serve

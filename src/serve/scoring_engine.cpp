@@ -42,30 +42,16 @@ ScoringEngine::ScoringEngine(core::AnomalyDetector& detector,
   check(state_floats_ >= 1, "ScoringEngine requires a detector with per-stream state");
 }
 
-Index ScoringEngine::add_stream() { return add_stream(n_streams()); }
-
-Index ScoringEngine::add_stream(Index global_id) {
-  if (global_id < 0)
-    throw Error("stream id " + std::to_string(global_id) +
-                " out of range: global stream ids must be >= 0");
-  // Both production callers (the dense overload and the sharded runtime's
-  // subset views) register strictly increasing ids, so the duplicate check
-  // is O(1) on the hot path and a scan only for out-of-order registration.
-  if (global_id <= max_global_id_ &&
-      std::find(global_ids_.begin(), global_ids_.end(), global_id) != global_ids_.end())
-    throw Error("stream id " + std::to_string(global_id) + " already registered");
-
+Index ScoringEngine::add_stream() {
   const Index s = n_streams();
   const Index slab = checked_mul(s + 1, state_floats_, "stream state slab");
   state_slab_.resize(static_cast<std::size_t>(slab), 0.0F);
   samples_seen_.push_back(0);
-  global_ids_.push_back(global_id);
   score_.push_back(-1.0F);
   edge_.push_back(core::AlarmEdge::None);
   alarms_.emplace_back(config_.monitor);
   pending_.emplace_back();
   pending_head_.push_back(0);
-  max_global_id_ = std::max(max_global_id_, global_id);
   return s;
 }
 
@@ -92,11 +78,6 @@ void ScoringEngine::require_stream(Index id) const {
   if (id < 0 || id >= n_streams()) throw Error(stream_range_message(id, n_streams()));
 }
 
-Index ScoringEngine::global_id(Index stream) const {
-  require_stream(stream);
-  return global_ids_[static_cast<std::size_t>(stream)];
-}
-
 void ScoringEngine::push(Index stream, const float* raw_sample, Index count,
                          std::int64_t enqueue_ns) {
   require_stream(stream);
@@ -110,38 +91,18 @@ void ScoringEngine::push(Index stream, const float* raw_sample, Index count,
   if constexpr (obs::kEnabled) pending_ts_.push_back(enqueue_ns);
 }
 
-void ScoringEngine::score_ready() {
-  const auto n_ready = static_cast<Index>(ready_.size());
-  const Index channels = channels_;
-  for (Index b = 0; b < n_ready; b += config_.max_batch) {
-    const Index rows = std::min(config_.max_batch, n_ready - b);
-    chunk_states_.resize(static_cast<std::size_t>(rows));
-    chunk_seen_.resize(static_cast<std::size_t>(rows));
-    chunk_obs_.resize(static_cast<std::size_t>(rows * channels));
-    chunk_scores_.resize(static_cast<std::size_t>(rows));
-    for (Index r = 0; r < rows; ++r) {
-      const auto i = static_cast<std::size_t>(ready_[static_cast<std::size_t>(b + r)]);
-      chunk_states_[static_cast<std::size_t>(r)] = round_states_[i];
-      chunk_seen_[static_cast<std::size_t>(r)] = round_seen_[i];
-      const float* norm = round_norm_.data() + static_cast<Index>(i) * channels;
-      std::copy(norm, norm + channels, chunk_obs_.data() + r * channels);
-    }
-    const core::StreamBatch batch{chunk_states_.data(), chunk_seen_.data(), chunk_obs_.data(),
-                                  rows, channels};
-    detector_->score_streams(batch, scratch_, chunk_scores_.data());
+void ScoringEngine::score_warm(Index n_warm) {
+  round_scores_.resize(static_cast<std::size_t>(n_warm));
+  for (Index b = 0; b < n_warm; b += config_.max_batch) {
+    const core::StreamBatch batch{round_states_.data() + b, round_seen_.data() + b,
+                                  round_norm_.data() + b * channels_,
+                                  std::min(config_.max_batch, n_warm - b), channels_};
+    detector_->score_streams(batch, scratch_, round_scores_.data() + b);
     ++forward_calls_;
-    for (Index r = 0; r < rows; ++r) {
-      const Index i = ready_[static_cast<std::size_t>(b + r)];
-      score_[static_cast<std::size_t>(active_[static_cast<std::size_t>(i)])] =
-          chunk_scores_[static_cast<std::size_t>(r)];
-    }
   }
 }
 
-void ScoringEngine::advance_active() {
-  // The round slabs are already stream-major over the active set, so every
-  // chunk is a contiguous slice of them.
-  const auto n_active = static_cast<Index>(active_.size());
+void ScoringEngine::advance_round(Index n_active) {
   for (Index b = 0; b < n_active; b += config_.max_batch) {
     const core::StreamBatch batch{round_states_.data() + b, round_seen_.data() + b,
                                   round_norm_.data() + b * channels_,
@@ -164,18 +125,23 @@ std::vector<StreamScore> ScoringEngine::step() {
     if (pending_head_[static_cast<std::size_t>(s)] <
         static_cast<Index>(pending_[static_cast<std::size_t>(s)].size()))
       active_.push_back(s);
-  // Streams drained this step(): their offset queues are reset at the end,
-  // together with the shared arena.
-  const std::vector<Index> drained = active_;
+  const bool had_work = !active_.empty();
 
   while (!active_.empty()) {
     const auto n_active = static_cast<Index>(active_.size());
     const std::int64_t t_stage = obs::tick();
 
-    // Phase 1a: stage this round's raw sample from the arena into the round
-    // slab and note each stream's state slot and fold count. The sampled
-    // enqueue timestamps ride along so push->score latency can be recorded
-    // when the round completes.
+    // Phase 1a: lay out the round slab — warm streams (their state already
+    // covers a full context) first, cold ones after, each group ascending —
+    // and stage each row's raw sample from the arena, its state slot and
+    // fold count. The sampled enqueue timestamps ride along so push->score
+    // latency can be recorded when the round completes.
+    round_streams_.clear();
+    for (Index s : active_)
+      if (samples_seen_[static_cast<std::size_t>(s)] >= window_) round_streams_.push_back(s);
+    const auto n_warm = static_cast<Index>(round_streams_.size());
+    for (Index s : active_)
+      if (samples_seen_[static_cast<std::size_t>(s)] < window_) round_streams_.push_back(s);
     round_raw_.resize(static_cast<std::size_t>(
         checked_mul(n_active, channels, "round staging slab")));
     round_norm_.resize(round_raw_.size());
@@ -183,7 +149,7 @@ std::vector<StreamScore> ScoringEngine::step() {
     round_seen_.resize(static_cast<std::size_t>(n_active));
     if constexpr (obs::kEnabled) round_ts_.resize(static_cast<std::size_t>(n_active));
     for (Index i = 0; i < n_active; ++i) {
-      const Index stream = active_[static_cast<std::size_t>(i)];
+      const Index stream = round_streams_[static_cast<std::size_t>(i)];
       const auto s = static_cast<std::size_t>(stream);
       const auto si = static_cast<std::size_t>(i);
       const Index offset = pending_[s][static_cast<std::size_t>(pending_head_[s])];
@@ -191,47 +157,42 @@ std::vector<StreamScore> ScoringEngine::step() {
       std::copy(src, src + channels, round_raw_.data() + i * channels);
       round_states_[si] = state_slab_.data() + stream * state_floats_;
       round_seen_[si] = samples_seen_[s];
-      score_[s] = -1.0F;
-      edge_[s] = core::AlarmEdge::None;
       if constexpr (obs::kEnabled) round_ts_[si] = pending_ts_[static_cast<std::size_t>(offset)];
     }
     const std::int64_t t_norm = obs::tick();
     obs::record_span(phase_hist_[0], t_stage, t_norm);
 
-    // Phase 1b: vectorised normalisation of the whole round in stream-major
-    // order — the same arithmetic per element as transform_sample, so
-    // results are bit-identical.
+    // Phase 1b: vectorised normalisation of the whole round slab.
     normalizer_->transform_rows(round_raw_.data(), n_active, round_norm_.data());
     const std::int64_t t_normed = obs::tick();
     obs::record_span(phase_hist_[1], t_norm, t_normed);
 
-    // Warm streams: their state already covers a full context.
-    ready_.clear();
-    for (Index i = 0; i < n_active; ++i)
-      if (round_seen_[static_cast<std::size_t>(i)] >= window_) ready_.push_back(i);
-
-    // Phase 2: score the warm streams from their states, before this
-    // round's sample is folded in (a sample is scored against the samples
-    // before it).
+    // Phase 2: score the warm prefix from its states, before this round's
+    // sample is folded in (a sample is scored against the samples before it).
     std::int64_t t_gather = t_normed;
-    if (!ready_.empty()) {
-      score_ready();
+    if (n_warm > 0) {
+      score_warm(n_warm);
       t_gather = obs::tick();
       obs::record_span(phase_hist_[3], t_normed, t_gather);
     }
 
-    // Phase 3: fold every active stream's sample into its state.
-    advance_active();
+    // Phase 3: fold every staged sample into its state.
+    advance_round(n_active);
     const std::int64_t t_alarm = obs::tick();
     obs::record_span(phase_hist_[2], t_gather, t_alarm);
 
-    // Phase 4: alarm update.
+    // Phase 4: alarm update; cold rows report -1 and make no transition.
     for (Index i = 0; i < n_active; ++i) {
-      const auto s = static_cast<std::size_t>(active_[static_cast<std::size_t>(i)]);
+      const auto s = static_cast<std::size_t>(round_streams_[static_cast<std::size_t>(i)]);
       ++samples_seen_[s];
-      if (round_seen_[static_cast<std::size_t>(i)] >= window_)
-        edge_[s] = alarms_[s].update(score_[s], threshold_, samples_seen_[s] - 1);
       ++pending_head_[s];
+      if (i < n_warm) {
+        score_[s] = round_scores_[static_cast<std::size_t>(i)];
+        edge_[s] = alarms_[s].update(score_[s], threshold_, samples_seen_[s] - 1);
+      } else {
+        score_[s] = -1.0F;
+        edge_[s] = core::AlarmEdge::None;
+      }
     }
     if constexpr (obs::kEnabled) {
       const std::int64_t t_done = obs::now_ns();
@@ -244,30 +205,29 @@ std::vector<StreamScore> ScoringEngine::step() {
       }
     }
 
-    for (Index s : active_) {
-      const auto si = static_cast<std::size_t>(s);
-      out.push_back({global_ids_[si], samples_seen_[si] - 1, score_[si], edge_[si]});
-    }
-
+    // Emit in ascending stream id, and carry the streams with more buffered
+    // work into the next round. A stream whose last sample was just consumed
+    // resets its offset queue (capacity retained).
     next_active_.clear();
-    for (Index s : active_) {
-      const auto si = static_cast<std::size_t>(s);
-      if (pending_head_[si] < static_cast<Index>(pending_[si].size())) next_active_.push_back(s);
+    for (Index stream : active_) {
+      const auto s = static_cast<std::size_t>(stream);
+      out.push_back({stream, samples_seen_[s] - 1, score_[s], edge_[s]});
+      if (pending_head_[s] < static_cast<Index>(pending_[s].size())) {
+        next_active_.push_back(stream);
+      } else {
+        pending_[s].clear();
+        pending_head_[s] = 0;
+      }
     }
     std::swap(active_, next_active_);
   }
 
-  // All buffered work consumed: reset the offset queues (capacity retained)
-  // and the shared arena, so push() restarts from a compact staging area.
-  for (Index s : drained) {
-    const auto si = static_cast<std::size_t>(s);
-    pending_[si].clear();
-    pending_head_[si] = 0;
-  }
+  // All buffered work consumed: reset the shared arena, so push() restarts
+  // from a compact staging area.
   pending_arena_.clear();
   if constexpr (obs::kEnabled) {
     pending_ts_.clear();
-    if (!drained.empty()) step_hist_.record(obs::now_ns() - t_step);
+    if (had_work) step_hist_.record(obs::now_ns() - t_step);
   }
   return out;
 }

@@ -125,12 +125,14 @@ TEST(ShardedRuntime, ClampsShardsToStreamsAndReportsStats) {
   runtime.add_streams(2);
   EXPECT_EQ(runtime.n_shards(), 4);
   EXPECT_EQ(runtime.n_active_shards(), 2);  // shards 2 and 3 stay empty
-  EXPECT_EQ(runtime.shard_stats(0).n_streams, 1);
-  EXPECT_EQ(runtime.shard_stats(1).n_streams, 1);
-  EXPECT_EQ(runtime.shard_stats(2).n_streams, 0);
-  EXPECT_EQ(runtime.shard_stats(3).n_streams, 0);
-  EXPECT_THROW(runtime.shard_stats(4), Error);
-  EXPECT_THROW(runtime.shard_stats(-1), Error);
+  {
+    const RuntimeStats before = runtime.stats();
+    ASSERT_EQ(before.shards.size(), 4U);
+    EXPECT_EQ(before.shards[0].n_streams, 1);
+    EXPECT_EQ(before.shards[1].n_streams, 1);
+    EXPECT_EQ(before.shards[2].n_streams, 0);
+    EXPECT_EQ(before.shards[3].n_streams, 0);
+  }
 
   runtime.set_threshold(1e9F);
   runtime.start();
@@ -140,10 +142,6 @@ TEST(ShardedRuntime, ClampsShardsToStreamsAndReportsStats) {
   runtime.close();
   EXPECT_EQ(runtime.samples_seen(0), 1);
   EXPECT_EQ(runtime.samples_seen(1), 1);
-  // Empty shards never ran a round.
-  EXPECT_EQ(runtime.shard_stats(2).rounds, 0);
-  EXPECT_EQ(runtime.shard_stats(3).rounds, 0);
-
   // The aggregate snapshot spans every stream and every shard (including
   // the empty ones) and sums across the shard map.
   const RuntimeStats total = runtime.stats();
@@ -154,8 +152,10 @@ TEST(ShardedRuntime, ClampsShardsToStreamsAndReportsStats) {
   EXPECT_EQ(total.streams[0].pushed, 1);
   EXPECT_EQ(total.streams[1].pushed, 1);
   ASSERT_EQ(total.shards.size(), 4U);
-  EXPECT_EQ(total.rounds, runtime.rounds());
-  EXPECT_EQ(total.shards[2].rounds + total.shards[3].rounds, 0);
+  EXPECT_EQ(total.rounds, total.shards[0].rounds + total.shards[1].rounds);
+  // Empty shards never ran a round.
+  EXPECT_EQ(total.shards[2].rounds, 0);
+  EXPECT_EQ(total.shards[3].rounds, 0);
 }
 
 TEST(ShardedRuntime, GlobalStreamIdWordingSurvivesRemapping) {
@@ -184,30 +184,52 @@ TEST(ShardedRuntime, GlobalStreamIdWordingSurvivesRemapping) {
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()), "stream id 8 out of range [0, 8)");
   }
-  EXPECT_THROW(runtime.stats(12), Error);
   EXPECT_THROW(runtime.samples_seen(-1), Error);
 }
 
-TEST(ShardedRuntime, ShardEngineAccessorsAndSubsetView) {
-  AsyncRuntimeConfig cfg;
-  cfg.n_shards = 2;
-  AsyncScoringRuntime runtime(rig().detector, rig().normalizer, cfg);
-  runtime.add_streams(5);
-  runtime.set_threshold(1e9F);
-  EXPECT_THROW(runtime.shard_engine(0), Error);  // shards are built by start()
-  EXPECT_THROW(runtime.engine(), Error);         // and engine() needs 1 shard
-  runtime.start();
-  EXPECT_THROW(runtime.shard_engine(0), Error);  // races with the scorers
-  runtime.close();
-  // Modulo partition: shard 0 owns {0, 2, 4}, shard 1 owns {1, 3}, each
-  // under dense local ids that map back to the global ones.
-  ASSERT_EQ(runtime.shard_engine(0).n_streams(), 3);
-  ASSERT_EQ(runtime.shard_engine(1).n_streams(), 2);
-  EXPECT_EQ(runtime.shard_engine(0).global_id(1), 2);
-  EXPECT_EQ(runtime.shard_engine(0).global_id(2), 4);
-  EXPECT_EQ(runtime.shard_engine(1).global_id(0), 1);
-  EXPECT_EQ(runtime.shard_engine(1).global_id(1), 3);
-  EXPECT_THROW(runtime.engine(), Error);  // sharded: must name a shard
+TEST(ShardedRuntime, ShardEngineAccessorsAndLocalIds) {
+  constexpr Index kStreams = 5;
+  constexpr Index kSamples = 3;
+  const std::vector<float> sample(3, 0.25F);
+  for (const Index n_shards : {Index{2}, Index{3}}) {
+    SCOPED_TRACE("n_shards=" + std::to_string(n_shards));
+    AsyncRuntimeConfig cfg;
+    cfg.n_shards = n_shards;
+    AsyncScoringRuntime runtime(rig().detector, rig().normalizer, cfg);
+    runtime.add_streams(kStreams);
+    runtime.set_threshold(1e9F);
+    EXPECT_THROW(runtime.shard_engine(0), Error);  // shards are built by start()
+    runtime.start();
+    EXPECT_THROW(runtime.shard_engine(0), Error);  // races with the scorers
+    for (Index t = 0; t < kSamples; ++t)
+      for (Index s = 0; s < kStreams; ++s)
+        ASSERT_EQ(runtime.push(s, sample.data(), 3), PushResult::Ok);
+    runtime.close();
+
+    // Modulo partition: 2 shards own {0, 2, 4} and {1, 3}; 3 shards own
+    // {0, 3}, {1, 4} and {2}. Each engine numbers its streams 0..owned-1.
+    const std::vector<Index> owned =
+        n_shards == 2 ? std::vector<Index>{3, 2} : std::vector<Index>{2, 2, 1};
+    for (Index k = 0; k < n_shards; ++k) {
+      const ScoringEngine& engine = runtime.shard_engine(k);
+      ASSERT_EQ(engine.n_streams(), owned[static_cast<std::size_t>(k)]);
+      for (Index local = 0; local < engine.n_streams(); ++local)
+        EXPECT_EQ(engine.samples_seen(local), kSamples);
+      EXPECT_THROW(engine.samples_seen(engine.n_streams()), Error);
+    }
+    EXPECT_THROW(runtime.shard_engine(n_shards), Error);
+
+    // The runtime's result path reports global ids: every stream exactly
+    // once per sample, in sample order.
+    std::vector<std::vector<Index>> seen(kStreams);
+    for (const StreamScore& r : runtime.drain_scores()) {
+      ASSERT_GE(r.stream, 0);
+      ASSERT_LT(r.stream, kStreams);
+      seen[static_cast<std::size_t>(r.stream)].push_back(r.sample);
+    }
+    for (Index s = 0; s < kStreams; ++s)
+      EXPECT_EQ(seen[static_cast<std::size_t>(s)], (std::vector<Index>{0, 1, 2})) << "stream " << s;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -394,14 +416,14 @@ TEST(ShardedRuntime, CloseMidStreamDrainsEveryShard) {
 
   long total = 0;
   for (Index s = 0; s < 6; ++s) {
-    EXPECT_EQ(runtime.stats(s).pushed, 400);
+    EXPECT_EQ(runtime.stats().streams[static_cast<std::size_t>(s)].pushed, 400);
     EXPECT_EQ(runtime.samples_seen(s), 400) << "stream " << s << " not fully drained";
     total += runtime.samples_seen(s);
   }
   const auto scores = runtime.drain_scores();
   EXPECT_EQ(static_cast<long>(scores.size()), total);
   EXPECT_TRUE(runtime.drain_scores().empty());
-  EXPECT_GT(runtime.rounds(), 0);
+  EXPECT_GT(runtime.stats().rounds, 0);
 }
 
 TEST(ShardedRuntime, IdleShardSleepsWhileAnotherIsHot) {
@@ -425,8 +447,9 @@ TEST(ShardedRuntime, IdleShardSleepsWhileAnotherIsHot) {
 
   EXPECT_EQ(runtime.samples_seen(0), 600);
   EXPECT_EQ(runtime.samples_seen(1), 0);
-  const ShardStats hot = runtime.shard_stats(0);
-  const ShardStats idle = runtime.shard_stats(1);
+  const RuntimeStats stats = runtime.stats();
+  const ShardStats hot = stats.shards[0];
+  const ShardStats idle = stats.shards[1];
   EXPECT_GT(hot.rounds, 0);
   EXPECT_EQ(idle.rounds, 0);      // nothing to score
   EXPECT_GE(idle.naps, 1) << "idle shard never slept: busy-spinning?";

@@ -7,19 +7,18 @@
 //    events, the lot (`parity` label, runs under ASan/UBSan in CI);
 //  - ragged warm-up: streams at different warm-up levels (empty, below,
 //    at, above the window) share one state slab without interfering;
-//  - RingArena: arena-backed SampleRings stay isolated under concurrent
-//    producers/poppers and size_approx() stays within bounds under
-//    contention (`concurrency` label, runs under TSan);
-//  - regression tests for the three bugfixes: raw-pointer push validates
-//    its explicit length, add_stream(global_id) rejects negative/duplicate
-//    ids, and size arithmetic is overflow-checked instead of wrapping.
+//  - RingArena: the rings it builds over its slabs stay isolated under
+//    concurrent producers/poppers and size_approx() stays within bounds
+//    under contention (`concurrency` label, runs under TSan);
+//  - regression tests for the push-path bugfixes: raw-pointer push
+//    validates its explicit length, and size arithmetic is overflow-checked
+//    instead of wrapping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <string>
@@ -280,41 +279,8 @@ TEST(SlabRuntime, PushValidatesSampleLength) {
   runtime.close();
   EXPECT_EQ(runtime.samples_seen(0), 1);
   // Rejected pushes never reached the ring or the counters.
-  EXPECT_EQ(runtime.stats(0).pushed, 1);
-  EXPECT_EQ(runtime.stats(0).rejected, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Bugfix regressions: add_stream(global_id) rejects bad ids
-// ---------------------------------------------------------------------------
-
-TEST(SlabEngine, AddStreamRejectsNegativeAndDuplicateIds) {
-  ScoringEngine engine(rig().detector, rig().normalizer);
-  try {
-    engine.add_stream(-1);
-    FAIL() << "negative id did not throw";
-  } catch (const Error& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "stream id -1 out of range: global stream ids must be >= 0");
-  }
-  EXPECT_EQ(engine.n_streams(), 0);  // the failed call registered nothing
-
-  // In-order duplicates (the O(1) fast path) and out-of-order duplicates
-  // (the scan path) are both rejected.
-  engine.add_streams(5);
-  try {
-    engine.add_stream(3);
-    FAIL() << "duplicate id did not throw";
-  } catch (const Error& e) {
-    EXPECT_EQ(std::string(e.what()), "stream id 3 already registered");
-  }
-  EXPECT_EQ(engine.add_stream(10), 5);  // sparse forward registration is fine
-  EXPECT_THROW(engine.add_stream(10), Error);
-  EXPECT_EQ(engine.add_stream(7), 6);  // backfill between registered ids
-  EXPECT_THROW(engine.add_stream(7), Error);
-  EXPECT_EQ(engine.n_streams(), 7);
-  EXPECT_EQ(engine.global_id(5), 10);
-  EXPECT_EQ(engine.global_id(6), 7);
+  EXPECT_EQ(runtime.stats().streams[0].pushed, 1);
+  EXPECT_EQ(runtime.stats().streams[0].rejected, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -343,11 +309,10 @@ TEST(RingArenaTest, ChecksSizingAndRange) {
   EXPECT_EQ(arena.n_rings(), 4);
   EXPECT_EQ(arena.channels(), 3);
   EXPECT_EQ(arena.capacity(), 64);  // rounded up to a power of two
-  EXPECT_NE(arena.slots(0), nullptr);
-  EXPECT_NE(arena.data(3), nullptr);
-  EXPECT_THROW(arena.slots(-1), Error);
-  EXPECT_THROW(arena.slots(4), Error);
-  EXPECT_THROW(arena.data(4), Error);
+  EXPECT_EQ(arena.ring(0).capacity(), 64);
+  EXPECT_EQ(arena.ring(3).channels(), 3);
+  EXPECT_THROW(arena.ring(-1), Error);
+  EXPECT_THROW(arena.ring(4), Error);
   // A fleet configuration whose slabs cannot fit in Index fails loudly at
   // construction instead of wrapping into a small allocation.
   EXPECT_THROW(RingArena(1L << 40, 1L << 20, 1L << 20), Error);
@@ -362,9 +327,6 @@ TEST(RingArenaTest, CrossRingIsolationUnderContention) {
   constexpr Index kChannels = 3;
   constexpr Index kPerRing = 1500;
   RingArena arena(kRings, kChannels, 64);
-  std::deque<SampleRing> rings;
-  for (Index i = 0; i < kRings; ++i)
-    rings.emplace_back(kChannels, arena.capacity(), arena.slots(i), arena.data(i));
 
   // One producer and one popper per ring, all rings concurrently active over
   // the shared slabs. Samples are tagged {ring, seq, ring * 10000 + seq}: a
@@ -379,14 +341,17 @@ TEST(RingArenaTest, CrossRingIsolationUnderContention) {
         sample[0] = static_cast<float>(i);
         sample[1] = static_cast<float>(seq);
         sample[2] = static_cast<float>(i * 10000 + seq);
-        while (!rings[static_cast<std::size_t>(i)].try_push(sample)) std::this_thread::yield();
+        while (!arena.ring(i).try_push(sample)) std::this_thread::yield();
       }
     });
     threads.emplace_back([&, i] {
       float sample[kChannels];
       Index expected = 0;
       while (expected < kPerRing) {
-        if (!rings[static_cast<std::size_t>(i)].try_pop(sample)) {
+        const bool popped = arena.ring(i).try_pop_with([&](const float* slot, std::int64_t) {
+          std::copy(slot, slot + kChannels, sample);
+        });
+        if (!popped) {
           std::this_thread::yield();
           continue;
         }
@@ -403,7 +368,7 @@ TEST(RingArenaTest, CrossRingIsolationUnderContention) {
   // negative, never beyond capacity.
   for (int poll = 0; poll < 2000; ++poll) {
     for (Index i = 0; i < kRings; ++i) {
-      const Index size = rings[static_cast<std::size_t>(i)].size_approx();
+      const Index size = arena.ring(i).size_approx();
       ASSERT_GE(size, 0);
       ASSERT_LE(size, arena.capacity());
     }
@@ -412,8 +377,8 @@ TEST(RingArenaTest, CrossRingIsolationUnderContention) {
   for (auto& t : threads) t.join();
   EXPECT_FALSE(failed.load());
   for (Index i = 0; i < kRings; ++i) {
-    EXPECT_TRUE(rings[static_cast<std::size_t>(i)].empty_approx());
-    EXPECT_EQ(rings[static_cast<std::size_t>(i)].size_approx(), 0);  // exact once quiescent
+    EXPECT_TRUE(arena.ring(i).empty_approx());
+    EXPECT_EQ(arena.ring(i).size_approx(), 0);  // exact once quiescent
   }
 }
 
