@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nNotes: resource and frequency columns estimate the paper-scale architectures on the\n"
       "modelled boards (calibrated against the published idle rows); AUC is measured on the\n"
-      "simulated KUKA collision experiment at the active profile's scale. See EXPERIMENTS.md.\n");
+      "simulated KUKA collision experiment at the active profile's scale (repro VARADE uses\n"
+      "lambda = 1, not the paper's 0.01; see bench_ablation_lambda).\n");
   return 0;
 }

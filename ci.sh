@@ -19,9 +19,19 @@
 #
 # --sanitize instead builds the library and tests under ASan + UBSan
 # (RelWithDebInfo, VARADE_SANITIZE=ON, separate build-asan tree) and runs the
-# parity label — the batched gathers and native score_batch paths of all six
-# detectors, including the fuzz suite, and the packed nn inference kernels
-# against their scalar reference (test_nn_layers), memory-checked.
+# parity and training labels — the batched gathers and native score_batch
+# paths of all six detectors, including the fuzz suite, the packed nn
+# inference kernels against their scalar reference (test_nn_layers), and the
+# training loop with its losses, optimizer, weight serializer and every
+# neural fit, memory-checked.
+#
+# --numeric checks the numeric contract across builds: it builds
+# bench_fingerprint twice, once with the default flags and once with
+# -march=x86-64-v3 (AVX2 + FMA), runs both on this host and diffs the output
+# (the trained loss histories, every detector's score hash and a simulator
+# recording's hash) byte for byte. It fails rather than skips on a host
+# without AVX2/FMA. Both builds run on one host because libm may dispatch
+# exp/sin on the CPU: identity across hosts stays unverified.
 #
 # --tsan builds under ThreadSanitizer (VARADE_TSAN=ON, separate build-tsan
 # tree) and runs the concurrency label — the async ingestion runtime
@@ -49,10 +59,37 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   echo "== build (-j$JOBS) =="
   cmake --build "$BUILD_DIR" -j "$JOBS"
 
-  echo "== test (parity label under ASan/UBSan) =="
-  ctest --test-dir "$BUILD_DIR" -L parity --output-on-failure -j "$JOBS"
+  echo "== test (parity and training labels under ASan/UBSan) =="
+  ctest --test-dir "$BUILD_DIR" -L 'parity|training' --output-on-failure -j "$JOBS"
 
   echo "CI OK (sanitize)"
+  exit 0
+fi
+
+if [[ "${1:-}" == "--numeric" ]]; then
+  for FLAG in avx2 fma; do
+    grep -qw "$FLAG" /proc/cpuinfo \
+      || { echo "FATAL: this host lacks $FLAG; --numeric needs an x86-64-v3 CPU"; exit 1; }
+  done
+  # numeric_build <build dir> <CMAKE_CXX_FLAGS>
+  numeric_build() {
+    echo "== configure + build bench_fingerprint (CXX flags: '$2') =="
+    cmake -B "$1" -S . \
+      -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_CXX_FLAGS="$2" \
+      -DVARADE_BUILD_TESTS=OFF \
+      -DVARADE_BUILD_EXAMPLES=OFF
+    cmake --build "$1" -j "$JOBS" --target bench_fingerprint
+    "$1/bench/bench_fingerprint" > "$1/fingerprint.txt"
+  }
+  numeric_build build-numeric ""
+  numeric_build build-numeric-v3 "-march=x86-64-v3"
+
+  echo "== diff: default vs -march=x86-64-v3 =="
+  diff -u build-numeric/fingerprint.txt build-numeric-v3/fingerprint.txt
+  cat build-numeric/fingerprint.txt
+
+  echo "CI OK (numeric)"
   exit 0
 fi
 

@@ -5,6 +5,7 @@
 //  3. normalise with training statistics, train VARADE,
 //  4. score the test stream with the predicted variance and evaluate AUC-ROC.
 #include <cstdio>
+#include <vector>
 
 #include "varade/core/varade.hpp"
 #include "varade/data/normalize.hpp"
@@ -49,10 +50,13 @@ int main() {
   cfg.epochs = 16;
   cfg.learning_rate = 1e-3F;
   cfg.train_stride = 4;
-  cfg.verbose = true;
   core::VaradeDetector detector(cfg);
   std::printf("training VARADE (%ld-sample window)...\n", cfg.window);
   detector.fit(train);
+  const std::vector<float>& losses = detector.loss_history();
+  for (std::size_t epoch = 0; epoch < losses.size(); ++epoch)
+    std::printf("[VARADE] epoch %zu/%zu  loss %.5f\n", epoch + 1, losses.size(),
+                static_cast<double>(losses[epoch]));
 
   // --- 4. score the stream and evaluate --------------------------------------
   const core::SeriesScores scores = detector.score_series(test, /*stride=*/2);

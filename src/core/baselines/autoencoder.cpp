@@ -1,11 +1,9 @@
 #include "varade/core/baselines/autoencoder.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "varade/core/trainer.hpp"
 #include "varade/nn/loss.hpp"
-#include "varade/nn/optimizer.hpp"
 
 namespace varade::core {
 
@@ -46,43 +44,18 @@ std::unique_ptr<AnomalyDetector> AutoencoderDetector::clone_fitted() const {
 }
 
 void AutoencoderDetector::fit(const data::MultivariateSeries& train) {
-  check(train.length() > config_.window + 1, "AE training series shorter than one window");
-  n_channels_ = train.n_channels();
   Rng rng(config_.seed);
-  model_ = build_model(n_channels_, rng);
-
-  const data::WindowDataset dataset(train, {config_.window, config_.train_stride});
-  check(dataset.size() > 0, "no training windows available");
-
-  nn::Adam optimizer(config_.learning_rate);
-  auto params = model_->parameters();
-  loss_history_.clear();
-
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    const auto batches = make_batches(dataset.size(), config_.batch_size, rng);
-    double epoch_loss = 0.0;
-    long n_batches = 0;
-    for (const auto& batch : batches) {
-      Tensor contexts;
-      Tensor targets_unused;
-      dataset.gather(batch, contexts, targets_unused);
-
-      model_->zero_grad();
-      const Tensor recon = model_->forward(contexts);
-      const nn::LossResult loss = nn::mse_loss(recon, contexts);
-      check(std::isfinite(loss.value), "AE training diverged (non-finite loss)");
-      model_->backward(loss.grad);
-      nn::clip_grad_norm(params, config_.grad_clip);
-      optimizer.step(params);
-
-      epoch_loss += loss.value;
-      ++n_batches;
-    }
-    const float mean_loss = static_cast<float>(epoch_loss / std::max(1L, n_batches));
-    loss_history_.push_back(mean_loss);
-    if (config_.verbose)
-      std::printf("[AE] epoch %d/%d  loss %.5f\n", epoch + 1, config_.epochs, mean_loss);
-  }
+  auto model = build_model(train.n_channels(), rng);
+  std::vector<float> history = train_minibatches(
+      train, {name(), {config_.window, config_.train_stride}, config_.epochs, config_.learning_rate},
+      model->parameters(), rng, [&](const Tensor& contexts, const Tensor& /*targets*/) {
+        const nn::LossResult loss = nn::mse_loss(model->forward(contexts), contexts);
+        model->backward(loss.grad);
+        return loss.value;
+      });
+  n_channels_ = train.n_channels();
+  model_ = std::move(model);
+  loss_history_ = std::move(history);
 }
 
 Tensor AutoencoderDetector::reconstruct(const Tensor& window) {

@@ -19,14 +19,11 @@ struct ArLstmConfig {
   Index window = 512;
   Index hidden = 256;   // paper: 256 feature maps
   int n_layers = 5;     // paper: 5 recurrent layers
-  // Training.
+  // Training (core::train_minibatches: Adam on shuffled batches of 32).
   int epochs = 5;
-  Index batch_size = 32;
   float learning_rate = 1e-5F;  // paper section 3.4
   Index train_stride = 1;
-  float grad_clip = 5.0F;
   std::uint64_t seed = 2;
-  bool verbose = false;
 };
 
 class ArLstmDetector : public AnomalyDetector {

@@ -24,14 +24,11 @@ namespace varade::core {
 struct AutoencoderConfig {
   Index window = 512;
   Index base_channels = 128;  // feature maps after the first conv
-  // Training.
+  // Training (core::train_minibatches: Adam on shuffled batches of 32).
   int epochs = 10;
-  Index batch_size = 32;
   float learning_rate = 1e-5F;  // paper section 3.4
   Index train_stride = 1;
-  float grad_clip = 5.0F;
   std::uint64_t seed = 3;
-  bool verbose = false;
 };
 
 class AutoencoderDetector : public AnomalyDetector {

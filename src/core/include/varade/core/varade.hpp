@@ -32,14 +32,11 @@ struct VaradeConfig {
   /// Disable for the width-ablation bench (constant-width trunk).
   bool channel_doubling = true;
   float lambda = 0.01F;      // KL weight in Eq. 7
-  // Training.
+  // Training (core::train_minibatches: Adam on shuffled batches of 32).
   int epochs = 10;
-  Index batch_size = 32;
   float learning_rate = 1e-5F;  // paper section 3.4 (Adam, fixed 1e-5)
   Index train_stride = 1;       // hop between training windows
-  float grad_clip = 5.0F;
   std::uint64_t seed = 1;
-  bool verbose = false;
 };
 
 /// Number of conv layers for a window size: halve until the time dimension

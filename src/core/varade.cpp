@@ -2,33 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 
 #include "varade/core/trainer.hpp"
-#include "varade/nn/optimizer.hpp"
 #include "varade/nn/serialize.hpp"
 
 namespace varade::core {
 
 namespace {
-
-// Adapter exposing a VaradeModel's parameters through the nn::Module
-// interface so the weight serializer can stream them.
-class VaradeParams : public nn::Module {
- public:
-  explicit VaradeParams(VaradeModel& model) : model_(&model) {}
-  Tensor forward(const Tensor&) override { fail("VaradeParams is serialization-only"); }
-  Tensor backward(const Tensor&) override { fail("VaradeParams is serialization-only"); }
-  std::vector<nn::Parameter*> parameters() override { return model_->parameters(); }
-  std::string name() const override { return "VaradeParams"; }
-  Shape output_shape(const Shape& in) const override { return in; }
-  long flops(const Shape&) const override { return 0; }
-
- private:
-  VaradeModel* model_;
-};
 
 constexpr char kDetectorMagic[4] = {'V', 'R', 'D', 'D'};
 constexpr std::uint32_t kDetectorVersion = 1;
@@ -148,45 +130,19 @@ VaradeDetector::VaradeDetector(VaradeConfig config) : config_(config) {
 }
 
 void VaradeDetector::fit(const data::MultivariateSeries& train) {
-  check(train.length() > config_.window + 1,
-        "VARADE training series shorter than one window");
   Rng rng(config_.seed);
   auto model = std::make_unique<VaradeModel>(train.n_channels(), config_, rng);
-
-  const data::WindowDataset dataset(train, {config_.window, config_.train_stride});
-  check(dataset.size() > 0, "no training windows available");
-
-  nn::Adam optimizer(config_.learning_rate);
-  auto params = model->parameters();
-  loss_history_.clear();
-
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    const auto batches = make_batches(dataset.size(), config_.batch_size, rng);
-    double epoch_loss = 0.0;
-    long n_batches = 0;
-    for (const auto& batch : batches) {
-      Tensor contexts;
-      Tensor targets;
-      dataset.gather(batch, contexts, targets);
-
-      model->zero_grad();
-      VaradeModel::Output out = model->forward(contexts);
-      const nn::VariationalLossResult loss =
-          nn::elbo_loss(out.mu, out.logvar, targets, config_.lambda);
-      check(std::isfinite(loss.value), "VARADE training diverged (non-finite loss)");
-      model->backward(loss.grad_mu, loss.grad_logvar);
-      nn::clip_grad_norm(params, config_.grad_clip);
-      optimizer.step(params);
-
-      epoch_loss += loss.value;
-      ++n_batches;
-    }
-    const float mean_loss = static_cast<float>(epoch_loss / std::max(1L, n_batches));
-    loss_history_.push_back(mean_loss);
-    if (config_.verbose)
-      std::printf("[VARADE] epoch %d/%d  loss %.5f\n", epoch + 1, config_.epochs, mean_loss);
-  }
+  std::vector<float> history = train_minibatches(
+      train, {name(), {config_.window, config_.train_stride}, config_.epochs, config_.learning_rate},
+      model->parameters(), rng, [&](const Tensor& contexts, const Tensor& targets) {
+        const VaradeModel::Output out = model->forward(contexts);
+        const nn::VariationalLossResult loss =
+            nn::elbo_loss(out.mu, out.logvar, targets, config_.lambda);
+        model->backward(loss.grad_mu, loss.grad_logvar);
+        return loss.value;
+      });
   install(std::move(model));
+  loss_history_ = std::move(history);
 }
 
 void VaradeDetector::install(std::unique_ptr<VaradeModel> model) {
@@ -337,8 +293,7 @@ void VaradeDetector::save(const std::string& path) const {
   write_pod(f, static_cast<std::int64_t>(config_.window));
   write_pod(f, static_cast<std::int64_t>(config_.base_channels));
   write_pod(f, config_.lambda);
-  VaradeParams params(*model_);
-  nn::save_weights(params, f);
+  nn::save_weights(model_->parameters(), f);
   check(static_cast<bool>(f), "failed writing detector file");
 }
 
@@ -366,8 +321,7 @@ void VaradeDetector::load(const std::string& path) {
 
   Rng rng(config.seed);
   auto model = std::make_unique<VaradeModel>(in_channels, config, rng);
-  VaradeParams params(*model);
-  nn::load_weights(params, f);
+  nn::load_weights(model->parameters(), f);
   install(std::move(model));
   config_ = config;
   loss_history_.clear();

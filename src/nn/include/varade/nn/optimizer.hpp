@@ -1,5 +1,6 @@
-// Gradient-descent optimizers. The paper trains all neural models with Adam
-// at a fixed learning rate of 1e-5 (section 3.4).
+// The optimizer and gradient clipping of core::train_minibatches. The paper
+// trains all neural models with Adam at a fixed learning rate of 1e-5
+// (section 3.4).
 #pragma once
 
 #include <unordered_map>
@@ -9,31 +10,12 @@
 
 namespace varade::nn {
 
-/// Interface for parameter-update rules.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Applies one update using the gradients currently accumulated in `params`.
-  virtual void step(const std::vector<Parameter*>& params) = 0;
-};
-
-/// Plain stochastic gradient descent with optional classical momentum.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float lr, float momentum = 0.0F);
-  void step(const std::vector<Parameter*>& params) override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::unordered_map<Parameter*, Tensor> velocity_;
-};
-
 /// Adam (Kingma & Ba) with bias correction.
-class Adam : public Optimizer {
+class Adam {
  public:
   explicit Adam(float lr, float beta1 = 0.9F, float beta2 = 0.999F, float eps = 1e-8F);
-  void step(const std::vector<Parameter*>& params) override;
+  /// Applies one update using the gradients currently accumulated in `params`.
+  void step(const std::vector<Parameter*>& params);
 
  private:
   struct State {

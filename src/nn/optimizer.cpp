@@ -4,25 +4,6 @@
 
 namespace varade::nn {
 
-Sgd::Sgd(float lr, float momentum) : lr_(lr), momentum_(momentum) {
-  check(lr > 0.0F, "Sgd learning rate must be positive");
-  check(momentum >= 0.0F && momentum < 1.0F, "Sgd momentum must be in [0, 1)");
-}
-
-void Sgd::step(const std::vector<Parameter*>& params) {
-  for (Parameter* p : params) {
-    if (momentum_ == 0.0F) {
-      axpy(-lr_, p->grad, p->value);
-      continue;
-    }
-    auto [it, inserted] = velocity_.try_emplace(p, Tensor(p->value.shape()));
-    Tensor& v = it->second;
-    v *= momentum_;
-    axpy(1.0F, p->grad, v);
-    axpy(-lr_, v, p->value);
-  }
-}
-
 Adam::Adam(float lr, float beta1, float beta2, float eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   check(lr > 0.0F, "Adam learning rate must be positive");

@@ -1,7 +1,6 @@
 #include "varade/nn/serialize.hpp"
 
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -27,8 +26,7 @@ T read_pod(std::istream& in) {
 
 }  // namespace
 
-void save_weights(Module& module, std::ostream& out) {
-  auto params = module.parameters();
+void save_weights(const std::vector<Parameter*>& params, std::ostream& out) {
   out.write(kMagic, sizeof(kMagic));
   write_pod(out, kVersion);
   write_pod(out, static_cast<std::uint64_t>(params.size()));
@@ -43,20 +41,13 @@ void save_weights(Module& module, std::ostream& out) {
   check(static_cast<bool>(out), "failed writing weight stream");
 }
 
-void save_weights(Module& module, const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  check(f.is_open(), "cannot open for writing: " + path);
-  save_weights(module, f);
-}
-
-void load_weights(Module& module, std::istream& in) {
+void load_weights(const std::vector<Parameter*>& params, std::istream& in) {
   char magic[4];
   in.read(magic, sizeof(magic));
   check(static_cast<bool>(in) && std::equal(magic, magic + 4, kMagic),
         "not a varade weight stream (bad magic)");
   const auto version = read_pod<std::uint32_t>(in);
   check(version == kVersion, "unsupported weight format version " + std::to_string(version));
-  auto params = module.parameters();
   const auto count = read_pod<std::uint64_t>(in);
   check(count == params.size(), "weight stream has " + std::to_string(count) +
                                     " parameters, module expects " +
@@ -80,12 +71,6 @@ void load_weights(Module& module, std::istream& in) {
             static_cast<std::streamsize>(p->value.numel() * sizeof(float)));
     check(static_cast<bool>(in), "unexpected end of weight stream");
   }
-}
-
-void load_weights(Module& module, const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  check(f.is_open(), "cannot open for reading: " + path);
-  load_weights(module, f);
 }
 
 }  // namespace varade::nn

@@ -349,6 +349,53 @@ TEST(IForestDetector, BeatsChanceOnPlantedAnomalies) {
   EXPECT_GT(auc_on_sine_task(det), 0.55);
 }
 
+/// A fresh detector, then the same detector fitted on `train`: a fit on
+/// `poisoned`, which must throw, leaves each of them as it was.
+template <typename Detector, typename Config>
+void check_failed_fit(const Config& cfg, const data::MultivariateSeries& train,
+                      const data::MultivariateSeries& poisoned,
+                      const data::MultivariateSeries& test) {
+  Detector det(cfg);
+  EXPECT_THROW(det.fit(poisoned), Error) << det.name();
+  EXPECT_FALSE(det.fitted()) << det.name();
+  EXPECT_TRUE(det.loss_history().empty()) << det.name();
+
+  det.fit(train);
+  const std::vector<float> history = det.loss_history();
+  const std::vector<float> scores = det.score_series(test).scores;
+  EXPECT_EQ(history.size(), static_cast<std::size_t>(cfg.epochs)) << det.name();
+  EXPECT_THROW(det.fit(poisoned), Error) << det.name();
+  EXPECT_TRUE(det.fitted()) << det.name();
+  EXPECT_TRUE(same_bits(det.loss_history(), history)) << det.name();
+  EXPECT_TRUE(same_bits(det.score_series(test).scores, scores)) << det.name();
+}
+
+// A fit whose loss goes non-finite (here: a 100-sample NaN run in the
+// training series) throws and leaves the detector as it was: a fitted
+// detector keeps its model, loss history and scores bit for bit, and an
+// unfitted one stays unfitted.
+TEST(NeuralDetectors, FailedFitLeavesTheDetectorUnchanged) {
+  const auto train = make_sine_series(300, 4, false, 1);
+  const auto test = make_sine_series(80, 4, true, 2);
+  data::MultivariateSeries poisoned(train.n_channels());
+  std::vector<float> row(static_cast<std::size_t>(train.n_channels()));
+  for (Index t = 0; t < train.length(); ++t) {
+    row.assign(train.sample(t), train.sample(t) + train.n_channels());
+    if (t >= 100 && t < 200) row.assign(row.size(), std::nanf(""));
+    poisoned.append(row);
+  }
+
+  check_failed_fit<VaradeDetector>(
+      VaradeConfig{.window = 16, .base_channels = 4, .epochs = 2, .train_stride = 4}, train,
+      poisoned, test);
+  check_failed_fit<ArLstmDetector>(
+      ArLstmConfig{.window = 16, .hidden = 8, .n_layers = 1, .epochs = 2, .train_stride = 4},
+      train, poisoned, test);
+  check_failed_fit<AutoencoderDetector>(
+      AutoencoderConfig{.window = 16, .base_channels = 4, .epochs = 2, .train_stride = 4}, train,
+      poisoned, test);
+}
+
 TEST(AllDetectors, CostDescriptionsAreValidAfterFit) {
   Profile p = repro_profile();
   p.varade.window = 32;
