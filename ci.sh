@@ -39,7 +39,7 @@
 # runtime (multi-engine parity at shards {1,2,4,auto} and all six detectors
 # on clone_fitted() replicas), and the shm ring's SPSC producer/consumer pair
 # with doorbell arming (test_net_wire) race-checked — then repeats the
-# /metrics scrape test ten times.
+# /metrics scrape test and the scores-ready hook test ten times each.
 set -euo pipefail
 
 cd "$(dirname "$0")"
@@ -114,6 +114,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   echo "== test (metrics endpoint x10 under ThreadSanitizer) =="
   "$BUILD_DIR/tests/test_net_wire" \
     --gtest_filter=NetE2E.MetricsEndpointServesPrometheusText --gtest_repeat=10
+
+  # The scores-ready hook races the scorers' emits against the consumer's
+  # reset-then-drain; a lost wakeup or a race needs an unlucky interleaving,
+  # so this test is repeated too.
+  echo "== test (scores-ready hook x10 under ThreadSanitizer) =="
+  "$BUILD_DIR/tests/test_serve_runtime" \
+    --gtest_filter=AsyncScoringRuntime.ScoresReadyHookNeverLosesAWakeup --gtest_repeat=10
 
   echo "CI OK (tsan)"
   exit 0

@@ -7,7 +7,9 @@
 // construction), pushes SAMPLE frames into the runtime's lock-free rings,
 // and routes the runtime's scores back out as SCORE/ALARM frames to the
 // connection that owns each stream. The runtime's scorer shards run on their
-// own threads underneath, so socket I/O and scoring overlap.
+// own threads underneath, so socket I/O and scoring overlap. One eventfd
+// wakes the loop for both of its non-socket events: a scorer that has
+// finished scores (the runtime's scores-ready hook) and a stop request.
 //
 // Admission control: each connection picks a BackpressurePolicy in its HELLO
 // (or inherits the daemon default). Block applies ring backpressure by
@@ -105,8 +107,9 @@ class Server {
   /// GOODBYE. Call once.
   void run();
 
-  /// Thread- and signal-safe stop request (a self-pipe write); run() returns
-  /// after the orderly shutdown.
+  /// Thread- and signal-safe stop request (an atomic flag, then a write to
+  /// the poll loop's wake eventfd); run() returns after the orderly
+  /// shutdown. Before run(), the first poll of run() sees it.
   void request_stop();
 
   /// Counters for tests and the daemon's exit report (poll-thread-written;
@@ -195,6 +198,8 @@ class Server {
   void write_metrics(MetricsConn& conn);
   void release_streams(Connection& conn);
   void begin_shutdown();
+  /// Adds 1 to the wake eventfd (async-signal-safe).
+  void wake() const;
 
   ServerConfig config_;
   serve::AsyncScoringRuntime runtime_;
@@ -206,7 +211,10 @@ class Server {
   Socket metrics_listener_;
   int tcp_port_ = -1;
   int metrics_port_ = -1;
-  int stop_pipe_[2] = {-1, -1};
+  /// The poll loop's one wake fd: rung by the scorers when scores are ready
+  /// and by request_stop(); run() resets it before routing.
+  int wake_fd_ = -1;
+  std::atomic<bool> stop_requested_{false};
 
   std::vector<std::unique_ptr<Connection>> conns_;
   std::vector<std::unique_ptr<MetricsConn>> metrics_conns_;

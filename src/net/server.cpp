@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #include <utility>
@@ -26,8 +27,9 @@ constexpr std::size_t kMaxMetricsRequest = 8192;
 /// scraper storm cannot crowd out producers.
 constexpr std::size_t kMaxMetricsConns = 16;
 
-/// poll() timeout: the score-routing latency floor while connections are
-/// quiet.
+/// poll() timeout. Sockets, shm doorbells and the wake eventfd (scores
+/// ready, stop requested) all wake the loop, so this only backstops a shm
+/// ring written without a doorbell and paces the shutdown-flush deadline.
 constexpr int kPollIntervalMs = 2;
 /// Wire connections beyond this are refused at accept.
 constexpr Index kMaxConnections = 128;
@@ -82,25 +84,39 @@ Server::Server(core::AnomalyDetector& detector, const data::MinMaxNormalizer& no
     metrics_listener_ = tcp_listen(config_.metrics_host, metrics_port_, kListenBacklog);
     set_nonblocking(metrics_listener_.fd(), true);
   }
-  if (pipe(stop_pipe_) != 0) fail("net: pipe(): ", std::strerror(errno));
-  set_nonblocking(stop_pipe_[0], true);
-  set_nonblocking(stop_pipe_[1], true);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) fail("net: eventfd(): ", std::strerror(errno));
+  // Finished scores wake the poll loop instead of waiting for its timeout.
+  runtime_.set_scores_ready([this] { wake(); });
 }
 
 Server::~Server() {
-  if (stop_pipe_[0] >= 0) ::close(stop_pipe_[0]);
-  if (stop_pipe_[1] >= 0) ::close(stop_pipe_[1]);
+  // The scorers ring wake_fd_: join them before it closes. run() normally
+  // closed the runtime already; this covers a run() that threw with the
+  // scorers live. A scorer failure surfacing here is dropped, as the
+  // runtime's own destructor drops it (run() is where it is reported).
+  try {
+    runtime_.close();
+  } catch (...) {
+  }
+  ::close(wake_fd_);
   if (!config_.uds_path.empty()) (void)unlink(config_.uds_path.c_str());
   if (!config_.shm_path.empty()) (void)unlink(config_.shm_path.c_str());
 }
 
+void Server::wake() const {
+  const std::uint64_t one = 1;
+  const ssize_t rc = ::write(wake_fd_, &one, sizeof(one));
+  (void)rc;  // EAGAIN only on a saturated counter: a wakeup is pending anyway
+}
+
 void Server::request_stop() {
-  // Async-signal-safe: one byte down the self-pipe wakes the poll loop.
-  const char byte = 's';
-  if (stop_pipe_[1] >= 0) {
-    const ssize_t rc = ::write(stop_pipe_[1], &byte, 1);
-    (void)rc;  // a full pipe already guarantees a pending wakeup
-  }
+  // Async-signal-safe (served_main.cpp calls it from a signal handler): a
+  // lock-free store and one write(2).
+  static_assert(std::atomic<bool>::is_always_lock_free,
+                "request_stop() stores the stop flag from a signal handler");
+  stop_requested_.store(true, std::memory_order_release);
+  wake();
 }
 
 void Server::release_streams(Connection& conn) {
@@ -429,6 +445,8 @@ std::string Server::metrics_text() const {
               rt.total.emit);
   w.histogram("varade_wake_to_drain_seconds",
               "Nap wake to the end of the next productive drain sweep.", rt.total.wake_to_drain);
+  w.histogram("varade_score_route_delay_seconds",
+              "Result queue's first score to the drain that routes it.", rt.total.route_delay);
 
   // Engine step phases (merged across shards).
   for (int p = 0; p < serve::kStepPhases; ++p) {
@@ -606,7 +624,7 @@ void Server::run() {
     pfds.clear();
     pfd_conns.clear();
     pfd_mconns.clear();
-    pfds.push_back({stop_pipe_[0], POLLIN, 0});
+    pfds.push_back({wake_fd_, POLLIN, 0});
     std::size_t n_listeners = 0;
     std::size_t metrics_listener_idx = 0;  // 0 = not polled this round
     if (!shutting_down_) {
@@ -673,11 +691,16 @@ void Server::run() {
     for (const std::unique_ptr<Connection>& conn : conns_)
       if (conn->shm_active) conn->shm.c2s().disarm_waiting();
 
+    // The wake fd: reset it, then act on both of its causes. The reset comes
+    // before route_scores() drains, so a score emitted after the drain finds
+    // its shard's queue empty and rings again — no wakeup is lost; a ring
+    // for scores this drain already took costs one empty drain.
     if (pfds[0].revents & POLLIN) {
-      char sink[64];
-      while (::read(stop_pipe_[0], sink, sizeof(sink)) > 0) {
-      }
-      begin_shutdown();
+      std::uint64_t rings = 0;
+      const ssize_t n = ::read(wake_fd_, &rings, sizeof(rings));
+      (void)n;
+      if (stop_requested_.load(std::memory_order_acquire)) begin_shutdown();
+      if (!shutting_down_) route_scores();
     }
 
     // Metrics scrapes: accept, read, respond — all subordinate to the wire
@@ -700,7 +723,7 @@ void Server::run() {
       }
     }
 
-    // Accepts (listener pfds sit between the stop pipe and the connections).
+    // Accepts (listener pfds sit between the wake fd and the connections).
     for (std::size_t i = 1; i <= n_listeners && i < first_conn; ++i) {
       if (!(pfds[i].revents & POLLIN)) continue;
       for (;;) {
@@ -763,8 +786,6 @@ void Server::run() {
       if (!mc.sock.valid()) continue;
       if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) read_metrics(mc);
     }
-
-    if (!shutting_down_) route_scores();
 
     // Flush everything with pending output (fresh frames may have been
     // queued this iteration, after the poll — write eagerly, not only on

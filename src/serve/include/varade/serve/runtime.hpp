@@ -8,7 +8,8 @@
 // with a per-call backpressure policy, and background scoring threads drain
 // the rings round-robin into engine push()/step() loops. Scores — each
 // carrying the alarm transition its engine decided — flow out through one
-// polling drain_scores() result queue.
+// drain_scores() result queue, and an optional scores-ready hook tells the
+// consumer when that queue has something to take.
 //
 // Sharding: AsyncRuntimeConfig::n_shards statically partitions the stream
 // space across N shards (ShardPartition, a modulo map — the one place stream
@@ -49,6 +50,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -153,6 +155,9 @@ struct ShardTelemetry {
   obs::HistogramSnapshot emit;   ///< result-queue hop per round
   /// Nap/idle wake to end of the next productive drain sweep.
   obs::HistogramSnapshot wake_to_drain;
+  /// Result queue's first score to the drain_scores() call that takes it:
+  /// how long finished scores wait for the consumer.
+  obs::HistogramSnapshot route_delay;
   EngineTelemetry engine;
 
   void merge(const ShardTelemetry& other);
@@ -198,6 +203,18 @@ class AsyncScoringRuntime {
   void set_threshold(float threshold);
   float threshold() const { return threshold_; }
 
+  /// Scores-ready hook; only before start(). A scorer thread calls it each
+  /// time its shard's result queue goes from empty to non-empty, after
+  /// releasing the queue's lock and after counting the round in stats() and
+  /// telemetry() — once per drain cycle, not once per round.
+  /// A consumer that sleeps until the hook signals loses no wakeup if it
+  /// resets its signal *before* calling drain_scores(): an emit that lands
+  /// after a shard's queue was taken finds it empty and calls the hook
+  /// again (a stale signal costs one empty drain). The hook runs on the
+  /// scorer threads until close() returns, so it must be thread-safe and
+  /// outlive that; an exception from it fails the shard like a scoring one.
+  void set_scores_ready(std::function<void()> hook);
+
   /// Builds the shard engines (shard 0 on the borrowed detector, one
   /// clone_fitted() replica per further shard) and launches one scoring
   /// thread per active shard. Requires >= 1 stream and a calibrated
@@ -217,7 +234,8 @@ class AsyncScoringRuntime {
                   std::optional<BackpressurePolicy> policy = std::nullopt);
 
   /// Moves out every score produced since the last call, merging the
-  /// per-shard result queues — the runtime's one result path.
+  /// per-shard result queues — the runtime's one result path (see
+  /// set_scores_ready() for when to call it).
   /// Per-stream order is emission order; cross-stream interleaving between
   /// shards is unspecified. Callable from any one consumer thread, during
   /// operation and after close().
@@ -307,9 +325,14 @@ class AsyncScoringRuntime {
     obs::LogHistogram drain_hist;
     obs::LogHistogram emit_hist;
     obs::LogHistogram wake_hist;
+    /// Recorded by drain_scores() on the consumer thread.
+    obs::LogHistogram route_hist;
     /// Per-shard result queue; drain_scores() merges across shards.
     std::mutex results_mu;
     std::vector<StreamScore> results;
+    /// When `results` last went non-empty (0 with telemetry compiled off);
+    /// guarded by results_mu.
+    std::int64_t results_since_ns = 0;
     /// First exception thrown on this shard's scoring thread (it shuts
     /// intake and exits); written before the thread ends, read after join.
     std::exception_ptr error;
@@ -323,8 +346,12 @@ class AsyncScoringRuntime {
   /// empty otherwise (final drain); returns the number drained.
   long drain_ring(Shard& shard, Index local, bool bounded);
   /// Rewrites each score's engine-local stream id to its global id and
-  /// appends the batch to the shard's result queue.
-  void emit(Shard& shard, std::vector<StreamScore> scores);
+  /// appends the batch to the shard's result queue. Returns true when the
+  /// queue was empty: the caller then owes notify_scores_ready() once it
+  /// has counted the round.
+  bool emit(Shard& shard, std::vector<StreamScore> scores);
+  /// Calls the scores-ready hook, if one is set.
+  void notify_scores_ready();
   void wake_shard(Shard& shard);
   void require_quiescent(const char* what) const;
   void require_started_shards(const char* what) const;
@@ -342,6 +369,8 @@ class AsyncScoringRuntime {
 
   float threshold_ = 0.0F;
   bool calibrated_ = false;
+  /// Set before start(), read by the scorer threads start() launches.
+  std::function<void()> scores_ready_;
 
   /// Atomic like every other lifecycle flag: push()/started() may be called
   /// from threads that exist across the start() boundary. start() stores it

@@ -85,6 +85,11 @@ void AsyncScoringRuntime::set_threshold(float threshold) {
   calibrated_ = true;
 }
 
+void AsyncScoringRuntime::set_scores_ready(std::function<void()> hook) {
+  check(!started_, "set_scores_ready after start()");
+  scores_ready_ = std::move(hook);
+}
+
 void AsyncScoringRuntime::start() {
   check(!started_, "start() called twice");
   check(!closed(), "start() after close()");
@@ -242,16 +247,32 @@ long AsyncScoringRuntime::drain_ring(Shard& shard, Index local, bool bounded) {
   return drained;
 }
 
-void AsyncScoringRuntime::emit(Shard& shard, std::vector<StreamScore> scores) {
-  if (scores.empty()) return;
+bool AsyncScoringRuntime::emit(Shard& shard, std::vector<StreamScore> scores) {
+  if (scores.empty()) return false;
   // The one choke point every emitted score passes (steady-state rounds and
   // the final close() drain alike), so this counter is the ground truth for
   // "scored": after close(), scored == pushed - dropped. It is also the one
   // place a score's engine-local stream id becomes its global id.
   for (StreamScore& score : scores) score.stream = partition_.global_of(shard.id, score.stream);
   shard.scored.fetch_add(static_cast<long>(scores.size()), std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(shard.results_mu);
-  shard.results.insert(shard.results.end(), scores.begin(), scores.end());
+  bool was_empty = false;
+  {
+    std::lock_guard<std::mutex> lock(shard.results_mu);
+    was_empty = shard.results.empty();
+    if (was_empty) {
+      shard.results.swap(scores);  // the round's vector becomes the queue: no copy
+      shard.results_since_ns = obs::tick();
+    } else {
+      shard.results.insert(shard.results.end(), scores.begin(), scores.end());
+    }
+  }
+  // Only the empty -> non-empty edge needs a ring: while the queue holds
+  // scores, the consumer already owes it a drain.
+  return was_empty;
+}
+
+void AsyncScoringRuntime::notify_scores_ready() {
+  if (scores_ready_) scores_ready_();
 }
 
 std::vector<StreamScore> AsyncScoringRuntime::drain_scores() {
@@ -260,6 +281,8 @@ std::vector<StreamScore> AsyncScoringRuntime::drain_scores() {
   for (Index k = 0; k < active; ++k) {
     Shard& shard = shards_[static_cast<std::size_t>(k)];
     std::lock_guard<std::mutex> lock(shard.results_mu);
+    if (shard.results.empty()) continue;
+    obs::record_since(shard.route_hist, shard.results_since_ns);
     if (out.empty()) {
       out.swap(shard.results);
     } else {
@@ -317,13 +340,17 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
       }
       std::vector<StreamScore> scores = shard.engine->step();
       const std::int64_t t_emit = obs::tick();
-      emit(shard, std::move(scores));
+      const bool became_ready = emit(shard, std::move(scores));
       if constexpr (obs::kEnabled) {
         const std::int64_t t_done = obs::now_ns();
         shard.emit_hist.record(t_done - t_emit);
         shard.round_hist.record(t_done - t_round);
       }
       shard.rounds.fetch_add(1, std::memory_order_relaxed);
+      // Ring only once the round is counted: a consumer woken by the hook
+      // then finds the round in stats() and telemetry(), so a STATS reply
+      // sent after its scores counts the round that scored them.
+      if (became_ready) notify_scores_ready();
       continue;
     }
     // All rings looked empty — but that scan may predate a producer's last
@@ -335,8 +362,9 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
       long final_drained = 0;
       for (Index i = 0; i < n; ++i) final_drained += drain_ring(shard, i, false);
       if (final_drained > 0) {
-        emit(shard, shard.engine->step());
+        const bool became_ready = emit(shard, shard.engine->step());
         shard.rounds.fetch_add(1, std::memory_order_relaxed);
+        if (became_ready) notify_scores_ready();
       }
       return;
     }
@@ -444,6 +472,7 @@ void ShardTelemetry::merge(const ShardTelemetry& other) {
   drain.merge(other.drain);
   emit.merge(other.emit);
   wake_to_drain.merge(other.wake_to_drain);
+  route_delay.merge(other.route_delay);
   engine.merge(other.engine);
 }
 
@@ -458,6 +487,7 @@ RuntimeTelemetry AsyncScoringRuntime::telemetry() const {
     st.drain = sh.drain_hist.snapshot();
     st.emit = sh.emit_hist.snapshot();
     st.wake_to_drain = sh.wake_hist.snapshot();
+    st.route_delay = sh.route_hist.snapshot();
     // The engine exists only once start() ran; its histograms are atomic,
     // so snapshotting while the scorer runs is safe.
     if (sh.engine) st.engine = sh.engine->telemetry();

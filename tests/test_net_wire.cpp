@@ -8,6 +8,7 @@
 // ThreadSanitizer (ci.sh --tsan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <map>
 #include <poll.h>
 #include <string>
+#include <sys/resource.h>
 #include <thread>
 #include <vector>
 
@@ -1155,6 +1157,108 @@ TEST(NetE2E, ShutdownFrameDrainsAndSaysGoodbye) {
   server_thread.join();  // run() returned because of the SHUTDOWN frame
 }
 
+TEST(NetE2E, RequestStopBeforeRunEndsTheFirstPoll) {
+  // The stop flag and its ring wait in the wake eventfd: run() shuts down
+  // on its first poll, before it accepts anyone (so there is no connection
+  // to say GOODBYE to), and leaves a closed, reconciled runtime.
+  net::ServerConfig config;
+  config.uds_path = "/tmp/varade_test_stop_early.sock";
+  config.n_streams = 1;
+  config.threshold = rig().threshold;
+  Server server(rig().detector, rig().normalizer, config);
+  server.request_stop();
+  server.run();
+  EXPECT_TRUE(server.runtime().closed());
+  const serve::RuntimeStats fin = server.runtime().stats();
+  EXPECT_EQ(fin.pushed, 0);
+  EXPECT_EQ(fin.scored, fin.pushed - fin.dropped);
+}
+
+TEST(NetE2E, RequestStopFromAnotherThreadMidTrafficSaysGoodbye) {
+  // A stop requested from a third thread while the client's samples are
+  // still being scored rings the same eventfd as the scorers do. Shutdown
+  // must still score every accepted sample, route each score to the live
+  // client, and end in GOODBYE.
+  net::ServerConfig config;
+  config.uds_path = "/tmp/varade_test_stop_mid.sock";
+  config.n_streams = 2;
+  config.threshold = rig().threshold;
+  config.runtime.n_shards = 2;
+  Server server(rig().detector, rig().normalizer, config);
+  std::thread server_thread([&server] { server.run(); });
+  long scores = 0;
+  bool goodbye = false;
+  {
+    Client client(parse_endpoint("unix:" + config.uds_path));
+    const data::MultivariateSeries series = make_sine(400, 9);
+    for (Index t = 0; t < 400; ++t)
+      for (Index s = 0; s < 2; ++s)
+        client.send_sample(s, static_cast<std::uint64_t>(t), series.sample(t));
+    client.flush();
+    std::thread stopper;
+    ClientEvent ev;
+    while (client.poll_event(ev, 30000)) {
+      if (ev.kind == ClientEvent::Kind::Score && ++scores == 1)
+        stopper = std::thread([&server] { server.request_stop(); });
+      if (ev.kind == ClientEvent::Kind::Goodbye) {
+        goodbye = true;
+        break;
+      }
+    }
+    if (stopper.joinable()) stopper.join();
+  }
+  server_thread.join();
+  EXPECT_TRUE(goodbye);
+  const serve::RuntimeStats fin = server.runtime().stats();
+  EXPECT_GT(fin.pushed, 0);
+  EXPECT_EQ(fin.scored, fin.pushed - fin.dropped);
+  EXPECT_EQ(scores, fin.scored);
+  EXPECT_EQ(server.scores_unrouted(), 0);
+}
+
+#ifdef VARADE_TIMING_TESTS
+TEST(NetE2E, ReplyDoesNotWaitForThePollTimeout) {
+  // One sample out, its SCORE back: the scorer's emit wakes the poll loop.
+  // Without that wake the reply waits for the loop's 2 ms poll timeout and
+  // the median round trip sits near 2 ms. Wall-clock bounds mean nothing
+  // under a sanitizer, so those builds compile this test out.
+  net::ServerConfig config;
+  config.tcp_port = 0;
+  config.n_streams = 1;
+  config.threshold = rig().threshold;
+  Server server(rig().detector, rig().normalizer, config);
+  std::thread server_thread([&server] { server.run(); });
+  constexpr Index kWarmup = 50;
+  constexpr Index kTrips = 200;
+  std::vector<double> trip_ms;
+  {
+    Client client(
+        Endpoint{.kind = Endpoint::Kind::Tcp, .host = "127.0.0.1", .port = server.tcp_port()});
+    const data::MultivariateSeries series = make_sine(kWarmup + kTrips, 13);
+    ClientEvent ev;
+    for (Index t = 0; t < kWarmup + kTrips; ++t) {
+      const auto sent = std::chrono::steady_clock::now();
+      client.send_sample(0, static_cast<std::uint64_t>(t), series.sample(t));
+      client.flush();
+      bool scored = false;
+      while (!scored) {
+        ASSERT_TRUE(client.poll_event(ev, 30000)) << "no SCORE for sample " << t;
+        scored = ev.kind == ClientEvent::Kind::Score && ev.score.sample == static_cast<std::uint64_t>(t);
+      }
+      if (t >= kWarmup)
+        trip_ms.push_back(
+            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - sent)
+                .count());
+    }
+    client.send_goodbye();
+  }
+  server.request_stop();
+  server_thread.join();
+  std::nth_element(trip_ms.begin(), trip_ms.begin() + kTrips / 2, trip_ms.end());
+  EXPECT_LT(trip_ms[kTrips / 2], 1.0) << "median round trip, ms, over " << kTrips << " samples";
+}
+#endif
+
 TEST(NetE2E, ProtocolViolationsGetNamedWireErrors) {
   net::ServerConfig config;
   config.uds_path = "/tmp/varade_test_violation.sock";
@@ -1304,12 +1408,15 @@ TEST(NetE2E, MetricsEndpointServesPrometheusText) {
     EXPECT_NE(body.find("# TYPE varade_net_connections gauge\n"), std::string::npos);
     EXPECT_NE(body.find("# TYPE varade_step_phase_seconds histogram\n"), std::string::npos);
     EXPECT_NE(body.find("varade_push_to_score_seconds_count"), std::string::npos);
+    EXPECT_NE(body.find("# TYPE varade_score_route_delay_seconds histogram\n"),
+              std::string::npos);
     if constexpr (obs::kEnabled) {
       // With telemetry compiled in, the scrape-time traffic above has gone
       // through every instrumented hop.
       EXPECT_NE(body.find("varade_step_phase_seconds_bucket{phase=\"score\""),
                 std::string::npos);
       EXPECT_EQ(body.find("varade_net_frames_decoded_total 0\n"), std::string::npos);
+      EXPECT_EQ(body.find("varade_score_route_delay_seconds_count 0\n"), std::string::npos);
     }
 
     // Wrong path and wrong method get HTTP errors, not silence.
@@ -1432,6 +1539,39 @@ TEST(NetE2E, DisconnectMidDrainKeepsAccountingReconciled) {
 // ---------------------------------------------------------------------------
 // Server configuration validation
 // ---------------------------------------------------------------------------
+
+TEST(NetServer, DestroyedAfterRunThrewClosesTheRuntimeFirst) {
+  // run() can throw with the scorers live: here poll() fails, because a
+  // soft RLIMIT_NOFILE below the size of its fd set makes it return EINVAL.
+  // (An invalid fd cannot force this: poll() flags it POLLNVAL and goes
+  // on.) The scorers ring the server's wake fd, so ~Server must join them
+  // before it closes that fd; a scorer still live at that point could write
+  // to a closed or reused descriptor.
+  NetRig& r = rig();
+  net::ServerConfig config;
+  config.uds_path = "/tmp/varade_test_run_threw.sock";
+  config.n_streams = 2;
+  config.threshold = r.threshold;
+  config.runtime.n_shards = 2;
+  {
+    Server server(r.detector, r.normalizer, config);
+    rlimit normal{};
+    ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &normal), 0);
+    rlimit low = normal;
+    low.rlim_cur = 1;  // the poll set holds the wake fd and the listener
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &low), 0);
+    std::string what;
+    try {
+      server.run();
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &normal), 0);
+    EXPECT_NE(what.find("net: poll(): "), std::string::npos) << "run() threw: " << what;
+    EXPECT_TRUE(server.runtime().started());
+    EXPECT_FALSE(server.runtime().closed());  // the scorers are still running
+  }
+}
 
 TEST(NetServer, RejectsInvalidConfigs) {
   NetRig& r = rig();

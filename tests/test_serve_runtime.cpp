@@ -15,7 +15,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
+#include <cstring>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -623,6 +627,174 @@ TEST(AsyncScoringRuntime, StatsSnapshotIsConsistentUnderConcurrentTraffic) {
   EXPECT_LE(fin.dropped, fin.pushed);
   EXPECT_EQ(fin.scored, fin.pushed - fin.dropped);
   EXPECT_EQ(static_cast<long>(runtime.drain_scores().size()), fin.scored);
+}
+
+// ---------------------------------------------------------------------------
+// The scores-ready hook
+// ---------------------------------------------------------------------------
+
+/// Scores a sample with its own normalised channel-0 value and ignores the
+/// context, so every score names the input sample it scored: a DropOldest
+/// run can then be checked sample by sample against the synchronous engine.
+class EchoDetector final : public core::AnomalyDetector {
+ public:
+  std::string name() const override { return "Echo"; }
+  void fit(const data::MultivariateSeries&) override {}
+  void score_batch(const Tensor&, const Tensor& observed, float* out) override {
+    for (Index r = 0; r < observed.dim(0); ++r) out[r] = observed.data()[r * observed.dim(1)];
+  }
+  std::unique_ptr<core::AnomalyDetector> clone_fitted() const override {
+    return std::make_unique<EchoDetector>();
+  }
+  Index context_window() const override { return 1; }
+  edge::ModelCost cost() const override { return {}; }
+  bool fitted() const override { return true; }
+};
+
+std::uint32_t bits_of(float v) {
+  std::uint32_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+TEST(AsyncScoringRuntime, ScoresReadyHookNeverLosesAWakeup) {
+  // The consumer drains only when the hook has signalled, and resets the
+  // signal before each drain (the contract in runtime.hpp). A single lost
+  // wakeup leaves scores in a queue that nobody drains, and the 10 s
+  // deadline fails the run; there is no timed polling to paper over it.
+  constexpr Index kStreams = 8;
+  constexpr Index kProducers = 2;
+  constexpr Index kSamples = 300;
+  EchoDetector echo;
+  const data::MinMaxNormalizer& normalizer = rig().normalizer;
+
+  // Distinct channel-0 values per sample, inside the normaliser's range.
+  data::MultivariateSeries input(3);
+  for (Index t = 0; t < kSamples; ++t) {
+    const float v = -0.9F + 1.8F * (static_cast<float>(t) + 0.5F) / static_cast<float>(kSamples);
+    input.append(std::vector<float>{v, 0.0F, 0.0F});
+  }
+  // Synchronous reference: the engine's score of each sample, and which
+  // sample each score's bits name.
+  std::vector<float> want(kSamples);
+  std::map<std::uint32_t, Index> sample_of;
+  {
+    ScoringEngine sync(echo, normalizer);
+    sync.add_stream();
+    sync.set_threshold(1e9F);
+    for (Index t = 0; t < kSamples; ++t) sync.push(0, input.sample(t), 3);
+    for (const StreamScore& r : sync.step()) {
+      want[static_cast<std::size_t>(r.sample)] = r.score;
+      if (r.sample > 0) sample_of[bits_of(r.score)] = r.sample;
+    }
+    ASSERT_EQ(sample_of.size(), static_cast<std::size_t>(kSamples - 1));
+  }
+
+  for (const BackpressurePolicy policy : {BackpressurePolicy::Block, BackpressurePolicy::DropOldest}) {
+    for (const Index shards : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(to_string(policy)) + ", " + std::to_string(shards) + " shards");
+      AsyncRuntimeConfig cfg;
+      cfg.ring_capacity = 4;  // Block stalls and DropOldest evicts, often
+      cfg.backpressure = policy;
+      cfg.n_shards = shards;
+      AsyncScoringRuntime runtime(echo, normalizer, cfg);
+      runtime.add_streams(kStreams);
+      runtime.set_threshold(1e9F);
+
+      std::mutex mu;
+      std::condition_variable cv;
+      bool rung = false;    // guarded by mu: the hook fired since the last reset
+      long target = -1;     // guarded by mu: scores to expect, once pushes end
+      std::atomic<bool> close_returned{false};
+      std::atomic<long> late_calls{0};
+      runtime.set_scores_ready([&] {
+        if (close_returned.load()) late_calls.fetch_add(1);
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          rung = true;
+        }
+        cv.notify_one();
+      });
+      runtime.start();
+
+      std::vector<std::vector<float>> got(kStreams);
+      bool stalled = false;
+      std::thread consumer([&] {
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        long received = 0;
+        for (;;) {
+          {
+            std::unique_lock<std::mutex> lock(mu);
+            if (!cv.wait_until(lock, deadline,
+                               [&] { return rung || (target >= 0 && received >= target); })) {
+              stalled = true;
+              return;
+            }
+            if (!rung) return;  // everything arrived and no ring is pending
+            rung = false;       // reset before the drain
+          }
+          for (const StreamScore& r : runtime.drain_scores()) {
+            got[static_cast<std::size_t>(r.stream)].push_back(r.score);
+            ++received;
+          }
+        }
+      });
+      std::vector<std::thread> producers;
+      for (Index p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&, p] {
+          for (Index t = 0; t < kSamples; ++t)
+            for (Index s = p; s < kStreams; s += kProducers)
+              EXPECT_NE(runtime.push(s, input.sample(t), 3), PushResult::Rejected);
+        });
+      }
+      for (std::thread& t : producers) t.join();
+      // No push is in flight: pushed - dropped is now the final score count.
+      const RuntimeStats pushed = runtime.stats();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        target = pushed.pushed - pushed.dropped;
+      }
+      cv.notify_one();
+      consumer.join();
+      runtime.close();
+      close_returned.store(true);
+      ASSERT_FALSE(stalled) << "a scores-ready wakeup was lost";
+
+      const RuntimeStats fin = runtime.stats();
+      EXPECT_EQ(fin.pushed, kStreams * kSamples);
+      if (policy == BackpressurePolicy::Block) {
+        EXPECT_EQ(fin.dropped, 0);
+      }
+      EXPECT_EQ(fin.scored, fin.pushed - fin.dropped);
+      EXPECT_TRUE(runtime.drain_scores().empty());
+      // Each stream's scores are the synchronous engine's scores of the
+      // samples it kept, bit for bit and in push order: the warm-up score,
+      // then strictly increasing sample positions (all of them under Block).
+      long received = 0;
+      for (Index s = 0; s < kStreams; ++s) {
+        const std::vector<float>& scores = got[static_cast<std::size_t>(s)];
+        const IngestStats& st = fin.streams[static_cast<std::size_t>(s)];
+        ASSERT_EQ(static_cast<long>(scores.size()), st.pushed - st.dropped) << "stream " << s;
+        ASSERT_FALSE(scores.empty());
+        EXPECT_EQ(bits_of(scores[0]), bits_of(want[0])) << "stream " << s;
+        Index last = 0;
+        for (std::size_t k = 1; k < scores.size(); ++k) {
+          const auto it = sample_of.find(bits_of(scores[k]));
+          ASSERT_NE(it, sample_of.end()) << "stream " << s << " score " << k << " names no sample";
+          ASSERT_GT(it->second, last) << "stream " << s << " scored out of order";
+          if (policy == BackpressurePolicy::Block) {
+            ASSERT_EQ(it->second, static_cast<Index>(k)) << "stream " << s;
+          }
+          last = it->second;
+        }
+        received += static_cast<long>(scores.size());
+      }
+      EXPECT_EQ(received, fin.scored);
+      // The scorers are joined: nothing calls the hook any more.
+      EXPECT_EQ(runtime.push(0, input.sample(0), 3), PushResult::Rejected);
+      EXPECT_EQ(late_calls.load(), 0);
+    }
+  }
 }
 
 TEST(AsyncScoringRuntime, DestructorClosesAndDrains) {
