@@ -8,8 +8,10 @@
 // and routes the runtime's scores back out as SCORE/ALARM frames to the
 // connection that owns each stream. The runtime's scorer shards run on their
 // own threads underneath, so socket I/O and scoring overlap. One eventfd
-// wakes the loop for both of its non-socket events: a scorer that has
-// finished scores (the runtime's scores-ready hook) and a stop request.
+// wakes the loop for both of its non-socket events: a scorer that has run
+// out of input with scores to route (the runtime's scores-ready hook) and a
+// stop request. The loop also routes on every pass, so a busy scorer's
+// finished rounds leave with the next socket event or the poll timeout.
 //
 // Admission control: each connection picks a BackpressurePolicy in its HELLO
 // (or inherits the daemon default). Block applies ring backpressure by

@@ -27,9 +27,11 @@ constexpr std::size_t kMaxMetricsRequest = 8192;
 /// scraper storm cannot crowd out producers.
 constexpr std::size_t kMaxMetricsConns = 16;
 
-/// poll() timeout. Sockets, shm doorbells and the wake eventfd (scores
-/// ready, stop requested) all wake the loop, so this only backstops a shm
-/// ring written without a doorbell and paces the shutdown-flush deadline.
+/// poll() timeout. Sockets, shm doorbells and the wake eventfd (a scorer out
+/// of input with scores to route, a stop request) all wake the loop, so this
+/// only bounds how long a busy scorer's finished rounds wait while the
+/// sockets are quiet, backstops a shm ring written without a doorbell, and
+/// paces the shutdown-flush deadline.
 constexpr int kPollIntervalMs = 2;
 /// Wire connections beyond this are refused at accept.
 constexpr Index kMaxConnections = 128;
@@ -438,7 +440,7 @@ std::string Server::metrics_text() const {
 
   // Scorer-loop latency (merged across shards; ns recorded, exposed as s).
   w.histogram("varade_scorer_round_seconds",
-              "Productive scorer round: ring drain + engine step + emit.", rt.total.round);
+              "Productive scorer round: ring drain + engine step.", rt.total.round);
   w.histogram("varade_ring_drain_seconds", "Ring-drain sweep of a productive round.",
               rt.total.drain);
   w.histogram("varade_result_emit_seconds", "Result-queue hop per round.",
@@ -691,16 +693,15 @@ void Server::run() {
     for (const std::unique_ptr<Connection>& conn : conns_)
       if (conn->shm_active) conn->shm.c2s().disarm_waiting();
 
-    // The wake fd: reset it, then act on both of its causes. The reset comes
-    // before route_scores() drains, so a score emitted after the drain finds
-    // its shard's queue empty and rings again — no wakeup is lost; a ring
-    // for scores this drain already took costs one empty drain.
+    // The wake fd: reset it here, before this pass's route_scores() drains
+    // (below, after the reads), so a score emitted after that drain finds
+    // its shard's queue empty and owes a ring again — no wakeup is lost; a
+    // ring for scores the drain already took costs one empty pass.
     if (pfds[0].revents & POLLIN) {
       std::uint64_t rings = 0;
       const ssize_t n = ::read(wake_fd_, &rings, sizeof(rings));
       (void)n;
       if (stop_requested_.load(std::memory_order_acquire)) begin_shutdown();
-      if (!shutting_down_) route_scores();
     }
 
     // Metrics scrapes: accept, read, respond — all subordinate to the wire
@@ -786,6 +787,11 @@ void Server::run() {
       if (!mc.sock.valid()) continue;
       if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) read_metrics(mc);
     }
+
+    // Route on every pass, not only when the wake fd fired: a scorer rings
+    // when it runs out of input, so while it stays busy its finished rounds
+    // leave with the next socket event or, at the latest, the poll timeout.
+    if (!shutting_down_) route_scores();
 
     // Flush everything with pending output (fresh frames may have been
     // queued this iteration, after the poll — write eagerly, not only on

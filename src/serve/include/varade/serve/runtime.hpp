@@ -150,7 +150,7 @@ struct RuntimeStats {
 /// Telemetry snapshot of one shard's scorer loop plus its engine's phase
 /// tracer. All histograms are nanosecond-valued.
 struct ShardTelemetry {
-  obs::HistogramSnapshot round;  ///< productive round: drain + step + emit
+  obs::HistogramSnapshot round;  ///< productive round: drain + step
   obs::HistogramSnapshot drain;  ///< ring-drain sweep of a productive round
   obs::HistogramSnapshot emit;   ///< result-queue hop per round
   /// Nap/idle wake to end of the next productive drain sweep.
@@ -203,16 +203,20 @@ class AsyncScoringRuntime {
   void set_threshold(float threshold);
   float threshold() const { return threshold_; }
 
-  /// Scores-ready hook; only before start(). A scorer thread calls it each
-  /// time its shard's result queue goes from empty to non-empty, after
-  /// releasing the queue's lock and after counting the round in stats() and
-  /// telemetry() — once per drain cycle, not once per round.
-  /// A consumer that sleeps until the hook signals loses no wakeup if it
-  /// resets its signal *before* calling drain_scores(): an emit that lands
-  /// after a shard's queue was taken finds it empty and calls the hook
-  /// again (a stale signal costs one empty drain). The hook runs on the
-  /// scorer threads until close() returns, so it must be thread-safe and
-  /// outlive that; an exception from it fails the shard like a scoring one.
+  /// Scores-ready hook; only before start(). A scorer thread calls it when
+  /// it runs out of input (a drain sweep finds every ring empty) after a
+  /// round found its shard's result queue empty — once per busy period,
+  /// not once per round — and after its final drain at close(). Every
+  /// round is counted in stats() and telemetry() before its scores become
+  /// visible. A consumer that sleeps until the hook signals loses no wakeup
+  /// if it resets its signal *before* calling drain_scores(): a round that
+  /// lands after a shard's queue was taken finds it empty and owes the hook
+  /// another call (a stale signal costs one empty drain). Under sustained
+  /// input a busy period can be long, so a consumer that wants a bound on
+  /// the wait also drains on its own schedule (net::Server drains on every
+  /// poll-loop pass). The hook runs on the scorer threads until close()
+  /// returns, so it must be thread-safe and outlive that; an exception from
+  /// it fails the shard like a scoring one.
   void set_scores_ready(std::function<void()> hook);
 
   /// Builds the shard engines (shard 0 on the borrowed detector, one
@@ -347,8 +351,8 @@ class AsyncScoringRuntime {
   long drain_ring(Shard& shard, Index local, bool bounded);
   /// Rewrites each score's engine-local stream id to its global id and
   /// appends the batch to the shard's result queue. Returns true when the
-  /// queue was empty: the caller then owes notify_scores_ready() once it
-  /// has counted the round.
+  /// queue was empty: the scorer then owes notify_scores_ready() when it
+  /// next runs out of input (or after its final drain).
   bool emit(Shard& shard, std::vector<StreamScore> scores);
   /// Calls the scores-ready hook, if one is set.
   void notify_scores_ready();

@@ -266,7 +266,7 @@ bool AsyncScoringRuntime::emit(Shard& shard, std::vector<StreamScore> scores) {
       shard.results.insert(shard.results.end(), scores.begin(), scores.end());
     }
   }
-  // Only the empty -> non-empty edge needs a ring: while the queue holds
+  // Only the empty -> non-empty edge owes a ring: while the queue holds
   // scores, the consumer already owes it a drain.
   return was_empty;
 }
@@ -319,6 +319,14 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
   // Set at every nap exit; the next productive drain sweep records the
   // wake-to-drain latency and clears it. Scorer-thread-local by design.
   std::int64_t wake_marker = 0;
+  // Set when a round's scores reach an empty result queue, cleared when the
+  // hook runs. The hook runs when the scorer runs out of input, not after
+  // each round: a round's scores then leave
+  // with those of every round that follows it back to back, so replies go
+  // out once per busy period and a closed-loop client refills its streams
+  // together (ringing per round split them into groups whose sizes, and
+  // with them the batch sizes and the throughput, drifted from run to run).
+  bool unannounced = false;
   for (;;) {
     // One round: drain this shard's rings round-robin into its engine (each
     // ring FIFO, so per-stream producer order is preserved), then score. At
@@ -339,19 +347,20 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
         }
       }
       std::vector<StreamScore> scores = shard.engine->step();
+      // Count the round before its scores become visible: a consumer that
+      // drains them (woken by the hook or not) then finds the round in
+      // stats() and telemetry(), so a STATS reply sent after its scores
+      // counts the round that scored them.
       const std::int64_t t_emit = obs::tick();
-      const bool became_ready = emit(shard, std::move(scores));
-      if constexpr (obs::kEnabled) {
-        const std::int64_t t_done = obs::now_ns();
-        shard.emit_hist.record(t_done - t_emit);
-        shard.round_hist.record(t_done - t_round);
-      }
+      if constexpr (obs::kEnabled) shard.round_hist.record(t_emit - t_round);
       shard.rounds.fetch_add(1, std::memory_order_relaxed);
-      // Ring only once the round is counted: a consumer woken by the hook
-      // then finds the round in stats() and telemetry(), so a STATS reply
-      // sent after its scores counts the round that scored them.
-      if (became_ready) notify_scores_ready();
+      unannounced = emit(shard, std::move(scores)) || unannounced;
+      if constexpr (obs::kEnabled) shard.emit_hist.record(obs::now_ns() - t_emit);
       continue;
+    }
+    if (unannounced) {
+      unannounced = false;
+      notify_scores_ready();
     }
     // All rings looked empty — but that scan may predate a producer's last
     // push (the scan and the push/close() handoff can interleave). stop_ is
@@ -362,9 +371,9 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
       long final_drained = 0;
       for (Index i = 0; i < n; ++i) final_drained += drain_ring(shard, i, false);
       if (final_drained > 0) {
-        const bool became_ready = emit(shard, shard.engine->step());
+        std::vector<StreamScore> scores = shard.engine->step();
         shard.rounds.fetch_add(1, std::memory_order_relaxed);
-        if (became_ready) notify_scores_ready();
+        if (emit(shard, std::move(scores))) notify_scores_ready();
       }
       return;
     }

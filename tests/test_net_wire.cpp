@@ -1218,10 +1218,11 @@ TEST(NetE2E, RequestStopFromAnotherThreadMidTrafficSaysGoodbye) {
 
 #ifdef VARADE_TIMING_TESTS
 TEST(NetE2E, ReplyDoesNotWaitForThePollTimeout) {
-  // One sample out, its SCORE back: the scorer's emit wakes the poll loop.
-  // Without that wake the reply waits for the loop's 2 ms poll timeout and
-  // the median round trip sits near 2 ms. Wall-clock bounds mean nothing
-  // under a sanitizer, so those builds compile this test out.
+  // One sample out, its SCORE back: the scorer, out of input once the sample
+  // is scored, wakes the poll loop. Without that wake the reply waits for
+  // the loop's 2 ms poll timeout and the median round trip sits near 2 ms.
+  // Wall-clock bounds mean nothing under a sanitizer, so those builds
+  // compile this test out.
   net::ServerConfig config;
   config.tcp_port = 0;
   config.n_streams = 1;

@@ -797,6 +797,80 @@ TEST(AsyncScoringRuntime, ScoresReadyHookNeverLosesAWakeup) {
   }
 }
 
+/// EchoDetector whose first advance_streams call (the first round's fold)
+/// blocks until the test opens the gate, so input can queue up behind a
+/// round that is still running.
+class GatedEchoDetector final : public core::AnomalyDetector {
+ public:
+  std::string name() const override { return "GatedEcho"; }
+  void fit(const data::MultivariateSeries&) override {}
+  void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override {
+    echo_.score_batch(contexts, observed, out);
+  }
+  std::unique_ptr<core::AnomalyDetector> clone_fitted() const override {
+    return std::make_unique<EchoDetector>();
+  }
+  Index context_window() const override { return 1; }
+  edge::ModelCost cost() const override { return {}; }
+  bool fitted() const override { return true; }
+  void advance_streams(const core::StreamBatch& batch, core::StreamScratch& scratch) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!entered_) {
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return open_; });
+      }
+    }
+    core::AnomalyDetector::advance_streams(batch, scratch);
+  }
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  EchoDetector echo_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
+
+TEST(AsyncScoringRuntime, ScoresReadyHookWaitsUntilTheScorerRunsOutOfInput) {
+  // Sample 0 is scored alone, in a round held open at its fold; samples 1-3
+  // queue behind it and form a second round. The hook fires once, after
+  // both rounds, when the scorer finds its rings empty — not after the first
+  // round, whose scores reached an empty queue while input was waiting. Each
+  // round is counted before its scores are visible, so the call sees both.
+  GatedEchoDetector gated;
+  AsyncScoringRuntime runtime(gated, rig().normalizer);
+  runtime.add_stream();
+  runtime.set_threshold(1e9F);
+  std::vector<std::pair<long, long>> seen_at_call;  // (scored, rounds); scorer thread only
+  runtime.set_scores_ready([&] {
+    const RuntimeStats st = runtime.stats();
+    seen_at_call.emplace_back(st.scored, st.rounds);
+  });
+  runtime.start();
+  const std::vector<float> sample{0.1F, 0.0F, 0.0F};
+  ASSERT_EQ(runtime.push(0, sample.data(), 3), PushResult::Ok);
+  gated.wait_entered();
+  for (int k = 0; k < 3; ++k) ASSERT_EQ(runtime.push(0, sample.data(), 3), PushResult::Ok);
+  gated.open();
+  runtime.close();  // joins the scorer: seen_at_call is final
+  const std::vector<std::pair<long, long>> want{{4, 2}};
+  EXPECT_EQ(seen_at_call, want);
+  EXPECT_EQ(runtime.drain_scores().size(), 4U);
+}
+
 TEST(AsyncScoringRuntime, DestructorClosesAndDrains) {
   // No close(): the destructor must drain the rings and join the scorer
   // with samples still in flight — under ASan and TSan this pins that an
