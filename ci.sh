@@ -20,10 +20,11 @@
 # --sanitize instead builds the library and tests under ASan + UBSan
 # (RelWithDebInfo, VARADE_SANITIZE=ON, separate build-asan tree) and runs the
 # parity and training labels — the batched gathers and native score_batch
-# paths of all six detectors, including the fuzz suite, the packed nn
-# inference kernels against their scalar reference (test_nn_layers), and the
-# training loop with its losses, optimizer, weight serializer and every
-# neural fit, memory-checked.
+# paths of all six detectors, including the fuzz suite, the packed nn forward
+# kernels (one per layer, shared by training and inference) against the
+# test-local scalar reference (test_nn_layers), the blocked LSTM step against
+# its per-unit reference (test_nn_lstm), and the training loop with its
+# losses, optimizer, weight serializer and every neural fit, memory-checked.
 #
 # --numeric checks the numeric contract across builds: it builds
 # bench_fingerprint twice, once with the default flags and once with

@@ -47,13 +47,9 @@ class Linear : public Module {
   Parameter& bias() { return bias_; }
 
  private:
-  /// The scalar reference computation, used by forward (which must cache the
-  /// input anyway). forward_inference packs the weights to [in][out] doubles
-  /// per call (forward_packed takes them pre-packed) and runs a kernel
-  /// vectorised across outputs that keeps apply()'s per-element accumulation
-  /// order, so both paths stay bit-identical (pinned by test_nn_layers).
-  Tensor apply(const Tensor& x) const;
-
+  // forward() caches the input and calls forward_inference(): weights packed
+  // to [in][out] doubles, a kernel vectorised across outputs, pinned bit for
+  // bit to a test-local scalar reference by test_nn_layers.
   Index in_;
   Index out_;
   Parameter weight_;  // [out, in]
@@ -126,14 +122,9 @@ class Conv1d : public Module {
                       float* y) const;
 
  private:
-  /// The scalar reference computation, used by forward (which must cache the
-  /// input anyway). forward_inference packs the weights channel-major to
-  /// [ci][k][co] doubles per call (forward_packed takes them pre-packed) and
-  /// runs a kernel vectorised across output channels that keeps apply()'s
-  /// per-element accumulation order, so both paths stay bit-identical
-  /// (pinned by test_nn_layers).
-  Tensor apply(const Tensor& x) const;
-
+  // forward() caches the input and calls forward_inference(): weights packed
+  // to [ci][k][co] doubles, a kernel vectorised across output channels,
+  // pinned bit for bit to a test-local scalar reference by test_nn_layers.
   Index in_ch_;
   Index out_ch_;
   Index kernel_;
@@ -144,10 +135,10 @@ class Conv1d : public Module {
   Tensor cached_input_;
 };
 
-/// Name of the inference kernel set selected by the runtime dispatch table
-/// ("avx2" or "scalar"): resolved once at first use via
-/// __builtin_cpu_supports, shared by the forward_inference of Conv1d, Linear
-/// and ConvTranspose1d. Exposed so tests can assert the vectorised path
+/// Name of the kernel set selected by the runtime dispatch table ("avx2" or
+/// "scalar"): resolved once at first use via __builtin_cpu_supports, shared
+/// by the forward() and forward_inference() of Conv1d, Linear and
+/// ConvTranspose1d. Exposed so tests can assert the vectorised path
 /// actually runs (including under sanitizers, where the previous ifunc-based
 /// multiversioning silently fell back to scalar).
 const char* conv1d_kernel_name();
@@ -168,13 +159,9 @@ class ConvTranspose1d : public Module {
   long flops(const Shape& in) const override;
 
  private:
-  /// The scalar reference scatter, used by forward (which must cache the
-  /// input anyway) and by forward_inference for overlapping geometries
-  /// (stride < kernel). For stride >= kernel forward_inference runs a
-  /// blocked kernel through the dispatch table with the same per-element
-  /// semantics, so both paths stay bit-identical (pinned by test_nn_layers).
-  Tensor apply(const Tensor& x) const;
-
+  // forward() caches the input and calls forward_inference(): one scatter
+  // kernel for every geometry, overlapping ones included, pinned bit for bit
+  // to a test-local scalar reference by test_nn_layers.
   Index in_ch_;
   Index out_ch_;
   Index kernel_;

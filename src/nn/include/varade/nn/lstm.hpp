@@ -15,11 +15,11 @@ class Lstm : public Module {
  public:
   Lstm(Index input_size, Index hidden_size, Rng& rng);
 
+  /// Runs the layer's one step kernel (lstm.cpp) over the sequence, which
+  /// also writes the per-step gate/cell/hidden caches backward() needs.
   Tensor forward(const Tensor& x) override;
-  /// Batched stepped forward without the per-step gate/cell caches backward()
-  /// needs: rolling h/c state only, so B contexts stream through in one call
-  /// with no per-step allocations. Bit-identical to forward() (both run the
-  /// same per-unit cell kernel).
+  /// The same step kernel without the caches: rolling h/c state only, so B
+  /// contexts stream through in one call with no per-step allocations.
   Tensor forward_inference(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&w_ih_, &w_hh_, &bias_}; }

@@ -13,8 +13,13 @@ namespace varade::nn {
 
 namespace {
 
-// Runtime dispatch for the inference kernels (Conv1d, Linear, and the
-// ConvTranspose1d scatter): each kernel body is an always_inline function
+// The forward kernels of Conv1d, Linear and ConvTranspose1d: each layer's
+// forward() (training, which also caches the input for backward()) and
+// forward_inference() run the same kernel, so the two are one computation.
+// The scalar loops these kernels must match bit for bit live in
+// test_nn_layers as the test-local reference.
+//
+// Runtime dispatch: each kernel body is an always_inline function
 // compiled twice — once plain, once inside an __attribute__((target("avx2")))
 // wrapper so it runs four doubles wide — and an explicit function-pointer
 // table picks per host via __builtin_cpu_supports("avx2"), resolved once at
@@ -83,11 +88,11 @@ void pack_weights(const float* w, const float* bias, Index out, Index rows, Pack
 /// Conv1d over channel-major packed weights `wp`: rows [ci][k] of `co_pad`
 /// doubles, then one bias row. The output channels of one (row, step) fill
 /// the vector lanes, so every geometry vectorises, including the short
-/// l_out in {4, 2} of VARADE's deep layers. Each lane computes exactly
-/// apply()'s element: the bias, then for ascending ci one float addition of
+/// l_out in {4, 2} of VARADE's deep layers. Each lane computes the scalar
+/// reference's element: the bias, then for ascending ci one float addition of
 /// float(0.0 + w[k_lo]*x + ... ) over the in-bounds taps in ascending k —
-/// taps in the zero padding are skipped, as in apply(), and the float
-/// addition happens even when every tap was skipped.
+/// taps in the zero padding are skipped, and the float addition happens even
+/// when every tap was skipped.
 VARADE_CONV_INLINE void conv1d_packed_impl(const float* px, const double* wp, float* py,
                                            Index n, Index in_ch, Index out_ch, Index co_pad,
                                            Index l_in, Index l_out, Index kernel,
@@ -132,9 +137,9 @@ VARADE_CONV_INLINE void conv1d_packed_impl(const float* px, const double* wp, fl
 }
 
 /// Linear over packed weights `wp`: rows [in] of `out_pad` doubles, then one
-/// bias row. The outputs of one row fill the vector lanes; each lane is
-/// apply()'s element: a double accumulator starting at the bias, plus the
-/// products in ascending input order, rounded to float once.
+/// bias row. The outputs of one row fill the vector lanes; each lane is a
+/// double accumulator starting at the bias, plus the products in ascending
+/// input order, rounded to float once.
 VARADE_CONV_INLINE void linear_packed_impl(const float* px, const double* wp, float* py,
                                            Index n, Index in, Index out, Index out_pad) {
   const double* bias = wp + in * out_pad;
@@ -169,7 +174,7 @@ VARADE_CONV_INLINE void linear_packed_impl(const float* px, const double* wp, fl
 /// upsampling layers. Blocks of input steps write disjoint output ranges,
 /// so a dense block (all lanes nonzero) can run k-major without branches and
 /// vectorise; any block containing a zero falls back to the per-element
-/// skip-zero loop so apply()'s observable semantics (no += of 0*w, which
+/// skip-zero loop so convt1d_row's observable semantics (no += of 0*w, which
 /// could flip a -0.0 or materialise a NaN from a non-finite weight) are
 /// preserved exactly. The zero skip matters here: these layers sit behind a
 /// ReLU, so exact zeros are common in the decoder input.
@@ -206,7 +211,10 @@ VARADE_CONV_INLINE void convt1d_row_ks(const float* xc, const float* wk, float* 
   }
 }
 
-/// Generic scatter row: apply()'s per-element loop for any geometry.
+/// Generic scatter row for any geometry, overlapping (stride < kernel) ones
+/// included: input steps in ascending t, exact zeros skipped, taps in
+/// ascending k, so an output element that several (t, k) pairs reach sums
+/// them in ascending t.
 VARADE_CONV_INLINE void convt1d_row(const float* xc, const float* wk, float* yc, Index l_in,
                                     Index kernel, Index stride) {
   for (Index t = 0; t < l_in; ++t) {
@@ -217,11 +225,11 @@ VARADE_CONV_INLINE void convt1d_row(const float* xc, const float* wk, float* yc,
   }
 }
 
-/// ConvTranspose1d scatter over bias-filled output rows, non-overlapping
-/// geometries only (stride >= kernel — the caller keeps overlapping ones on
-/// the scalar reference). Loop nest matches apply(): ci outer, so each
-/// output element accumulates its per-input-channel contributions in
-/// ascending-ci order.
+/// ConvTranspose1d scatter over bias-filled output rows, any geometry: ci
+/// outer, so each output element accumulates its per-input-channel
+/// contributions in ascending-ci order. Only k2/s2 (the AE decoder's
+/// upsampling) takes the blocked row; every other geometry runs
+/// convt1d_row.
 VARADE_CONV_INLINE void convt1d_scatter_impl(const float* px, const float* pw, float* py,
                                              Index n, Index in_ch, Index out_ch, Index l_in,
                                              Index l_out, Index kernel, Index stride) {
@@ -330,7 +338,7 @@ Linear::Linear(Index in_features, Index out_features, Rng& rng)
 
 Tensor Linear::forward(const Tensor& x) {
   cached_input_ = x;
-  return apply(x);
+  return forward_inference(x);
 }
 
 Tensor Linear::forward_inference(const Tensor& x) {
@@ -352,30 +360,9 @@ PackedWeights Linear::pack() const {
 void Linear::forward_packed(const PackedWeights& w, const float* x, Index n, float* y) const {
   // Packed kernel: the weights are transposed to [in][out] doubles (plus a
   // bias row) so the outputs of a row fill the vector lanes. Every output
-  // keeps apply()'s accumulation order, so the two paths are bit-identical
-  // (pinned by test_nn_layers).
+  // keeps the scalar reference's accumulation order (pinned bit for bit by
+  // test_nn_layers).
   kernels().linear(x, w.values.data(), y, n, in_, out_, w.out_pad);
-}
-
-Tensor Linear::apply(const Tensor& x) const {
-  check(x.rank() == 2 && x.dim(1) == in_,
-        "Linear expected [N, " + std::to_string(in_) + "], got " + shape_to_string(x.shape()));
-  const Index n = x.dim(0);
-  Tensor y({n, out_});
-  const float* px = x.data();
-  const float* pw = weight_.value.data();
-  const float* pb = bias_.value.data();
-  float* py = y.data();
-  for (Index i = 0; i < n; ++i) {
-    for (Index o = 0; o < out_; ++o) {
-      const float* wrow = pw + o * in_;
-      const float* xrow = px + i * in_;
-      double acc = pb[o];
-      for (Index j = 0; j < in_; ++j) acc += static_cast<double>(wrow[j]) * xrow[j];
-      py[i * out_ + o] = static_cast<float>(acc);
-    }
-  }
-  return y;
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
@@ -487,7 +474,7 @@ Index Conv1d::out_length(Index l) const {
 
 Tensor Conv1d::forward(const Tensor& x) {
   cached_input_ = x;
-  return apply(x);
+  return forward_inference(x);
 }
 
 Tensor Conv1d::forward_inference(const Tensor& x) {
@@ -515,47 +502,10 @@ void Conv1d::forward_packed(const PackedWeights& w, const float* x, Index n, Ind
   // doubles (plus a bias row) so independent output channels fill the vector
   // lanes. Every output element is still bias plus ascending-ci float
   // additions of ascending-k double dot products over the in-bounds taps —
-  // apply()'s exact accumulation order, so the results are bit-identical to
-  // forward() (pinned by test_nn_layers).
+  // the scalar reference's exact accumulation order (pinned bit for bit by
+  // test_nn_layers).
   kernels().conv1d(x, w.values.data(), y, n, in_ch_, out_ch_, w.out_pad, l_in,
                    out_length(l_in), kernel_, stride_, padding_);
-}
-
-Tensor Conv1d::apply(const Tensor& x) const {
-  check(x.rank() == 3 && x.dim(1) == in_ch_,
-        "Conv1d expected [N, " + std::to_string(in_ch_) + ", L], got " +
-            shape_to_string(x.shape()));
-  const Index n = x.dim(0);
-  const Index l_in = x.dim(2);
-  const Index l_out = out_length(l_in);
-  Tensor y({n, out_ch_, l_out});
-  const float* px = x.data();
-  const float* pw = weight_.value.data();
-  const float* pb = bias_.value.data();
-  float* py = y.data();
-  for (Index b = 0; b < n; ++b) {
-    const float* xb = px + b * in_ch_ * l_in;
-    float* yb = py + b * out_ch_ * l_out;
-    for (Index co = 0; co < out_ch_; ++co) {
-      const float* wc = pw + co * in_ch_ * kernel_;
-      float* yc = yb + co * l_out;
-      for (Index t = 0; t < l_out; ++t) yc[t] = pb[co];
-      for (Index ci = 0; ci < in_ch_; ++ci) {
-        const float* xc = xb + ci * l_in;
-        const float* wk = wc + ci * kernel_;
-        for (Index t = 0; t < l_out; ++t) {
-          const Index start = t * stride_ - padding_;
-          double acc = 0.0;
-          for (Index k = 0; k < kernel_; ++k) {
-            const Index pos = start + k;
-            if (pos >= 0 && pos < l_in) acc += static_cast<double>(wk[k]) * xc[pos];
-          }
-          yc[t] += static_cast<float>(acc);
-        }
-      }
-    }
-  }
-  return y;
 }
 
 Tensor Conv1d::backward(const Tensor& grad_out) {
@@ -631,17 +581,12 @@ ConvTranspose1d::ConvTranspose1d(Index in_channels, Index out_channels, Index ke
 
 Tensor ConvTranspose1d::forward(const Tensor& x) {
   cached_input_ = x;
-  return apply(x);
+  return forward_inference(x);
 }
 
 Tensor ConvTranspose1d::forward_inference(const Tensor& x) {
-  // Blocked scatter through the kernel dispatch table. Only non-overlapping
-  // geometries (stride >= kernel, which covers the AE decoder's k2/s2
-  // upsampling) take the fast path: every output element then receives at
-  // most one contribution per input channel, so blocks of input steps write
-  // disjoint outputs and the result is bit-identical to apply() (pinned by
-  // test_nn_layers). Overlapping geometries keep the scalar reference.
-  if (stride_ < kernel_) return apply(x);
+  // Bias-filled rows, then the scatter through the kernel dispatch table,
+  // for every geometry (overlapping ones run the generic row).
   check(x.rank() == 3 && x.dim(1) == in_ch_, "ConvTranspose1d expected [N, C, L]");
   const Index n = x.dim(0);
   const Index l_in = x.dim(2);
@@ -658,40 +603,6 @@ Tensor ConvTranspose1d::forward_inference(const Tensor& x) {
   }
   kernels().convt1d_scatter(x.data(), weight_.value.data(), py, n, in_ch_, out_ch_, l_in,
                             l_out, kernel_, stride_);
-  return y;
-}
-
-Tensor ConvTranspose1d::apply(const Tensor& x) const {
-  check(x.rank() == 3 && x.dim(1) == in_ch_, "ConvTranspose1d expected [N, C, L]");
-  const Index n = x.dim(0);
-  const Index l_in = x.dim(2);
-  const Index l_out = (l_in - 1) * stride_ + kernel_;
-  Tensor y({n, out_ch_, l_out});
-  const float* px = x.data();
-  const float* pw = weight_.value.data();
-  const float* pb = bias_.value.data();
-  float* py = y.data();
-  for (Index b = 0; b < n; ++b) {
-    const float* xb = px + b * in_ch_ * l_in;
-    float* yb = py + b * out_ch_ * l_out;
-    for (Index co = 0; co < out_ch_; ++co) {
-      float* yc = yb + co * l_out;
-      for (Index t = 0; t < l_out; ++t) yc[t] = pb[co];
-    }
-    for (Index ci = 0; ci < in_ch_; ++ci) {
-      const float* xc = xb + ci * l_in;
-      for (Index co = 0; co < out_ch_; ++co) {
-        const float* wk = pw + (ci * out_ch_ + co) * kernel_;
-        float* yc = yb + co * l_out;
-        for (Index t = 0; t < l_in; ++t) {
-          const float xv = xc[t];
-          if (xv == 0.0F) continue;
-          const Index start = t * stride_;
-          for (Index k = 0; k < kernel_; ++k) yc[start + k] += xv * wk[k];
-        }
-      }
-    }
-  }
   return y;
 }
 
@@ -791,6 +702,7 @@ Tensor LastTimeStep::forward_inference(const Tensor& x) {
 }
 
 Tensor LastTimeStep::backward(const Tensor& grad_out) {
+  check(cached_shape_.size() == 3, "LastTimeStep backward called without matching forward");
   const Index n = cached_shape_[0];
   const Index c = cached_shape_[1];
   const Index l = cached_shape_[2];

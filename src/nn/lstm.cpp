@@ -1,7 +1,13 @@
+// Lstm: one cell update, step(), blocked over batch rows. forward() and
+// forward_inference() both run it; forward() also has it write the gate and
+// cell caches backward() reads, forward_inference() keeps rolling h/c state
+// only. The per-unit scalar loop it must match bit for bit lives in
+// test_nn_lstm as the test-local reference.
 #include "varade/nn/lstm.hpp"
 
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "varade/nn/init.hpp"
 
@@ -10,36 +16,97 @@ namespace varade::nn {
 namespace {
 inline float sigmoid(float v) { return 1.0F / (1.0F + std::exp(-v)); }
 
-/// One LSTM unit update for batch row `b`, unit `h`, time step `t`. Shared by
-/// forward and forward_inference so the two paths are bit-identical by
-/// construction (same per-element operation order).
-struct LstmCell {
-  float i, f, g, o, c, tc, h;
+/// The operands of one time step t over n batch rows.
+struct Step {
+  const float* w_ih = nullptr;  // [4H, C]
+  const float* w_hh = nullptr;  // [4H, H]
+  const float* bias = nullptr;  // [4H]
+  Index input = 0;
+  Index hidden = 0;
+  const float* x = nullptr;  // [n, C, l]
+  Index l = 0;
+  float* out = nullptr;  // [n, H, l], column t written
+  Index t = 0;
+  const float* h_prev = nullptr;  // [n, H], step t - 1
+  const float* c_prev = nullptr;
+  float* h_cur = nullptr;  // [n, H], step t
+  float* c_cur = nullptr;
+  // The activations backward() needs, each [n, H]; null for inference.
+  float* gate_i = nullptr;
+  float* gate_f = nullptr;
+  float* gate_g = nullptr;
+  float* gate_o = nullptr;
+  float* cell_tanh = nullptr;
 };
 
-inline LstmCell lstm_cell(Index h, Index hidden, Index input, const float* pwi, const float* pwh,
-                          const float* pb, const float* xb, Index l, Index t, const float* hp,
-                          float c_prev) {
-  // Pre-activations for the four gates of unit h.
-  double pre[4];
-  for (int g = 0; g < 4; ++g) {
-    const Index row = g * hidden + h;
-    double acc = pb[row];
-    const float* wi = pwi + row * input;
-    for (Index c = 0; c < input; ++c) acc += static_cast<double>(wi[c]) * xb[c * l + t];
-    const float* wh = pwh + row * hidden;
-    for (Index k = 0; k < hidden; ++k) acc += static_cast<double>(wh[k]) * hp[k];
-    pre[g] = acc;
+/// Rows [b0, b0 + R) of one step. Each unit's four gate pre-activations are
+/// serial double-accumulate chains (the bias, then w_ih in channel order,
+/// then w_hh in unit order), so one chain runs at the latency of a
+/// multiply-add, not its throughput. The block keeps 4 * R independent chains in flight per
+/// weight load — the four gates of R rows — without changing any chain's
+/// order. R is a compile-time width so the accumulators stay in registers.
+template <Index R>
+void step_rows(const Step& s, Index b0) {
+  const Index input = s.input;
+  const Index hidden = s.hidden;
+  const float* xs[R];  // row r's input channel 0 at step t
+  const float* hs[R];  // row r's previous hidden state
+  for (Index r = 0; r < R; ++r) {
+    xs[r] = s.x + (b0 + r) * input * s.l + s.t;
+    hs[r] = s.h_prev + (b0 + r) * hidden;
   }
-  LstmCell cell;
-  cell.i = sigmoid(static_cast<float>(pre[0]));
-  cell.f = sigmoid(static_cast<float>(pre[1]));
-  cell.g = std::tanh(static_cast<float>(pre[2]));
-  cell.o = sigmoid(static_cast<float>(pre[3]));
-  cell.c = cell.f * c_prev + cell.i * cell.g;
-  cell.tc = std::tanh(cell.c);
-  cell.h = cell.o * cell.tc;
-  return cell;
+  for (Index h = 0; h < hidden; ++h) {
+    double pre[4][R];
+    for (Index g = 0; g < 4; ++g)
+      for (Index r = 0; r < R; ++r) pre[g][r] = s.bias[g * hidden + h];
+    for (Index c = 0; c < input; ++c) {
+      double xv[R];
+      for (Index r = 0; r < R; ++r) xv[r] = xs[r][c * s.l];
+      for (Index g = 0; g < 4; ++g) {
+        const double wv = s.w_ih[(g * hidden + h) * input + c];
+        for (Index r = 0; r < R; ++r) pre[g][r] += wv * xv[r];
+      }
+    }
+    for (Index k = 0; k < hidden; ++k) {
+      double hv[R];
+      for (Index r = 0; r < R; ++r) hv[r] = hs[r][k];
+      for (Index g = 0; g < 4; ++g) {
+        const double wv = s.w_hh[(g * hidden + h) * hidden + k];
+        for (Index r = 0; r < R; ++r) pre[g][r] += wv * hv[r];
+      }
+    }
+    for (Index r = 0; r < R; ++r) {
+      const Index idx = (b0 + r) * hidden + h;
+      const float i = sigmoid(static_cast<float>(pre[0][r]));
+      const float f = sigmoid(static_cast<float>(pre[1][r]));
+      const float g = std::tanh(static_cast<float>(pre[2][r]));
+      const float o = sigmoid(static_cast<float>(pre[3][r]));
+      const float c = f * s.c_prev[idx] + i * g;
+      const float tc = std::tanh(c);
+      s.c_cur[idx] = c;
+      s.h_cur[idx] = o * tc;
+      s.out[idx * s.l + s.t] = s.h_cur[idx];
+      if (s.gate_i != nullptr) {
+        s.gate_i[idx] = i;
+        s.gate_f[idx] = f;
+        s.gate_g[idx] = g;
+        s.gate_o[idx] = o;
+        s.cell_tanh[idx] = tc;
+      }
+    }
+  }
+}
+
+/// The layer's one cell update, shared by forward() and forward_inference():
+/// step s.t for all n rows, in blocks of 8 rows and then 4, 2 and 1 for the
+/// rest. Every block width runs the same arithmetic per row, so a row's
+/// bits do not depend on n or on its place in the batch.
+void step(const Step& s, Index n) {
+  Index b0 = 0;
+  for (; b0 + 8 <= n; b0 += 8) step_rows<8>(s, b0);
+  for (; b0 + 4 <= n; b0 += 4) step_rows<4>(s, b0);
+  for (; b0 + 2 <= n; b0 += 2) step_rows<2>(s, b0);
+  for (; b0 < n; ++b0) step_rows<1>(s, b0);
 }
 }  // namespace
 
@@ -61,57 +128,28 @@ Tensor Lstm::forward(const Tensor& x) {
   cached_input_ = x;
   const Index n = x.dim(0);
   const Index l = x.dim(2);
-  gate_i_.assign(static_cast<std::size_t>(l), Tensor());
-  gate_f_.assign(static_cast<std::size_t>(l), Tensor());
-  gate_g_.assign(static_cast<std::size_t>(l), Tensor());
-  gate_o_.assign(static_cast<std::size_t>(l), Tensor());
-  cell_.assign(static_cast<std::size_t>(l), Tensor());
-  cell_tanh_.assign(static_cast<std::size_t>(l), Tensor());
-  hidden_seq_.assign(static_cast<std::size_t>(l), Tensor());
+  for (std::vector<Tensor>* seq :
+       {&gate_i_, &gate_f_, &gate_g_, &gate_o_, &cell_, &cell_tanh_, &hidden_seq_})
+    seq->assign(static_cast<std::size_t>(l), Tensor({n, hidden_}));
 
-  Tensor h_prev({n, hidden_});
-  Tensor c_prev({n, hidden_});
+  // Step t reads h/c of step t - 1 straight from the caches backward() uses.
+  const Tensor zero_state({n, hidden_});
   Tensor out({n, hidden_, l});
-
-  const float* pwi = w_ih_.value.data();
-  const float* pwh = w_hh_.value.data();
-  const float* pb = bias_.value.data();
-  const float* px = x.data();
-
+  Step s{w_ih_.value.data(), w_hh_.value.data(), bias_.value.data(), input_, hidden_,
+         x.data(), l, out.data()};
   for (Index t = 0; t < l; ++t) {
-    Tensor gi({n, hidden_});
-    Tensor gf({n, hidden_});
-    Tensor gg({n, hidden_});
-    Tensor go({n, hidden_});
-    Tensor ct({n, hidden_});
-    Tensor ct_tanh({n, hidden_});
-    Tensor ht({n, hidden_});
-    for (Index b = 0; b < n; ++b) {
-      const float* hp = h_prev.data() + b * hidden_;
-      const float* cp = c_prev.data() + b * hidden_;
-      const float* xb = px + b * input_ * l;
-      for (Index h = 0; h < hidden_; ++h) {
-        const LstmCell cell = lstm_cell(h, hidden_, input_, pwi, pwh, pb, xb, l, t, hp, cp[h]);
-        const Index idx = b * hidden_ + h;
-        gi[idx] = cell.i;
-        gf[idx] = cell.f;
-        gg[idx] = cell.g;
-        go[idx] = cell.o;
-        ct[idx] = cell.c;
-        ct_tanh[idx] = cell.tc;
-        ht[idx] = cell.h;
-        out[(b * hidden_ + h) * l + t] = cell.h;
-      }
-    }
-    gate_i_[static_cast<std::size_t>(t)] = std::move(gi);
-    gate_f_[static_cast<std::size_t>(t)] = std::move(gf);
-    gate_g_[static_cast<std::size_t>(t)] = std::move(gg);
-    gate_o_[static_cast<std::size_t>(t)] = std::move(go);
-    cell_[static_cast<std::size_t>(t)] = ct;
-    cell_tanh_[static_cast<std::size_t>(t)] = std::move(ct_tanh);
-    hidden_seq_[static_cast<std::size_t>(t)] = ht;
-    h_prev = std::move(ht);
-    c_prev = std::move(ct);
+    const auto ts = static_cast<std::size_t>(t);
+    s.t = t;
+    s.h_prev = t > 0 ? hidden_seq_[ts - 1].data() : zero_state.data();
+    s.c_prev = t > 0 ? cell_[ts - 1].data() : zero_state.data();
+    s.h_cur = hidden_seq_[ts].data();
+    s.c_cur = cell_[ts].data();
+    s.gate_i = gate_i_[ts].data();
+    s.gate_f = gate_f_[ts].data();
+    s.gate_g = gate_g_[ts].data();
+    s.gate_o = gate_o_[ts].data();
+    s.cell_tanh = cell_tanh_[ts].data();
+    step(s, n);
   }
   return out;
 }
@@ -130,74 +168,15 @@ Tensor Lstm::forward_inference(const Tensor& x) {
   Tensor h_cur({n, hidden_});
   Tensor c_cur({n, hidden_});
   Tensor out({n, hidden_, l});
-
-  const float* pwi = w_ih_.value.data();
-  const float* pwh = w_hh_.value.data();
-  const float* pb = bias_.value.data();
-  const float* px = x.data();
-
-  if (n == 1) {
-    // Single row: the blocked kernel below has nothing to interleave and its
-    // array-backed accumulators only add overhead; run the rolling per-unit
-    // loop (same lstm_cell arithmetic, so identical bits either way).
-    const float* xb = px;
-    for (Index t = 0; t < l; ++t) {
-      for (Index h = 0; h < hidden_; ++h) {
-        const LstmCell cell =
-            lstm_cell(h, hidden_, input_, pwi, pwh, pb, xb, l, t, h_prev.data(), c_prev[h]);
-        h_cur[h] = cell.h;
-        c_cur[h] = cell.c;
-        out[h * l + t] = cell.h;
-      }
-      std::swap(h_prev, h_cur);
-      std::swap(c_prev, c_cur);
-    }
-    return out;
-  }
-
-  // The gate pre-activation of one unit is a serial double-accumulate chain,
-  // so a single row runs at FMA latency, not throughput. Interleaving a block
-  // of R batch rows keeps R independent chains in flight per weight load —
-  // the batched win — while every row still accumulates bias, then w_ih in
-  // channel order, then w_hh in unit order, exactly like lstm_cell, so the
-  // scores stay bit-identical to the sequential path.
-  constexpr Index R = 8;
-  double pre[4][R];
-
+  Step s{w_ih_.value.data(), w_hh_.value.data(), bias_.value.data(), input_, hidden_,
+         x.data(), l, out.data()};
   for (Index t = 0; t < l; ++t) {
-    for (Index b0 = 0; b0 < n; b0 += R) {
-      const Index bn = std::min<Index>(R, n - b0);
-      for (Index h = 0; h < hidden_; ++h) {
-        for (int g = 0; g < 4; ++g) {
-          const Index row = g * hidden_ + h;
-          const float* wi = pwi + row * input_;
-          const float* wh = pwh + row * hidden_;
-          for (Index r = 0; r < bn; ++r) pre[g][r] = pb[row];
-          for (Index c = 0; c < input_; ++c) {
-            const double wv = wi[c];
-            for (Index r = 0; r < bn; ++r)
-              pre[g][r] += wv * px[((b0 + r) * input_ + c) * l + t];
-          }
-          for (Index k = 0; k < hidden_; ++k) {
-            const double wv = wh[k];
-            for (Index r = 0; r < bn; ++r)
-              pre[g][r] += wv * h_prev[(b0 + r) * hidden_ + k];
-          }
-        }
-        for (Index r = 0; r < bn; ++r) {
-          const Index idx = (b0 + r) * hidden_ + h;
-          const float i = sigmoid(static_cast<float>(pre[0][r]));
-          const float f = sigmoid(static_cast<float>(pre[1][r]));
-          const float g = std::tanh(static_cast<float>(pre[2][r]));
-          const float o = sigmoid(static_cast<float>(pre[3][r]));
-          const float c = f * c_prev[idx] + i * g;
-          const float tc = std::tanh(c);
-          c_cur[idx] = c;
-          h_cur[idx] = o * tc;
-          out[idx * l + t] = h_cur[idx];
-        }
-      }
-    }
+    s.t = t;
+    s.h_prev = h_prev.data();
+    s.c_prev = c_prev.data();
+    s.h_cur = h_cur.data();
+    s.c_cur = c_cur.data();
+    step(s, n);
     std::swap(h_prev, h_cur);
     std::swap(c_prev, c_cur);
   }

@@ -36,6 +36,91 @@ Index first_bit_mismatch(const Tensor& a, const Tensor& b) {
   return -1;
 }
 
+// --- scalar references --------------------------------------------------------
+// Linear, Conv1d and ConvTranspose1d run one vectorised kernel for both
+// forward() and forward_inference(). These plain loops are what that kernel
+// must reproduce bit for bit: the same per-element accumulation order, the
+// same skipped taps and the same skipped zero inputs.
+
+/// y[i][o] = float(double(b[o]) + sum_j double(w[o][j]) * x[i][j]), j ascending.
+Tensor linear_reference(Linear& layer, const Tensor& x) {
+  const Index n = x.dim(0);
+  const Index in = layer.in_features();
+  const Index out = layer.out_features();
+  const float* pw = layer.weight().value.data();
+  const float* pb = layer.bias().value.data();
+  Tensor y({n, out});
+  for (Index i = 0; i < n; ++i)
+    for (Index o = 0; o < out; ++o) {
+      double acc = pb[o];
+      for (Index j = 0; j < in; ++j) acc += static_cast<double>(pw[o * in + j]) * x[i * in + j];
+      y[i * out + o] = static_cast<float>(acc);
+    }
+  return y;
+}
+
+/// Each output starts at the bias; then, for ascending ci, one float addition
+/// of a double dot product over the in-bounds taps in ascending k (taps in the
+/// padding are skipped; the addition happens even when every tap was).
+Tensor conv1d_reference(Conv1d& conv, const Tensor& x) {
+  const Index n = x.dim(0);
+  const Index in_ch = conv.in_channels();
+  const Index out_ch = conv.out_channels();
+  const Index kernel = conv.kernel_size();
+  const Index l_in = x.dim(2);
+  const Index l_out = conv.out_length(l_in);
+  const float* pw = conv.parameters()[0]->value.data();
+  const float* pb = conv.parameters()[1]->value.data();
+  Tensor y({n, out_ch, l_out});
+  for (Index b = 0; b < n; ++b)
+    for (Index co = 0; co < out_ch; ++co) {
+      float* yc = y.data() + (b * out_ch + co) * l_out;
+      for (Index t = 0; t < l_out; ++t) yc[t] = pb[co];
+      for (Index ci = 0; ci < in_ch; ++ci) {
+        const float* xc = x.data() + (b * in_ch + ci) * l_in;
+        const float* wk = pw + (co * in_ch + ci) * kernel;
+        for (Index t = 0; t < l_out; ++t) {
+          const Index start = t * conv.stride() - conv.padding();
+          double acc = 0.0;
+          for (Index k = 0; k < kernel; ++k) {
+            const Index pos = start + k;
+            if (pos >= 0 && pos < l_in) acc += static_cast<double>(wk[k]) * xc[pos];
+          }
+          yc[t] += static_cast<float>(acc);
+        }
+      }
+    }
+  return y;
+}
+
+/// Bias-filled outputs, then a float scatter: ci, co, input step t ascending
+/// (exact zeros skipped), tap k ascending.
+Tensor convt1d_reference(ConvTranspose1d& conv, const Tensor& x, Index kernel, Index stride) {
+  const Index n = x.dim(0);
+  const Index in_ch = x.dim(1);
+  const Index l_in = x.dim(2);
+  const Index l_out = (l_in - 1) * stride + kernel;
+  const float* pw = conv.parameters()[0]->value.data();
+  const Tensor& bias = conv.parameters()[1]->value;
+  const Index out_ch = bias.numel();
+  Tensor y({n, out_ch, l_out});
+  for (Index b = 0; b < n; ++b) {
+    for (Index co = 0; co < out_ch; ++co)
+      for (Index t = 0; t < l_out; ++t) y[(b * out_ch + co) * l_out + t] = bias[co];
+    for (Index ci = 0; ci < in_ch; ++ci)
+      for (Index co = 0; co < out_ch; ++co) {
+        const float* wk = pw + (ci * out_ch + co) * kernel;
+        float* yc = y.data() + (b * out_ch + co) * l_out;
+        for (Index t = 0; t < l_in; ++t) {
+          const float xv = x[(b * in_ch + ci) * l_in + t];
+          if (xv == 0.0F) continue;
+          for (Index k = 0; k < kernel; ++k) yc[t * stride + k] += xv * wk[k];
+        }
+      }
+  }
+  return y;
+}
+
 TEST(Linear, ForwardMatchesManualComputation) {
   Rng rng(1);
   Linear layer(2, 3, rng);
@@ -61,12 +146,12 @@ TEST(Linear, OutputShapeAndFlops) {
   EXPECT_EQ(layer.num_params(), 8 * 5 + 5);
 }
 
-// forward_inference runs the packed [in][out] kernel, vectorised across
-// outputs, while forward runs the scalar reference; each output keeps the
-// reference's accumulation order, so the two must agree bit for bit. out = 86
-// is the VARADE repro head (not a multiple of the vector width), in = 64 its
-// feature width; in = 7 is ragged.
-TEST(Linear, InferenceKernelMatchesForwardBitForBit) {
+// forward() and forward_inference() both run the packed [in][out] kernel,
+// vectorised across outputs; each output keeps the scalar reference's
+// accumulation order, so both must match it bit for bit. out = 86 is the
+// VARADE repro head (not a multiple of the vector width), in = 64 its feature
+// width; in = 7 is ragged.
+TEST(Linear, BothForwardsMatchScalarReferenceBitForBit) {
   struct Geometry {
     Index in, out;
   };
@@ -78,11 +163,12 @@ TEST(Linear, InferenceKernelMatchesForwardBitForBit) {
       Linear layer(g.in, g.out, rng);
       layer.bias().value = Tensor::randn({g.out}, rng);
       const Tensor x = relu_style({n, g.in}, rng);
-      const Tensor ref = layer.forward(x);
-      const Tensor fast = layer.forward_inference(x);
-      ASSERT_EQ(ref.shape(), fast.shape());
-      ASSERT_EQ(first_bit_mismatch(ref, fast), -1)
-          << "in=" << g.in << " out=" << g.out << " n=" << n;
+      const Tensor ref = linear_reference(layer, x);
+      for (const Tensor& y : {layer.forward(x), layer.forward_inference(x)}) {
+        ASSERT_EQ(ref.shape(), y.shape());
+        ASSERT_EQ(first_bit_mismatch(ref, y), -1)
+            << "in=" << g.in << " out=" << g.out << " n=" << n;
+      }
     }
   }
 }
@@ -134,14 +220,14 @@ TEST(Conv1d, PaddingPreservesLength) {
   EXPECT_EQ(c.forward(x).shape(), (Shape{2, 3, 6}));
 }
 
-// forward_inference runs the packed [ci][k][co] kernel, vectorised across
-// output channels, while forward runs the scalar reference; its per-element
-// accumulation order is preserved, so the two must agree bit for bit across
+// forward() and forward_inference() both run the packed [ci][k][co] kernel,
+// vectorised across output channels; it keeps the scalar reference's
+// per-element accumulation order, so both must match it bit for bit across
 // every geometry the models use — including windows entirely inside the
 // padding and channel counts that are not multiples of the vector width. The
 // VARADE repro trunk (86 channels, window 32, base 16) runs on ReLU-style
 // inputs holding zeros of both signs, at the 16 rows a serving call carries.
-TEST(Conv1d, InferenceKernelMatchesForwardBitForBit) {
+TEST(Conv1d, BothForwardsMatchScalarReferenceBitForBit) {
   struct Geometry {
     Index in_ch, out_ch, kernel, stride, padding, batch, length;
     bool relu_input;
@@ -168,12 +254,13 @@ TEST(Conv1d, InferenceKernelMatchesForwardBitForBit) {
     conv.parameters()[1]->value = Tensor::randn({g.out_ch}, rng);
     const Shape shape{g.batch, g.in_ch, g.length};
     const Tensor x = g.relu_input ? relu_style(shape, rng) : Tensor::randn(shape, rng);
-    const Tensor ref = conv.forward(x);
-    const Tensor fast = conv.forward_inference(x);
-    ASSERT_EQ(ref.shape(), fast.shape());
-    ASSERT_EQ(first_bit_mismatch(ref, fast), -1)
-        << g.in_ch << "->" << g.out_ch << " kernel=" << g.kernel << " stride=" << g.stride
-        << " padding=" << g.padding << " length=" << g.length;
+    const Tensor ref = conv1d_reference(conv, x);
+    for (const Tensor& y : {conv.forward(x), conv.forward_inference(x)}) {
+      ASSERT_EQ(ref.shape(), y.shape());
+      ASSERT_EQ(first_bit_mismatch(ref, y), -1)
+          << g.in_ch << "->" << g.out_ch << " kernel=" << g.kernel << " stride=" << g.stride
+          << " padding=" << g.padding << " length=" << g.length;
+    }
   }
 }
 
@@ -224,14 +311,14 @@ TEST(ConvTranspose1d, ForwardGeometryAndValues) {
   EXPECT_FLOAT_EQ(y[3], 8.0F);
 }
 
-// forward_inference runs a blocked scatter through the kernel dispatch table
-// for non-overlapping geometries (stride >= kernel) and falls back to the
-// scalar reference otherwise; either way every output element keeps apply()'s
-// per-element semantics (including the skip of exactly-zero inputs, common
-// behind a ReLU), so the two paths must agree bit for bit. Geometries cover
-// the AE decoder's k2/s2 layers, block-size raggedness, exact zeros in the
-// input, and an overlapping stride < kernel case.
-TEST(ConvTranspose1d, InferenceKernelMatchesForwardBitForBit) {
+// forward() and forward_inference() both run the dispatch table's scatter
+// (blocked for k2/s2, the per-element row for every other geometry); every
+// output element keeps the scalar reference's semantics, including the skip
+// of exactly-zero inputs common behind a ReLU, so both must match it bit for
+// bit. Geometries cover the AE decoder's k2/s2 layers, block-size
+// raggedness, exact zeros in the input, and an overlapping stride < kernel
+// case.
+TEST(ConvTranspose1d, BothForwardsMatchScalarReferenceBitForBit) {
   struct Geometry {
     Index in_ch, out_ch, kernel, stride, batch, length;
     bool zero_inputs;  // sprinkle exact zeros, as a preceding ReLU would
@@ -241,7 +328,7 @@ TEST(ConvTranspose1d, InferenceKernelMatchesForwardBitForBit) {
       {4, 8, 2, 2, 3, 37, true},   //  - batched, ragged length, ReLU zeros
       {1, 1, 2, 2, 1, 4, true},    // tiny, mostly zeros
       {2, 3, 2, 3, 2, 19, true},   // stride > kernel (gaps stay at bias)
-      {3, 2, 3, 2, 2, 11, false},  // stride < kernel: overlapping, scalar path
+      {3, 2, 3, 2, 2, 11, false},  // stride < kernel: overlapping outputs
       {2, 2, 1, 1, 1, 8, true},    // k1/s1 degenerate
   };
   std::uint64_t seed = 11;
@@ -252,12 +339,12 @@ TEST(ConvTranspose1d, InferenceKernelMatchesForwardBitForBit) {
     if (g.zero_inputs)
       for (Index i = 0; i < x.numel(); ++i)
         if (rng.bernoulli(0.5)) x[i] = 0.0F;
-    const Tensor ref = conv.forward(x);
-    const Tensor fast = conv.forward_inference(x);
-    ASSERT_EQ(ref.shape(), fast.shape());
-    for (Index i = 0; i < ref.numel(); ++i)
-      ASSERT_EQ(ref[i], fast[i]) << "kernel=" << g.kernel << " stride=" << g.stride
-                                 << " length=" << g.length << " element " << i;
+    const Tensor ref = convt1d_reference(conv, x, g.kernel, g.stride);
+    for (const Tensor& y : {conv.forward(x), conv.forward_inference(x)}) {
+      ASSERT_EQ(ref.shape(), y.shape());
+      ASSERT_EQ(first_bit_mismatch(ref, y), -1)
+          << "kernel=" << g.kernel << " stride=" << g.stride << " length=" << g.length;
+    }
   }
 }
 
@@ -301,6 +388,11 @@ TEST(LastTimeStep, SelectsFinalColumn) {
   EXPECT_FLOAT_EQ(g[2], 1.0F);
   EXPECT_FLOAT_EQ(g[5], 2.0F);
   EXPECT_FLOAT_EQ(g[0], 0.0F);
+}
+
+TEST(LastTimeStep, BackwardWithoutForwardThrows) {
+  LastTimeStep l;
+  EXPECT_THROW(l.backward(Tensor::matrix({{1.0F, 2.0F}})), Error);
 }
 
 TEST(ResidualBlock1d, PreservesShapeAndSkip) {

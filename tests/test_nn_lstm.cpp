@@ -1,5 +1,10 @@
-// LSTM tests: shape semantics, gate behaviour, and BPTT gradient checks.
+// LSTM tests: shape semantics, gate behaviour, bit parity of both forwards
+// with a per-unit scalar reference, and BPTT gradient checks.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "gradcheck.hpp"
 #include "varade/nn/layers.hpp"
@@ -7,6 +12,68 @@
 
 namespace varade {
 namespace {
+
+float sigmoid_reference(float v) { return 1.0F / (1.0F + std::exp(-v)); }
+
+/// The per-unit scalar LSTM: one row, one step and one unit at a time, each
+/// gate pre-activation a double accumulator over the bias, then w_ih in
+/// channel order, then w_hh in unit order. Lstm::step interleaves blocks of
+/// rows; it must reproduce this bit for bit.
+Tensor lstm_reference(nn::Lstm& lstm, const Tensor& x) {
+  const std::vector<nn::Parameter*> params = lstm.parameters();
+  const float* pwi = params[0]->value.data();
+  const float* pwh = params[1]->value.data();
+  const float* pb = params[2]->value.data();
+  const Index n = x.dim(0);
+  const Index input = x.dim(1);
+  const Index l = x.dim(2);
+  const Index hidden = lstm.hidden_size();
+  Tensor out({n, hidden, l});
+  for (Index b = 0; b < n; ++b) {
+    std::vector<float> h(hidden, 0.0F), c(hidden, 0.0F), h_next(hidden), c_next(hidden);
+    for (Index t = 0; t < l; ++t) {
+      for (Index u = 0; u < hidden; ++u) {
+        float act[4];
+        for (Index g = 0; g < 4; ++g) {
+          const Index row = g * hidden + u;
+          double acc = pb[row];
+          for (Index ch = 0; ch < input; ++ch)
+            acc += static_cast<double>(pwi[row * input + ch]) * x[(b * input + ch) * l + t];
+          for (Index k = 0; k < hidden; ++k)
+            acc += static_cast<double>(pwh[row * hidden + k]) * h[k];
+          act[g] = g == 2 ? std::tanh(static_cast<float>(acc))
+                          : sigmoid_reference(static_cast<float>(acc));
+        }
+        c_next[u] = act[1] * c[u] + act[0] * act[2];
+        h_next[u] = act[3] * std::tanh(c_next[u]);
+        out[(b * hidden + u) * l + t] = h_next[u];
+      }
+      std::swap(h, h_next);
+      std::swap(c, c_next);
+    }
+  }
+  return out;
+}
+
+// forward() and forward_inference() run one step kernel over blocks of 8
+// rows, then 4, 2 and 1 for the rest; both must match the per-unit reference
+// bit for bit. n = 1 is the 1-row OnlineMonitor call; 7, 9 and 17 leave
+// ragged blocks (4 + 2 + 1, 8 + 1, 8 + 8 + 1).
+TEST(Lstm, BothForwardsMatchPerUnitReferenceBitForBit) {
+  std::uint64_t seed = 41;
+  for (const Index n : {1, 7, 8, 9, 17}) {
+    Rng rng(seed++);
+    nn::Lstm lstm(3, 5, rng);
+    lstm.parameters()[2]->value = Tensor::randn({4 * 5}, rng);
+    const Tensor x = Tensor::randn({n, 3, 6}, rng, 2.0F);
+    const Tensor ref = lstm_reference(lstm, x);
+    for (const Tensor& y : {lstm.forward(x), lstm.forward_inference(x)}) {
+      ASSERT_EQ(ref.shape(), y.shape());
+      ASSERT_EQ(std::memcmp(ref.data(), y.data(), sizeof(float) * ref.numel()), 0)
+          << "n=" << n;
+    }
+  }
+}
 
 TEST(Lstm, OutputShape) {
   Rng rng(1);
