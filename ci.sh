@@ -8,8 +8,9 @@
 # and example (they sit off the default target, so an interface change could
 # otherwise break one unnoticed), run the fast CTest preset (everything except
 # LABELS slow), then run the batched-vs-single-row parity suites explicitly by
-# label, a serve throughput smoke run covering all six detectors, GBRF and
-# VARADE stream sweeps checksum-pinned to OnlineMonitor, and two
+# label, a serve throughput smoke run covering all six detectors, one quick
+# pass of the training-step bench, GBRF and VARADE stream sweeps
+# checksum-pinned to OnlineMonitor, and two
 # network-serving smokes: start varade-served on a Unix socket (then on a
 # shm: bootstrap socket with batched frames), drive it with forked client
 # processes, and shut it down over the wire; finally build perfbench and run
@@ -152,6 +153,9 @@ ctest --test-dir "$BUILD_DIR" -L parity --output-on-failure -j "$JOBS"
 echo "== smoke: serve throughput bench (quick, all six detectors, async + sharded) =="
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_serve_throughput
 "$BUILD_DIR/bench/bench_serve_throughput" --quick --detector all --async --shards 2
+
+echo "== smoke: VARADE training step bench (quick: forward, backward and Adam ms per batch) =="
+"$BUILD_DIR/bench/bench_train_step" --quick
 
 echo "== smoke: fleet-scale stream sweep (10k SoA streams, checksum vs OnlineMonitor) =="
 # The sweep exits non-zero if any per-stream score sum diverges from the

@@ -43,7 +43,7 @@ void ArLstmDetector::fit(const data::MultivariateSeries& train) {
       train, {name(), {config_.window, config_.train_stride}, config_.epochs, config_.learning_rate},
       model->parameters(), rng, [&](const Tensor& contexts, const Tensor& targets) {
         const nn::LossResult loss = nn::mse_loss(model->forward(contexts), targets);
-        model->backward(loss.grad);
+        model->backward_params(loss.grad);
         return loss.value;
       });
   n_channels_ = train.n_channels();

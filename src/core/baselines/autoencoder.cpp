@@ -50,7 +50,7 @@ void AutoencoderDetector::fit(const data::MultivariateSeries& train) {
       train, {name(), {config_.window, config_.train_stride}, config_.epochs, config_.learning_rate},
       model->parameters(), rng, [&](const Tensor& contexts, const Tensor& /*targets*/) {
         const nn::LossResult loss = nn::mse_loss(model->forward(contexts), contexts);
-        model->backward(loss.grad);
+        model->backward_params(loss.grad);
         return loss.value;
       });
   n_channels_ = train.n_channels();

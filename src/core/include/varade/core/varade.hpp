@@ -66,7 +66,8 @@ class VaradeModel {
   /// for bit.
   Tensor logvar_inference(const Tensor& x);
 
-  /// Backward from loss gradients; accumulates parameter gradients.
+  /// Backward from loss gradients; accumulates parameter gradients. The
+  /// input gradient is never formed: the trunk runs backward_params().
   void backward(const Tensor& grad_mu, const Tensor& grad_logvar);
 
   std::vector<nn::Parameter*> parameters();

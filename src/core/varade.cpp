@@ -96,7 +96,7 @@ Tensor VaradeModel::trunk_inference(const Tensor& x) {
 void VaradeModel::backward(const Tensor& grad_mu, const Tensor& grad_logvar) {
   Tensor grad_features = mu_head_->backward(grad_mu);
   grad_features += logvar_head_->backward(grad_logvar);
-  trunk_.backward(grad_features);
+  trunk_.backward_params(grad_features);
 }
 
 std::vector<nn::Parameter*> VaradeModel::parameters() {

@@ -28,6 +28,7 @@ class Linear : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor forward_inference(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override { return "Linear"; }
   Shape output_shape(const Shape& in) const override;
@@ -48,8 +49,14 @@ class Linear : public Module {
 
  private:
   // forward() caches the input and calls forward_inference(): weights packed
-  // to [in][out] doubles, a kernel vectorised across outputs, pinned bit for
-  // bit to a test-local scalar reference by test_nn_layers.
+  // to [in][out] doubles, a kernel vectorised across outputs. backward() and
+  // backward_params() run one kernel vectorised across inputs, in float with
+  // no fused multiply-add: dW[o][j] sums over rows in ascending order, dX[i][j]
+  // over outputs in ascending order, exact-zero grad_out entries skipped.
+  // Both kernels are pinned bit for bit to test-local scalar references by
+  // test_nn_layers.
+  Tensor run_backward(const Tensor& grad_out, bool input_grad);
+
   Index in_;
   Index out_;
   Parameter weight_;  // [out, in]
@@ -98,6 +105,7 @@ class Conv1d : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor forward_inference(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override { return "Conv1d"; }
   Shape output_shape(const Shape& in) const override;
@@ -123,8 +131,15 @@ class Conv1d : public Module {
 
  private:
   // forward() caches the input and calls forward_inference(): weights packed
-  // to [ci][k][co] doubles, a kernel vectorised across output channels,
-  // pinned bit for bit to a test-local scalar reference by test_nn_layers.
+  // to [ci][k][co] doubles, a kernel vectorised across output channels.
+  // backward() and backward_params() run one kernel vectorised across input
+  // channels over transposed copies, in float with no fused multiply-add
+  // (fusing would skip the product's rounding): dW sums over (b, t)
+  // ascending, dX over (co, t, k) ascending, exact-zero grad_out entries
+  // skipped, as the scalar loop did. Both kernels are pinned bit for bit to
+  // test-local scalar references by test_nn_layers.
+  Tensor run_backward(const Tensor& grad_out, bool input_grad);
+
   Index in_ch_;
   Index out_ch_;
   Index kernel_;
@@ -138,7 +153,8 @@ class Conv1d : public Module {
 /// Name of the kernel set selected by the runtime dispatch table ("avx2" or
 /// "scalar"): resolved once at first use via __builtin_cpu_supports, shared
 /// by the forward() and forward_inference() of Conv1d, Linear and
-/// ConvTranspose1d. Exposed so tests can assert the vectorised path
+/// ConvTranspose1d and by the backward() and backward_params() of Conv1d and
+/// Linear. Exposed so tests can assert the vectorised path
 /// actually runs (including under sanitizers, where the previous ifunc-based
 /// multiversioning silently fell back to scalar).
 const char* conv1d_kernel_name();

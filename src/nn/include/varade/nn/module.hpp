@@ -32,6 +32,9 @@ struct Parameter {
 ///  - backward(grad_out) must be called after forward with a gradient of the
 ///    same shape as the forward output; it accumulates parameter gradients
 ///    (+=) and returns the gradient w.r.t. the forward input.
+///  - backward_params(grad_out) accumulates the same parameter gradients, bit
+///    for bit, and may skip the input gradient: for a model's first layer,
+///    whose input gradient nobody reads.
 ///  - output_shape/flops describe the layer statically for profiling; shapes
 ///    exclude the batch dimension handled uniformly by convention [N, ...].
 class Module {
@@ -44,6 +47,10 @@ class Module {
 
   virtual Tensor forward(const Tensor& x) = 0;
   virtual Tensor backward(const Tensor& grad_out) = 0;
+
+  /// backward() without the input gradient. The default runs backward() and
+  /// drops its result; Conv1d and Linear skip the dX loops.
+  virtual void backward_params(const Tensor& grad_out) { backward(grad_out); }
 
   /// Inference-only forward: identical arithmetic to forward() but skips the
   /// activation caches backward() needs, so no per-call copies or per-step
@@ -127,6 +134,15 @@ class Sequential : public Module {
     Tensor g = grad_out;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
     return g;
+  }
+
+  /// backward() through every layer but the first, which runs
+  /// backward_params(): the chain's input gradient is never formed.
+  void backward_params(const Tensor& grad_out) override {
+    if (layers_.empty()) return;
+    Tensor g = grad_out;
+    for (std::size_t i = layers_.size() - 1; i > 0; --i) g = layers_[i]->backward(g);
+    layers_.front()->backward_params(g);
   }
 
   std::vector<Parameter*> parameters() override {

@@ -9,30 +9,34 @@
 
 namespace varade::nn {
 
-// ------------------------------------------------------ inference kernels ----
+// --------------------------------------------------------------- kernels ----
 
 namespace {
 
 // The forward kernels of Conv1d, Linear and ConvTranspose1d: each layer's
 // forward() (training, which also caches the input for backward()) and
 // forward_inference() run the same kernel, so the two are one computation.
-// The scalar loops these kernels must match bit for bit live in
-// test_nn_layers as the test-local reference.
+// The backward kernels of Conv1d and Linear: backward() and
+// backward_params() run the same kernel, the latter without the input
+// gradient. The scalar loops all of these must match bit for bit live in
+// test_nn_layers as the test-local references.
 //
 // Runtime dispatch: each kernel body is an always_inline function
 // compiled twice — once plain, once inside an __attribute__((target("avx2")))
-// wrapper so it runs four doubles wide — and an explicit function-pointer
-// table picks per host via __builtin_cpu_supports("avx2"), resolved once at
-// first use.
+// wrapper so it runs four doubles (eight floats) wide — and an explicit
+// function-pointer table picks per host via __builtin_cpu_supports("avx2"),
+// resolved once at first use.
 //
-// FMA: the Conv1d and Linear kernels accumulate float x float products in
-// double. Such a product is exact in double (48 significand bits, and no
-// float product can overflow or underflow a double), so a fused multiply-add
-// there rounds exactly like multiply-then-add. Using it is optional; these
-// kernels leave it off, and a build that turns it on must pass the parity
-// tests in test_nn_layers. The ConvTranspose1d scatter is different: it
-// accumulates float products in float, where a contracted FMA would skip the
-// product's rounding and break bit parity, so it must stay contraction-free.
+// FMA: the Conv1d and Linear forward kernels accumulate float x float
+// products in double. Such a product is exact in double (48 significand
+// bits, and no float product can overflow or underflow a double), so a fused
+// multiply-add there rounds exactly like multiply-then-add. Using it is
+// optional; these kernels leave it off, and a build that turns it on must
+// pass the parity tests in test_nn_layers. Everything else here accumulates
+// float products in float — the ConvTranspose1d scatter and both backward
+// kernels — where a fused multiply-add would skip the product's rounding and
+// change bits, so it is forbidden there (the build passes -ffp-contract=off,
+// and the avx2 wrappers do not enable fma).
 //
 // This replaces the earlier target_clones multiversioning: ifunc resolvers
 // run before sanitizer runtimes are initialised, so TSan builds had to
@@ -59,6 +63,7 @@ namespace {
 /// vector ABI.
 using VecD = double __attribute__((vector_size(32)));  // 4 double lanes
 using VecF = float __attribute__((vector_size(16)));   // the same 4 lanes as float
+using VecF8 = float __attribute__((vector_size(32)));  // 8 float lanes (backward)
 
 /// Output lanes per block in the packed kernels: four double vectors.
 /// Packed weight rows are zero-padded to a multiple of this, so every block
@@ -250,6 +255,136 @@ VARADE_CONV_INLINE void convt1d_scatter_impl(const float* px, const float* pw, f
   }
 }
 
+/// dst[j] += g * src[j] for j in [0, len), eight lanes at a time: per
+/// element a float product, rounded, then a float addition — the scalar
+/// statement's two roundings, never fused.
+VARADE_CONV_INLINE void add_scaled(float* dst, const float* src, float g, Index len) {
+  const VecF8 gv = {g, g, g, g, g, g, g, g};
+  Index j = 0;
+  for (; j + 8 <= len; j += 8) {
+    VecF8 d = {};
+    VecF8 s = {};
+    std::memcpy(&d, dst + j, sizeof d);
+    std::memcpy(&s, src + j, sizeof s);
+    d += gv * s;
+    std::memcpy(dst + j, &d, sizeof d);
+  }
+  for (; j < len; ++j) dst[j] += g * src[j];
+}
+
+/// The operands of one Conv1d backward call. dx == nullptr asks for the
+/// parameter gradients only.
+struct Conv1dGrad {
+  const float* x;  // [n, in_ch, l_in], the cached input
+  const float* g;  // [n, out_ch, l_out]
+  const float* w;  // [out_ch, in_ch, kernel]
+  float* dw;       // [out_ch, in_ch, kernel], accumulated into
+  float* db;       // [out_ch], accumulated into
+  float* dx;       // [n, in_ch, l_in], zero on entry; or null
+  Index n, in_ch, out_ch, l_in, l_out, kernel, stride, padding;
+  float* scratch;  // conv1d_backward_scratch() floats
+};
+
+/// Input channels padded to whole eight-float vectors in the transposed
+/// buffers; the padded lanes hold zeros and are never stored back.
+Index round_up_ci(Index in_ch) { return (in_ch + 7) / 8 * 8; }
+
+Index conv1d_backward_scratch(Index in_ch, Index out_ch, Index kernel, Index l_in) {
+  return 2 * round_up_ci(in_ch) * (out_ch * kernel + l_in);
+}
+
+/// Conv1d backward with the input channels in the vector lanes. The weights,
+/// a working copy of their gradient and each batch row's input (and input
+/// gradient) are transposed so that ci is the contiguous axis: wt and dwt
+/// [co][k][ci], xt and dxt [pos][ci]. The loops run b -> co -> (bias over t)
+/// -> t -> in-bounds k -> ci lanes, computing dW += g*x and dX += g*w with an
+/// exact-zero g skipped (g is the same in every lane, so the skip stays one
+/// scalar branch). That keeps the scalar reference's order for every element:
+/// dW[co][ci][k] sums over (b, t) ascending, dX[b][ci][pos] over (co, t, k)
+/// ascending, db[co] over (b, t) ascending.
+VARADE_CONV_INLINE void conv1d_backward_impl(const Conv1dGrad& a) {
+  const Index in_ch = a.in_ch;
+  const Index ci_pad = round_up_ci(in_ch);
+  const Index kernel = a.kernel;
+  const Index taps = a.out_ch * kernel;
+  float* dwt = a.scratch;
+  float* wt = dwt + taps * ci_pad;
+  float* xt = wt + taps * ci_pad;
+  float* dxt = xt + a.l_in * ci_pad;
+  std::fill(a.scratch, a.scratch + conv1d_backward_scratch(in_ch, a.out_ch, kernel, a.l_in),
+            0.0F);
+  for (Index co = 0; co < a.out_ch; ++co)
+    for (Index ci = 0; ci < in_ch; ++ci)
+      for (Index k = 0; k < kernel; ++k) {
+        const Index src = (co * in_ch + ci) * kernel + k;
+        const Index dst = (co * kernel + k) * ci_pad + ci;
+        dwt[dst] = a.dw[src];
+        if (a.dx != nullptr) wt[dst] = a.w[src];
+      }
+  for (Index b = 0; b < a.n; ++b) {
+    const float* xb = a.x + b * in_ch * a.l_in;
+    for (Index ci = 0; ci < in_ch; ++ci)
+      for (Index pos = 0; pos < a.l_in; ++pos) xt[pos * ci_pad + ci] = xb[ci * a.l_in + pos];
+    if (a.dx != nullptr) std::fill(dxt, dxt + a.l_in * ci_pad, 0.0F);
+    for (Index co = 0; co < a.out_ch; ++co) {
+      const float* gc = a.g + (b * a.out_ch + co) * a.l_out;
+      for (Index t = 0; t < a.l_out; ++t) a.db[co] += gc[t];
+      for (Index t = 0; t < a.l_out; ++t) {
+        const float g = gc[t];
+        if (g == 0.0F) continue;
+        const Index start = t * a.stride - a.padding;
+        const Index k_lo = std::max<Index>(0, -start);
+        const Index k_hi = std::min(kernel, a.l_in - start);
+        for (Index k = k_lo; k < k_hi; ++k) {
+          const Index row = (co * kernel + k) * ci_pad;
+          const Index pos = (start + k) * ci_pad;
+          add_scaled(dwt + row, xt + pos, g, ci_pad);
+          if (a.dx != nullptr) add_scaled(dxt + pos, wt + row, g, ci_pad);
+        }
+      }
+    }
+    if (a.dx != nullptr) {
+      float* dxb = a.dx + b * in_ch * a.l_in;
+      for (Index ci = 0; ci < in_ch; ++ci)
+        for (Index pos = 0; pos < a.l_in; ++pos) dxb[ci * a.l_in + pos] = dxt[pos * ci_pad + ci];
+    }
+  }
+  for (Index co = 0; co < a.out_ch; ++co)
+    for (Index ci = 0; ci < in_ch; ++ci)
+      for (Index k = 0; k < kernel; ++k)
+        a.dw[(co * in_ch + ci) * kernel + k] = dwt[(co * kernel + k) * ci_pad + ci];
+}
+
+/// The operands of one Linear backward call; dx == nullptr asks for the
+/// parameter gradients only.
+struct LinearGrad {
+  const float* x;  // [n, in], the cached input
+  const float* g;  // [n, out]
+  const float* w;  // [out, in]
+  float* dw;       // [out, in], accumulated into
+  float* db;       // [out], accumulated into
+  float* dx;       // [n, in], zero on entry; or null
+  Index n, in, out;
+};
+
+/// Linear backward with the inputs in the vector lanes. The layouts already
+/// have `in` contiguous, so the loops run i -> o (exact-zero g skipped) -> j
+/// lanes with no transposes: dW[o][j] sums over i ascending, dX[i][j] over o
+/// ascending, db[o] over i ascending, as the scalar reference does.
+VARADE_CONV_INLINE void linear_backward_impl(const LinearGrad& a) {
+  for (Index i = 0; i < a.n; ++i) {
+    const float* grow = a.g + i * a.out;
+    const float* xrow = a.x + i * a.in;
+    for (Index o = 0; o < a.out; ++o) {
+      const float g = grow[o];
+      if (g == 0.0F) continue;
+      a.db[o] += g;
+      add_scaled(a.dw + o * a.in, xrow, g, a.in);
+      if (a.dx != nullptr) add_scaled(a.dx + i * a.in, a.w + o * a.in, g, a.in);
+    }
+  }
+}
+
 // ------------------------------------------------ kernel dispatch table ----
 
 using Conv1dFn = void (*)(const float*, const double*, float*, Index, Index, Index, Index,
@@ -257,11 +392,15 @@ using Conv1dFn = void (*)(const float*, const double*, float*, Index, Index, Ind
 using LinearFn = void (*)(const float*, const double*, float*, Index, Index, Index, Index);
 using ConvT1dScatterFn = void (*)(const float*, const float*, float*, Index, Index, Index,
                                   Index, Index, Index, Index);
+using Conv1dBackwardFn = void (*)(const Conv1dGrad&);
+using LinearBackwardFn = void (*)(const LinearGrad&);
 
 struct KernelTable {
   Conv1dFn conv1d;
   LinearFn linear;
   ConvT1dScatterFn convt1d_scatter;
+  Conv1dBackwardFn conv1d_backward;
+  LinearBackwardFn linear_backward;
   const char* name;
 };
 
@@ -282,6 +421,10 @@ void convt1d_scatter_scalar(const float* px, const float* pw, float* py, Index n
                             Index stride) {
   convt1d_scatter_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride);
 }
+
+void conv1d_backward_scalar(const Conv1dGrad& a) { conv1d_backward_impl(a); }
+
+void linear_backward_scalar(const LinearGrad& a) { linear_backward_impl(a); }
 
 #ifdef VARADE_CONV_MULTIARCH
 // The always_inline impl bodies are compiled again inside these wrappers, so
@@ -306,6 +449,14 @@ __attribute__((target("avx2"))) void convt1d_scatter_avx2(const float* px, const
                                                           Index stride) {
   convt1d_scatter_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride);
 }
+
+__attribute__((target("avx2"))) void conv1d_backward_avx2(const Conv1dGrad& a) {
+  conv1d_backward_impl(a);
+}
+
+__attribute__((target("avx2"))) void linear_backward_avx2(const LinearGrad& a) {
+  linear_backward_impl(a);
+}
 #endif
 
 /// The selected kernel set. Resolution runs once (static local, thread-safe
@@ -315,9 +466,11 @@ const KernelTable& kernels() {
   static const KernelTable table = [] {
 #ifdef VARADE_CONV_MULTIARCH
     if (__builtin_cpu_supports("avx2"))
-      return KernelTable{conv1d_avx2, linear_avx2, convt1d_scatter_avx2, "avx2"};
+      return KernelTable{conv1d_avx2,          linear_avx2,          convt1d_scatter_avx2,
+                         conv1d_backward_avx2, linear_backward_avx2, "avx2"};
 #endif
-    return KernelTable{conv1d_scalar, linear_scalar, convt1d_scatter_scalar, "scalar"};
+    return KernelTable{conv1d_scalar,          linear_scalar,          convt1d_scatter_scalar,
+                       conv1d_backward_scalar, linear_backward_scalar, "scalar"};
   }();
   return table;
 }
@@ -365,35 +518,20 @@ void Linear::forward_packed(const PackedWeights& w, const float* x, Index n, flo
   kernels().linear(x, w.values.data(), y, n, in_, out_, w.out_pad);
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
+Tensor Linear::backward(const Tensor& grad_out) { return run_backward(grad_out, true); }
+
+void Linear::backward_params(const Tensor& grad_out) { run_backward(grad_out, false); }
+
+Tensor Linear::run_backward(const Tensor& grad_out, bool input_grad) {
   check(grad_out.rank() == 2 && grad_out.dim(1) == out_, "Linear backward shape mismatch");
   const Index n = grad_out.dim(0);
   check(cached_input_.rank() == 2 && cached_input_.dim(0) == n,
         "Linear backward called without matching forward");
   // dW[o,j] += sum_i g[i,o] * x[i,j];  db[o] += sum_i g[i,o];  dx = g W
-  const float* pg = grad_out.data();
-  const float* px = cached_input_.data();
-  const float* pw = weight_.value.data();
-  float* pdw = weight_.grad.data();
-  float* pdb = bias_.grad.data();
-  Tensor grad_in({n, in_});
-  float* pdx = grad_in.data();
-  for (Index i = 0; i < n; ++i) {
-    const float* grow = pg + i * out_;
-    const float* xrow = px + i * in_;
-    float* dxrow = pdx + i * in_;
-    for (Index o = 0; o < out_; ++o) {
-      const float g = grow[o];
-      if (g == 0.0F) continue;
-      pdb[o] += g;
-      float* dwrow = pdw + o * in_;
-      const float* wrow = pw + o * in_;
-      for (Index j = 0; j < in_; ++j) {
-        dwrow[j] += g * xrow[j];
-        dxrow[j] += g * wrow[j];
-      }
-    }
-  }
+  Tensor grad_in = input_grad ? Tensor({n, in_}) : Tensor();
+  kernels().linear_backward({cached_input_.data(), grad_out.data(), weight_.value.data(),
+                             weight_.grad.data(), bias_.grad.data(),
+                             input_grad ? grad_in.data() : nullptr, n, in_, out_});
   return grad_in;
 }
 
@@ -508,49 +646,25 @@ void Conv1d::forward_packed(const PackedWeights& w, const float* x, Index n, Ind
                    out_length(l_in), kernel_, stride_, padding_);
 }
 
-Tensor Conv1d::backward(const Tensor& grad_out) {
+Tensor Conv1d::backward(const Tensor& grad_out) { return run_backward(grad_out, true); }
+
+void Conv1d::backward_params(const Tensor& grad_out) { run_backward(grad_out, false); }
+
+Tensor Conv1d::run_backward(const Tensor& grad_out, bool input_grad) {
+  check(cached_input_.rank() == 3, "Conv1d backward called without matching forward");
   const Index n = cached_input_.dim(0);
   const Index l_in = cached_input_.dim(2);
   const Index l_out = out_length(l_in);
   check(grad_out.rank() == 3 && grad_out.dim(0) == n && grad_out.dim(1) == out_ch_ &&
             grad_out.dim(2) == l_out,
         "Conv1d backward shape mismatch");
-  Tensor grad_in(cached_input_.shape());
-  const float* px = cached_input_.data();
-  const float* pg = grad_out.data();
-  const float* pw = weight_.value.data();
-  float* pdw = weight_.grad.data();
-  float* pdb = bias_.grad.data();
-  float* pdx = grad_in.data();
-  for (Index b = 0; b < n; ++b) {
-    const float* xb = px + b * in_ch_ * l_in;
-    const float* gb = pg + b * out_ch_ * l_out;
-    float* dxb = pdx + b * in_ch_ * l_in;
-    for (Index co = 0; co < out_ch_; ++co) {
-      const float* gc = gb + co * l_out;
-      const float* wc = pw + co * in_ch_ * kernel_;
-      float* dwc = pdw + co * in_ch_ * kernel_;
-      for (Index t = 0; t < l_out; ++t) pdb[co] += gc[t];
-      for (Index ci = 0; ci < in_ch_; ++ci) {
-        const float* xc = xb + ci * l_in;
-        float* dxc = dxb + ci * l_in;
-        const float* wk = wc + ci * kernel_;
-        float* dwk = dwc + ci * kernel_;
-        for (Index t = 0; t < l_out; ++t) {
-          const float g = gc[t];
-          if (g == 0.0F) continue;
-          const Index start = t * stride_ - padding_;
-          for (Index k = 0; k < kernel_; ++k) {
-            const Index pos = start + k;
-            if (pos >= 0 && pos < l_in) {
-              dwk[k] += g * xc[pos];
-              dxc[pos] += g * wk[k];
-            }
-          }
-        }
-      }
-    }
-  }
+  Tensor grad_in = input_grad ? Tensor(cached_input_.shape()) : Tensor();
+  thread_local std::vector<float> scratch;
+  scratch.resize(static_cast<std::size_t>(conv1d_backward_scratch(in_ch_, out_ch_, kernel_, l_in)));
+  kernels().conv1d_backward({cached_input_.data(), grad_out.data(), weight_.value.data(),
+                             weight_.grad.data(), bias_.grad.data(),
+                             input_grad ? grad_in.data() : nullptr, n, in_ch_, out_ch_, l_in,
+                             l_out, kernel_, stride_, padding_, scratch.data()});
   return grad_in;
 }
 
@@ -607,6 +721,7 @@ Tensor ConvTranspose1d::forward_inference(const Tensor& x) {
 }
 
 Tensor ConvTranspose1d::backward(const Tensor& grad_out) {
+  check(cached_input_.rank() == 3, "ConvTranspose1d backward called without matching forward");
   const Index n = cached_input_.dim(0);
   const Index l_in = cached_input_.dim(2);
   const Index l_out = (l_in - 1) * stride_ + kernel_;

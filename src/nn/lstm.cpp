@@ -184,6 +184,7 @@ Tensor Lstm::forward_inference(const Tensor& x) {
 }
 
 Tensor Lstm::backward(const Tensor& grad_out) {
+  check(cached_input_.rank() == 3, "Lstm backward called without matching forward");
   const Index n = cached_input_.dim(0);
   const Index l = cached_input_.dim(2);
   check(grad_out.rank() == 3 && grad_out.dim(0) == n && grad_out.dim(1) == hidden_ &&

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "gradcheck.hpp"
 #include "varade/nn/layers.hpp"
@@ -121,6 +123,132 @@ Tensor convt1d_reference(ConvTranspose1d& conv, const Tensor& x, Index kernel, I
   return y;
 }
 
+// Conv1d and Linear run one vectorised backward kernel for backward() and
+// backward_params(). These are the scalar loops it replaced: per element the
+// same float products and float additions in the same order, with exact-zero
+// gradients skipped. Each accumulates into dw and db, which may hold earlier
+// gradients, and returns dX.
+
+/// dW[o][j] += g[i][o] * x[i][j] over i ascending, db[o] += g[i][o],
+/// dX[i][j] += g[i][o] * w[o][j] over o ascending; g == 0 skipped.
+Tensor linear_backward_reference(Linear& layer, const Tensor& x, const Tensor& grad_out,
+                                 Tensor& dw, Tensor& db) {
+  const Index n = x.dim(0);
+  const Index in = layer.in_features();
+  const Index out = layer.out_features();
+  const float* pw = layer.weight().value.data();
+  Tensor dx({n, in});
+  for (Index i = 0; i < n; ++i)
+    for (Index o = 0; o < out; ++o) {
+      const float g = grad_out[i * out + o];
+      if (g == 0.0F) continue;
+      db[o] += g;
+      for (Index j = 0; j < in; ++j) {
+        dw[o * in + j] += g * x[i * in + j];
+        dx[i * in + j] += g * pw[o * in + j];
+      }
+    }
+  return dx;
+}
+
+/// Loops b, co, ci, t, k: db[co] sums grad_out over (b, t); dW[co][ci][k]
+/// over (b, t); dX[b][ci][pos] over (co, t, k); in-bounds taps only, g == 0
+/// skipped.
+Tensor conv1d_backward_reference(Conv1d& conv, const Tensor& x, const Tensor& grad_out,
+                                 Tensor& dw, Tensor& db) {
+  const Index n = x.dim(0);
+  const Index in_ch = conv.in_channels();
+  const Index out_ch = conv.out_channels();
+  const Index kernel = conv.kernel_size();
+  const Index l_in = x.dim(2);
+  const Index l_out = conv.out_length(l_in);
+  const float* pw = conv.parameters()[0]->value.data();
+  Tensor dx(x.shape());
+  for (Index b = 0; b < n; ++b)
+    for (Index co = 0; co < out_ch; ++co) {
+      const float* gc = grad_out.data() + (b * out_ch + co) * l_out;
+      for (Index t = 0; t < l_out; ++t) db[co] += gc[t];
+      for (Index ci = 0; ci < in_ch; ++ci) {
+        const float* xc = x.data() + (b * in_ch + ci) * l_in;
+        float* dxc = dx.data() + (b * in_ch + ci) * l_in;
+        const float* wk = pw + (co * in_ch + ci) * kernel;
+        float* dwk = dw.data() + (co * in_ch + ci) * kernel;
+        for (Index t = 0; t < l_out; ++t) {
+          const float g = gc[t];
+          if (g == 0.0F) continue;
+          const Index start = t * conv.stride() - conv.padding();
+          for (Index k = 0; k < kernel; ++k) {
+            const Index pos = start + k;
+            if (pos >= 0 && pos < l_in) {
+              dwk[k] += g * xc[pos];
+              dxc[pos] += g * wk[k];
+            }
+          }
+        }
+      }
+    }
+  return dx;
+}
+
+// Crafted cancellation: float values whose products, summed in the intended
+// order, come to 1, and summed in reverse order come to 0. 2^60 swallows the
+// 1 in float and in double alike, so a row that holds these three in
+// ascending order catches a reordering inside one accumulator, which random
+// data almost never does (float x float products are exact in double).
+constexpr float kBig = 1152921504606846976.0F;  // 2^60
+constexpr float kCancel[3] = {kBig, -kBig, 1.0F};
+
+/// The message of the varade::Error `f` throws, or "" if it throws none.
+template <typename F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// grad_out for a backward parity test: normal values with about a third
+/// replaced by exact zeros of both signs, which the kernels skip.
+Tensor sparse_grad(const Shape& shape, Rng& rng) {
+  Tensor g = Tensor::randn(shape, rng);
+  for (Index i = 0; i < g.numel(); ++i)
+    if (rng.bernoulli(0.3)) g[i] = rng.bernoulli(0.5) ? 0.0F : -0.0F;
+  return g;
+}
+
+/// Runs `layer`'s backward() and then its backward_params(), each from the
+/// same non-zero parameter gradients, and checks dW, db and dX against the
+/// scalar `reference` bit for bit. backward_params() must leave the same
+/// parameter gradients as backward().
+template <typename Layer, typename Reference>
+void expect_backward_matches_reference(Layer& layer, const Tensor& x, const Tensor& grad_out,
+                                       Rng& rng, Reference reference, const std::string& what) {
+  Tensor& dw = layer.parameters()[0]->grad;
+  Tensor& db = layer.parameters()[1]->grad;
+  const Tensor dw0 = Tensor::randn(dw.shape(), rng);
+  const Tensor db0 = Tensor::randn(db.shape(), rng);
+  Tensor dw_ref = dw0;
+  Tensor db_ref = db0;
+  const Tensor dx_ref = reference(layer, x, grad_out, dw_ref, db_ref);
+
+  layer.forward(x);
+  dw = dw0;
+  db = db0;
+  const Tensor dx = layer.backward(grad_out);
+  ASSERT_EQ(dx_ref.shape(), dx.shape()) << what;
+  EXPECT_EQ(first_bit_mismatch(dx_ref, dx), -1) << what << ": dX";
+  EXPECT_EQ(first_bit_mismatch(dw_ref, dw), -1) << what << ": dW";
+  EXPECT_EQ(first_bit_mismatch(db_ref, db), -1) << what << ": db";
+
+  dw = dw0;
+  db = db0;
+  layer.backward_params(grad_out);
+  EXPECT_EQ(first_bit_mismatch(dw_ref, dw), -1) << what << ": backward_params dW";
+  EXPECT_EQ(first_bit_mismatch(db_ref, db), -1) << what << ": backward_params db";
+}
+
 TEST(Linear, ForwardMatchesManualComputation) {
   Rng rng(1);
   Linear layer(2, 3, rng);
@@ -171,6 +299,56 @@ TEST(Linear, BothForwardsMatchScalarReferenceBitForBit) {
       }
     }
   }
+  // Cancellation row: output 0 of row 0 sums the products 2^60, -2^60, 1 over
+  // inputs 0-2 (then zeros), which only the ascending input order makes 1.
+  Rng rng(seed);
+  Linear layer(8, 3, rng);
+  Tensor x = Tensor::randn({2, 8}, rng);
+  for (Index j = 0; j < 8; ++j) x[j] = j < 3 ? kCancel[j] : 0.0F;
+  for (Index j = 0; j < 3; ++j) layer.weight().value[j] = 1.0F;
+  const Tensor ref = linear_reference(layer, x);
+  ASSERT_EQ(ref[0], 1.0F);
+  for (const Tensor& y : {layer.forward(x), layer.forward_inference(x)})
+    EXPECT_EQ(first_bit_mismatch(ref, y), -1) << "cancellation row";
+}
+
+// backward() and backward_params() run one kernel vectorised across inputs;
+// it keeps the scalar loop's order for every element, so dW, db and dX must
+// match it bit for bit, from weight gradients that are already non-zero and
+// with exact zeros of both signs in grad_out and the input. The last case is
+// a cancellation row: dW[0][0] sums 2^60, -2^60, 1 over rows and dX[0][0]
+// over outputs, which only the ascending orders make 1.
+TEST(Linear, BackwardMatchesScalarReferenceBitForBit) {
+  struct Geometry {
+    Index in, out, n;
+  };
+  const std::vector<Geometry> cases = {{64, 86, 32}, {7, 86, 5}, {3, 16, 4}, {86, 1, 3}};
+  std::uint64_t seed = 31;
+  for (const Geometry& c : cases) {
+    Rng rng(seed++);
+    Linear layer(c.in, c.out, rng);
+    const Tensor x = relu_style({c.n, c.in}, rng);
+    const Tensor g = sparse_grad({c.n, c.out}, rng);
+    expect_backward_matches_reference(
+        layer, x, g, rng, linear_backward_reference,
+        "in=" + std::to_string(c.in) + " out=" + std::to_string(c.out));
+  }
+  Rng rng(seed);
+  Linear layer(2, 3, rng);
+  for (Index o = 0; o < 3; ++o) layer.weight().value[o * 2] = kCancel[o];
+  Tensor x = Tensor::randn({3, 2}, rng);
+  Tensor g({3, 3});
+  for (Index i = 0; i < 3; ++i) {
+    x[i * 2] = kCancel[i];
+    g[i * 3] = 1.0F;  // dW[0][0] sums g[i][0] * x[i][0] over rows i
+    g[i] = 1.0F;      // dX[0][0] sums g[0][o] * w[o][0] over outputs o
+  }
+  Tensor dw({3, 2});
+  Tensor db({3});
+  ASSERT_EQ(linear_backward_reference(layer, x, g, dw, db)[0], 1.0F);
+  ASSERT_EQ(dw[0], 1.0F);
+  expect_backward_matches_reference(layer, x, g, rng, linear_backward_reference,
+                                    "cancellation rows");
 }
 
 TEST(ReLU, ForwardAndBackward) {
@@ -262,6 +440,91 @@ TEST(Conv1d, BothForwardsMatchScalarReferenceBitForBit) {
           << " padding=" << g.padding << " length=" << g.length;
     }
   }
+  // Cancellation row: output step 1 of a k3/s1/p1 conv sums the taps
+  // 2^60, -2^60, 1 at input steps 0-2, which only the ascending tap order
+  // makes 1 (with kernel 2 a tap order cannot show: a + b == b + a).
+  Rng rng(seed);
+  Conv1d conv(1, 2, 3, 1, 1, rng);
+  Tensor x({1, 1, 5}, std::vector<float>{kCancel[0], kCancel[1], kCancel[2], 0.5F, 0.25F});
+  for (Index k = 0; k < 3; ++k) conv.parameters()[0]->value[k] = 1.0F;
+  const Tensor ref = conv1d_reference(conv, x);
+  ASSERT_EQ(ref[1], 1.0F);
+  for (const Tensor& y : {conv.forward(x), conv.forward_inference(x)})
+    EXPECT_EQ(first_bit_mismatch(ref, y), -1) << "cancellation row";
+}
+
+// backward() and backward_params() run one kernel vectorised across input
+// channels over transposed copies of the weights, their gradient and the
+// input. It keeps the scalar loop's order for every element, so dW, db and
+// dX must match it bit for bit, from weight gradients that are already
+// non-zero and with exact zeros of both signs in grad_out and the input.
+TEST(Conv1d, BackwardMatchesScalarReferenceBitForBit) {
+  struct Geometry {
+    Index in_ch, out_ch, kernel, stride, padding, batch, length;
+  };
+  const std::vector<Geometry> cases = {
+      {86, 16, 2, 2, 0, 4, 32},  // VARADE repro trunk layer 0: k2/s2
+      {16, 32, 2, 2, 0, 3, 8},   //  - layer 2 (channel doubling)
+      {3, 5, 2, 2, 0, 3, 9},     // k2/s2, odd length: the last input step unread
+      {4, 4, 3, 1, 1, 3, 37},    // AE residual block: padded k3/s1/p1, ragged
+      {9, 3, 3, 1, 1, 2, 8},     //  - input channels past one vector
+      {3, 4, 3, 2, 0, 2, 11},    // overlapping k3/s2
+      {2, 2, 5, 1, 2, 2, 4},     // edge taps: kernel wider than half the input
+      {1, 2, 3, 2, 3, 2, 3},     // padding > kernel: windows inside the padding
+      {2, 4, 4, 3, 2, 1, 19},    // stride > 1 with padding
+  };
+  std::uint64_t seed = 37;
+  for (const Geometry& c : cases) {
+    Rng rng(seed++);
+    Conv1d conv(c.in_ch, c.out_ch, c.kernel, c.stride, c.padding, rng);
+    const Tensor x = relu_style({c.batch, c.in_ch, c.length}, rng);
+    const Tensor g = sparse_grad({c.batch, c.out_ch, conv.out_length(c.length)}, rng);
+    expect_backward_matches_reference(
+        conv, x, g, rng, conv1d_backward_reference,
+        std::to_string(c.in_ch) + "->" + std::to_string(c.out_ch) + " kernel=" +
+            std::to_string(c.kernel) + " stride=" + std::to_string(c.stride) +
+            " padding=" + std::to_string(c.padding) + " length=" + std::to_string(c.length));
+  }
+}
+
+// Cancellation rows for the Conv1d backward (k2/s2, 3 rows, 3 output
+// channels, length 6): dW[0][0][0] sums 2^60, -2^60, 1 over batch rows,
+// dW[0][0][1] over output steps of row 0, and dX[0][0][0] over output
+// channels. Only the scalar loop's (b, t) and co orders make each 1.
+TEST(Conv1d, BackwardKeepsEachSumsOrder) {
+  Rng rng(47);
+  Conv1d conv(1, 3, 2, 2, 0, rng);
+  Tensor x({3, 1, 6});
+  Tensor g({3, 3, 3});
+  for (Index i = 0; i < 3; ++i) {
+    x[i * 6] = kCancel[i];        // tap 0 of step 0 in row i
+    x[2 * i + 1] = kCancel[i];    // tap 1 of step i in row 0
+    conv.parameters()[0]->value[i * 2] = kCancel[i];  // w[co = i][0][0]
+    g[i * 9] = 1.0F;              // g[b = i][0][0]
+    g[i] = 1.0F;                  // g[0][0][t = i]
+    g[i * 3] = 1.0F;              // g[0][co = i][0]
+  }
+  Tensor dw({3, 1, 2});
+  Tensor db({3});
+  const Tensor dx = conv1d_backward_reference(conv, x, g, dw, db);
+  ASSERT_EQ(dw[0], 1.0F);
+  ASSERT_EQ(dw[1], 1.0F);
+  ASSERT_EQ(dx[0], 1.0F);
+  expect_backward_matches_reference(conv, x, g, rng, conv1d_backward_reference,
+                                    "cancellation rows");
+}
+
+// backward() before any forward() names the missing forward rather than
+// failing on the empty cache's shape.
+TEST(Conv1d, BackwardWithoutForwardThrowsNamedError) {
+  Rng rng(1);
+  Conv1d conv(2, 3, 2, 2, 0, rng);
+  const Tensor g({1, 3, 2});
+  EXPECT_NE(error_of([&] { conv.backward(g); }).find("backward called without matching forward"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { conv.backward_params(g); })
+                .find("backward called without matching forward"),
+            std::string::npos);
 }
 
 // pack() + forward_packed() is forward_inference() with the packing done
@@ -348,6 +611,14 @@ TEST(ConvTranspose1d, BothForwardsMatchScalarReferenceBitForBit) {
   }
 }
 
+TEST(ConvTranspose1d, BackwardWithoutForwardThrowsNamedError) {
+  Rng rng(1);
+  ConvTranspose1d conv(2, 3, 2, 2, rng);
+  EXPECT_NE(error_of([&] { conv.backward(Tensor({1, 3, 4})); })
+                .find("backward called without matching forward"),
+            std::string::npos);
+}
+
 TEST(KernelDispatch, ReportsSelectedKernel) {
   const std::string kernel = nn::conv1d_kernel_name();
 #if defined(__x86_64__)
@@ -417,6 +688,31 @@ TEST(Sequential, ChainsShapesAndFlops) {
   const Tensor x = Tensor::randn({2, 2, 8}, rng);
   EXPECT_EQ(net.forward(x).shape(), (Shape{2, 3}));
   EXPECT_EQ(net.size(), 4U);
+}
+
+// backward_params() runs backward() on every layer but the first and skips
+// only the chain's input gradient, so every parameter gradient is the same
+// bits backward() leaves.
+TEST(Sequential, BackwardParamsLeavesTheSameParameterGradients) {
+  Rng rng(29);
+  nn::Sequential net;
+  net.emplace<Conv1d>(5, 4, 2, 2, 0, rng);
+  net.emplace<ReLU>();
+  net.emplace<Flatten>();
+  net.emplace<Linear>(4 * 4, 3, rng);
+  const Tensor x = relu_style({3, 5, 8}, rng);
+  const Tensor g = sparse_grad({3, 3}, rng);
+  net.zero_grad();
+  net.forward(x);
+  net.backward(g);
+  std::vector<Tensor> full;
+  for (nn::Parameter* p : net.parameters()) full.push_back(p->grad);
+  net.zero_grad();
+  net.forward(x);
+  net.backward_params(g);
+  const std::vector<nn::Parameter*> params = net.parameters();
+  for (std::size_t i = 0; i < params.size(); ++i)
+    EXPECT_EQ(first_bit_mismatch(full[i], params[i]->grad), -1) << "parameter " << i;
 }
 
 // --- finite-difference gradient checks (parameterised shape sweeps) ---------

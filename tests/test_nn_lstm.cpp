@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "gradcheck.hpp"
@@ -73,6 +74,29 @@ TEST(Lstm, BothForwardsMatchPerUnitReferenceBitForBit) {
           << "n=" << n;
     }
   }
+  // Cancellation row. Step 0 saturates every gate (input 1, w_ih = +-100,
+  // zero biases), so h_0 = (tanh 1, -tanh 1, tanh 1). At step 1 (input 0) the
+  // cell-gate pre-activation of unit 0 sums w_hh * h_0 over units 0-2 with
+  // w_hh = (2^60, 2^60, 1): the products 2^60 tanh 1, -2^60 tanh 1, tanh 1,
+  // which only the ascending unit order sums to tanh 1 rather than 0.
+  Rng rng(seed);
+  const Index hidden = 3;
+  nn::Lstm lstm(1, hidden, rng);
+  const std::vector<nn::Parameter*> params = lstm.parameters();
+  for (Index r = 0; r < 4 * hidden; ++r)  // cell gate of unit 1 saturates at -1
+    params[0]->value[r] = r == 2 * hidden + 1 ? -100.0F : 100.0F;
+  params[1]->value.zero();
+  params[2]->value.zero();
+  const float big = 1152921504606846976.0F;  // 2^60
+  float* cell_row = params[1]->value.data() + 2 * hidden * hidden;  // cell gate, unit 0
+  cell_row[0] = big;
+  cell_row[1] = big;
+  cell_row[2] = 1.0F;
+  const Tensor x({1, 1, 2}, std::vector<float>{1.0F, 0.0F});
+  const Tensor ref = lstm_reference(lstm, x);
+  for (const Tensor& y : {lstm.forward(x), lstm.forward_inference(x)})
+    EXPECT_EQ(std::memcmp(ref.data(), y.data(), sizeof(float) * ref.numel()), 0)
+        << "cancellation row";
 }
 
 TEST(Lstm, OutputShape) {
@@ -170,6 +194,21 @@ TEST(LstmStack, GradCheckThroughTwoLayersAndHead) {
   const Tensor projection = Tensor::randn({2, 2}, rng);
   testing::check_input_gradient(net, x, projection, 1e-2F, 3e-2F);
   testing::check_parameter_gradients(net, x, projection, 1e-2F, 3e-2F);
+}
+
+// backward() before any forward() names the missing forward rather than
+// failing on the empty cache's shape.
+TEST(Lstm, BackwardWithoutForwardThrowsNamedError) {
+  Rng rng(1);
+  nn::Lstm lstm(2, 3, rng);
+  std::string message;
+  try {
+    lstm.backward(Tensor({1, 3, 4}));
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("backward called without matching forward"), std::string::npos)
+      << message;
 }
 
 TEST(Lstm, FlopsScaleWithLength) {
