@@ -31,9 +31,14 @@
 # bench_fingerprint twice, once with the default flags and once with
 # -march=x86-64-v3 (AVX2 + FMA), runs both on this host and diffs the output
 # (the trained loss histories, every detector's score hash and a simulator
-# recording's hash) byte for byte. It fails rather than skips on a host
-# without AVX2/FMA. Both builds run on one host because libm may dispatch
-# exp/sin on the CPU: identity across hosts stays unverified.
+# recording's hash) byte for byte. Then it builds the tests in the
+# -march=x86-64-v3 tree and runs the parity label there: the packed forward
+# kernels fuse multiply-adds inside target("avx2,fma") wrappers, and this
+# build compiles their portable copies with FMA available too (left unfused
+# by -ffp-contract=off), so both tables must still match the scalar
+# references bit for bit. It fails rather than skips
+# on a host without AVX2/FMA. Both builds run on one host because libm may
+# dispatch exp/sin on the CPU: identity across hosts stays unverified.
 #
 # --tsan builds under ThreadSanitizer (VARADE_TSAN=ON, separate build-tsan
 # tree) and runs the concurrency label — the async ingestion runtime
@@ -73,23 +78,27 @@ if [[ "${1:-}" == "--numeric" ]]; then
     grep -qw "$FLAG" /proc/cpuinfo \
       || { echo "FATAL: this host lacks $FLAG; --numeric needs an x86-64-v3 CPU"; exit 1; }
   done
-  # numeric_build <build dir> <CMAKE_CXX_FLAGS>
+  # numeric_build <build dir> <CMAKE_CXX_FLAGS> <VARADE_BUILD_TESTS>
   numeric_build() {
     echo "== configure + build bench_fingerprint (CXX flags: '$2') =="
     cmake -B "$1" -S . \
       -DCMAKE_BUILD_TYPE=Release \
       -DCMAKE_CXX_FLAGS="$2" \
-      -DVARADE_BUILD_TESTS=OFF \
+      -DVARADE_BUILD_TESTS="$3" \
       -DVARADE_BUILD_EXAMPLES=OFF
     cmake --build "$1" -j "$JOBS" --target bench_fingerprint
     "$1/bench/bench_fingerprint" > "$1/fingerprint.txt"
   }
-  numeric_build build-numeric ""
-  numeric_build build-numeric-v3 "-march=x86-64-v3"
+  numeric_build build-numeric "" OFF
+  numeric_build build-numeric-v3 "-march=x86-64-v3" ON
 
   echo "== diff: default vs -march=x86-64-v3 =="
   diff -u build-numeric/fingerprint.txt build-numeric-v3/fingerprint.txt
   cat build-numeric/fingerprint.txt
+
+  echo "== build + test (parity label, -march=x86-64-v3) =="
+  cmake --build build-numeric-v3 -j "$JOBS"
+  ctest --test-dir build-numeric-v3 -L parity --output-on-failure -j "$JOBS"
 
   echo "CI OK (numeric)"
   exit 0

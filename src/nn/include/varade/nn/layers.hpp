@@ -39,7 +39,8 @@ class Linear : public Module {
   PackedWeights pack() const;
   /// forward_inference() on raw rows with pre-packed weights: x [n, in] ->
   /// y [n, out], bit-identical to forward_inference() with the weights `w`
-  /// was packed from. No shape checks.
+  /// was packed from. Throws varade::Error if `w` was not packed for this
+  /// layer's in x out (one O(1) check); the rows of x are not checked.
   void forward_packed(const PackedWeights& w, const float* x, Index n, float* y) const;
 
   Index in_features() const { return in_; }
@@ -49,7 +50,9 @@ class Linear : public Module {
 
  private:
   // forward() caches the input and calls forward_inference(): weights packed
-  // to [in][out] doubles, a kernel vectorised across outputs. backward() and
+  // to [in][out] doubles, a kernel vectorised across outputs that feeds
+  // several rows from each weight load and accumulates in double with fused
+  // multiply-add (exact products, so no bit changes). backward() and
   // backward_params() run one kernel vectorised across inputs, in float with
   // no fused multiply-add: dW[o][j] sums over rows in ascending order, dX[i][j]
   // over outputs in ascending order, exact-zero grad_out entries skipped.
@@ -124,14 +127,17 @@ class Conv1d : public Module {
   PackedWeights pack() const;
   /// forward_inference() on raw rows with pre-packed weights: x [n, in_ch,
   /// l_in] -> y [n, out_ch, out_length(l_in)], bit-identical to
-  /// forward_inference() with the weights `w` was packed from. No shape
-  /// checks beyond out_length().
+  /// forward_inference() with the weights `w` was packed from. Throws
+  /// varade::Error if `w` was not packed for this layer's channels and
+  /// kernel (one O(1) check) or out_length() rejects l_in.
   void forward_packed(const PackedWeights& w, const float* x, Index n, Index l_in,
                       float* y) const;
 
  private:
   // forward() caches the input and calls forward_inference(): weights packed
-  // to [ci][k][co] doubles, a kernel vectorised across output channels.
+  // to [ci][k][co] doubles, a kernel vectorised across output channels that
+  // feeds two batch rows from each weight load and accumulates in double with
+  // fused multiply-add (exact products, so no bit changes).
   // backward() and backward_params() run one kernel vectorised across input
   // channels over transposed copies, in float with no fused multiply-add
   // (fusing would skip the product's rounding): dW sums over (b, t)
@@ -150,14 +156,26 @@ class Conv1d : public Module {
   Tensor cached_input_;
 };
 
-/// Name of the kernel set selected by the runtime dispatch table ("avx2" or
-/// "scalar"): resolved once at first use via __builtin_cpu_supports, shared
+/// Name of the kernel set selected by the runtime dispatch table ("avx2+fma"
+/// or "portable"): resolved once at first use via __builtin_cpu_supports, shared
 /// by the forward() and forward_inference() of Conv1d, Linear and
 /// ConvTranspose1d and by the backward() and backward_params() of Conv1d and
 /// Linear. Exposed so tests can assert the vectorised path
 /// actually runs (including under sanitizers, where the previous ifunc-based
 /// multiversioning silently fell back to scalar).
 const char* conv1d_kernel_name();
+
+namespace detail {
+/// Test-only access to every kernel table this host can run, so the parity
+/// tests reach the portable copy on an AVX2 host as well: the table names in
+/// index order ("portable", then "avx2+fma" where the CPU has both), and
+/// Linear::forward_packed() / Conv1d::forward_packed() through table `table`.
+std::vector<std::string> kernel_tables();
+void linear_forward_packed(Index table, const Linear& layer, const PackedWeights& w,
+                           const float* x, Index n, float* y);
+void conv1d_forward_packed(Index table, const Conv1d& conv, const PackedWeights& w,
+                           const float* x, Index n, Index l_in, float* y);
+}  // namespace detail
 
 /// 1-D transposed convolution (upsampling), inverse geometry of Conv1d with
 /// the same kernel/stride and no padding: L_out = (L_in - 1) * stride + k.

@@ -21,22 +21,30 @@ namespace {
 // gradient. The scalar loops all of these must match bit for bit live in
 // test_nn_layers as the test-local references.
 //
-// Runtime dispatch: each kernel body is an always_inline function
-// compiled twice — once plain, once inside an __attribute__((target("avx2")))
-// wrapper so it runs four doubles (eight floats) wide — and an explicit
-// function-pointer table picks per host via __builtin_cpu_supports("avx2"),
-// resolved once at first use.
+// Runtime dispatch: each kernel body is an always_inline function compiled
+// twice — once plain (the portable table), once inside a target wrapper so it
+// runs four doubles (eight floats) wide (the avx2+fma table) — and an explicit
+// function-pointer table picks per host via __builtin_cpu_supports("avx2")
+// and ("fma"), resolved once at first use.
 //
 // FMA: the Conv1d and Linear forward kernels accumulate float x float
 // products in double. Such a product is exact in double (48 significand
 // bits, and no float product can overflow or underflow a double), so a fused
-// multiply-add there rounds exactly like multiply-then-add. Using it is
-// optional; these kernels leave it off, and a build that turns it on must
-// pass the parity tests in test_nn_layers. Everything else here accumulates
-// float products in float — the ConvTranspose1d scatter and both backward
-// kernels — where a fused multiply-add would skip the product's rounding and
-// change bits, so it is forbidden there (the build passes -ffp-contract=off,
-// and the avx2 wrappers do not enable fma).
+// multiply-add there rounds exactly like multiply-then-add. Their avx2+fma
+// copies use it (mul_add<true>: a per-lane __builtin_fma that compiles to
+// vfmadd231pd), the portable copies multiply then add, and the parity tests
+// in test_nn_layers run both tables against one scalar reference.
+// Everything else here accumulates float products in float — the
+// ConvTranspose1d scatter and both backward kernels — where a fused
+// multiply-add would skip the product's rounding and change bits, so it is
+// forbidden there: the build passes -ffp-contract=off, and their wrappers
+// enable avx2 only.
+//
+// Row blocks: a packed weight vector load feeds several rows (Linear 3, 2,
+// then 1; Conv1d 2, then 1, sharing one output step), so the kernels run
+// several independent accumulator chains per load. The block widths follow
+// from n alone and every row runs the same per-element operations, so a
+// row's bits do not depend on n or on its place in the batch.
 //
 // This replaces the earlier target_clones multiversioning: ifunc resolvers
 // run before sanitizer runtimes are initialised, so TSan builds had to
@@ -90,88 +98,165 @@ void pack_weights(const float* w, const float* bias, Index out, Index rows, Pack
   for (Index o = 0; o < out; ++o) buf[rows * out_pad + o] = bias[o];
 }
 
-/// Conv1d over channel-major packed weights `wp`: rows [ci][k] of `co_pad`
-/// doubles, then one bias row. The output channels of one (row, step) fill
-/// the vector lanes, so every geometry vectorises, including the short
-/// l_out in {4, 2} of VARADE's deep layers. Each lane computes the scalar
-/// reference's element: the bias, then for ascending ci one float addition of
-/// float(0.0 + w[k_lo]*x + ... ) over the in-bounds taps in ascending k —
-/// taps in the zero padding are skipped, and the float addition happens even
-/// when every tap was skipped.
-VARADE_CONV_INLINE void conv1d_packed_impl(const float* px, const double* wp, float* py,
-                                           Index n, Index in_ch, Index out_ch, Index co_pad,
-                                           Index l_in, Index l_out, Index kernel,
-                                           Index stride, Index padding) {
-  const double* bias = wp + in_ch * kernel * co_pad;
-  for (Index b = 0; b < n; ++b) {
-    const float* xb = px + b * in_ch * l_in;
-    float* yb = py + b * out_ch * l_out;
-    for (Index t = 0; t < l_out; ++t) {
-      const Index start = t * stride - padding;
-      const Index k_lo = std::max<Index>(0, -start);
-      const Index k_hi = std::min(kernel, l_in - start);
-      for (Index c0 = 0; c0 < co_pad; c0 += kLanes) {
-        VecF yv[kVecs] = {};
-        for (Index v = 0; v < kVecs; ++v) {
-          VecD bv = {};
-          std::memcpy(&bv, bias + c0 + 4 * v, sizeof bv);
-          yv[v] = __builtin_convertvector(bv, VecF);  // exact: the bias is a float
-        }
-        for (Index ci = 0; ci < in_ch; ++ci) {
-          const float* xc = xb + ci * l_in;
-          const double* wc = wp + ci * kernel * co_pad + c0;
-          VecD acc[kVecs] = {};
-          for (Index k = k_lo; k < k_hi; ++k) {
-            const double xs = xc[start + k];
-            const VecD xv = {xs, xs, xs, xs};
-            for (Index v = 0; v < kVecs; ++v) {
-              VecD wv = {};
-              std::memcpy(&wv, wc + k * co_pad + 4 * v, sizeof wv);
-              acc[v] += wv * xv;
-            }
+/// acc += w * x in every lane. With Fma each lane is one fused multiply-add,
+/// which rounds exactly like the unfused pair: w and x are floats widened to
+/// double, so their product is exact. Only the avx2+fma wrappers instantiate
+/// Fma = true, where the four __builtin_fma calls compile to one
+/// vfmadd231pd; the portable copy keeps the two operations (a per-lane
+/// __builtin_fma without the fma target would be a libm call).
+template <bool Fma>
+VARADE_CONV_INLINE void mul_add(VecD& acc, const VecD& w, const VecD& x) {
+  if constexpr (Fma)
+    acc = VecD{__builtin_fma(w[0], x[0], acc[0]), __builtin_fma(w[1], x[1], acc[1]),
+               __builtin_fma(w[2], x[2], acc[2]), __builtin_fma(w[3], x[3], acc[3])};
+  else
+    acc += w * x;
+}
+
+/// The operands of one packed Conv1d forward call.
+struct Conv1dFwd {
+  const float* x;   // [n, in_ch, l_in]
+  const double* w;  // packed: [in_ch * kernel][co_pad] doubles, then the bias row
+  float* y;         // [n, out_ch, l_out]
+  Index n, in_ch, out_ch, co_pad, l_in, l_out, kernel, stride, padding;
+};
+
+/// Conv1d for batch rows [b0, b0 + R) over channel-major packed weights:
+/// rows [ci][k] of `co_pad` doubles, then one bias row. The output channels
+/// of one (row, step) fill the vector lanes, so every geometry vectorises,
+/// including the l_out in {2, 1} of VARADE's deep and streamed layers. Each
+/// lane computes the scalar reference's element: the bias, then for
+/// ascending ci one float addition of float(0.0 + w[k_lo]*x + ... ) over the
+/// in-bounds taps in ascending k — taps in the zero padding are skipped, and
+/// the float addition happens even when every tap was skipped. The R rows
+/// share the output step, hence the tap range, so each weight vector load
+/// feeds R rows' accumulators without changing any element's order.
+template <bool Fma, Index R>
+VARADE_CONV_INLINE void conv1d_rows(const Conv1dFwd& a, Index b0) {
+  const Index co_pad = a.co_pad;
+  const Index l_in = a.l_in;
+  const double* bias = a.w + a.in_ch * a.kernel * co_pad;
+  const float* xb[R];
+  float* yb[R];
+  for (Index r = 0; r < R; ++r) {
+    xb[r] = a.x + (b0 + r) * a.in_ch * l_in;
+    yb[r] = a.y + (b0 + r) * a.out_ch * a.l_out;
+  }
+  for (Index t = 0; t < a.l_out; ++t) {
+    const Index start = t * a.stride - a.padding;
+    const Index k_lo = std::max<Index>(0, -start);
+    const Index k_hi = std::min(a.kernel, l_in - start);
+    for (Index c0 = 0; c0 < co_pad; c0 += kLanes) {
+      VecF yv[R][kVecs];
+      for (Index v = 0; v < kVecs; ++v) {
+        VecD bv = {};
+        std::memcpy(&bv, bias + c0 + 4 * v, sizeof bv);
+        const VecF bf = __builtin_convertvector(bv, VecF);  // exact: the bias is a float
+#pragma GCC unroll 4
+        for (Index r = 0; r < R; ++r) yv[r][v] = bf;
+      }
+      for (Index ci = 0; ci < a.in_ch; ++ci) {
+        const double* wc = a.w + ci * a.kernel * co_pad + c0;
+        VecD acc[R][kVecs] = {};
+        for (Index k = k_lo; k < k_hi; ++k) {
+          VecD xv[R];
+#pragma GCC unroll 4
+          for (Index r = 0; r < R; ++r) {
+            const double xs = xb[r][ci * l_in + start + k];
+            xv[r] = VecD{xs, xs, xs, xs};
           }
-          for (Index v = 0; v < kVecs; ++v) yv[v] += __builtin_convertvector(acc[v], VecF);
+          for (Index v = 0; v < kVecs; ++v) {
+            VecD wv = {};
+            std::memcpy(&wv, wc + k * co_pad + 4 * v, sizeof wv);
+#pragma GCC unroll 4
+            for (Index r = 0; r < R; ++r) mul_add<Fma>(acc[r][v], wv, xv[r]);
+          }
         }
+#pragma GCC unroll 4
+        for (Index r = 0; r < R; ++r)
+          for (Index v = 0; v < kVecs; ++v) yv[r][v] += __builtin_convertvector(acc[r][v], VecF);
+      }
+      const Index lanes = std::min(kLanes, a.out_ch - c0);
+      for (Index r = 0; r < R; ++r) {
         float ys[kLanes] = {};
-        std::memcpy(ys, yv, sizeof ys);
-        const Index lanes = std::min(kLanes, out_ch - c0);
-        for (Index j = 0; j < lanes; ++j) yb[(c0 + j) * l_out + t] = ys[j];
+        std::memcpy(ys, yv[r], sizeof ys);
+        for (Index j = 0; j < lanes; ++j) yb[r][(c0 + j) * a.l_out + t] = ys[j];
       }
     }
   }
 }
 
-/// Linear over packed weights `wp`: rows [in] of `out_pad` doubles, then one
-/// bias row. The outputs of one row fill the vector lanes; each lane is a
-/// double accumulator starting at the bias, plus the products in ascending
-/// input order, rounded to float once.
-VARADE_CONV_INLINE void linear_packed_impl(const float* px, const double* wp, float* py,
-                                           Index n, Index in, Index out, Index out_pad) {
+/// Conv1d over all n rows in blocks of 2 rows, then 1 for an odd last row.
+template <bool Fma>
+VARADE_CONV_INLINE void conv1d_packed_impl(const Conv1dFwd& a) {
+  Index b = 0;
+  for (; b + 2 <= a.n; b += 2) conv1d_rows<Fma, 2>(a, b);
+  if (b < a.n) conv1d_rows<Fma, 1>(a, b);
+}
+
+/// Linear rows [i0, i0 + R) over packed weights `wp`: rows [in] of `out_pad`
+/// doubles, then one bias row. The outputs of one row fill the vector lanes;
+/// each lane is a double accumulator starting at the bias, plus the products
+/// in ascending input order, rounded to float once. Each weight vector load
+/// feeds R rows, so R * kVecs independent chains hide the multiply-add
+/// latency without changing any chain's order. The row loops are unrolled by
+/// pragma: left rolled (GCC 12), they keep the accumulators in memory.
+template <bool Fma, Index R>
+VARADE_CONV_INLINE void linear_rows(const float* px, const double* wp, float* py, Index i0,
+                                    Index in, Index out, Index out_pad) {
   const double* bias = wp + in * out_pad;
-  for (Index i = 0; i < n; ++i) {
-    const float* xr = px + i * in;
-    float* yr = py + i * out;
-    for (Index o0 = 0; o0 < out_pad; o0 += kLanes) {
-      VecD acc[kVecs] = {};
-      std::memcpy(acc, bias + o0, sizeof acc);
-      for (Index f = 0; f < in; ++f) {
-        const double xs = xr[f];
-        const VecD xv = {xs, xs, xs, xs};
-        for (Index v = 0; v < kVecs; ++v) {
-          VecD wv = {};
-          std::memcpy(&wv, wp + f * out_pad + o0 + 4 * v, sizeof wv);
-          acc[v] += wv * xv;
-        }
+  const float* xr[R];
+  float* yr[R];
+  for (Index r = 0; r < R; ++r) {
+    xr[r] = px + (i0 + r) * in;
+    yr[r] = py + (i0 + r) * out;
+  }
+  for (Index o0 = 0; o0 < out_pad; o0 += kLanes) {
+    VecD acc[R][kVecs];
+    for (Index v = 0; v < kVecs; ++v) {
+      VecD bv = {};
+      std::memcpy(&bv, bias + o0 + 4 * v, sizeof bv);
+#pragma GCC unroll 4
+      for (Index r = 0; r < R; ++r) acc[r][v] = bv;
+    }
+    for (Index f = 0; f < in; ++f) {
+      VecD xv[R];
+#pragma GCC unroll 4
+      for (Index r = 0; r < R; ++r) {
+        const double xs = xr[r][f];
+        xv[r] = VecD{xs, xs, xs, xs};
       }
+      const double* wf = wp + f * out_pad + o0;
+      for (Index v = 0; v < kVecs; ++v) {
+        VecD wv = {};
+        std::memcpy(&wv, wf + 4 * v, sizeof wv);
+#pragma GCC unroll 4
+        for (Index r = 0; r < R; ++r) mul_add<Fma>(acc[r][v], wv, xv[r]);
+      }
+    }
+    const Index lanes = std::min(kLanes, out - o0);
+    for (Index r = 0; r < R; ++r) {
       float ys[kLanes] = {};
       for (Index v = 0; v < kVecs; ++v) {
-        const VecF yv = __builtin_convertvector(acc[v], VecF);
+        const VecF yv = __builtin_convertvector(acc[r][v], VecF);
         std::memcpy(ys + 4 * v, &yv, sizeof yv);
       }
-      const Index lanes = std::min(kLanes, out - o0);
-      for (Index j = 0; j < lanes; ++j) yr[o0 + j] = ys[j];
+      for (Index j = 0; j < lanes; ++j) yr[r][o0 + j] = ys[j];
     }
   }
+}
+
+/// Linear over all n rows in blocks of 3 rows, then 2, then 1 (as Lstm's
+/// step picks its block widths: from n alone). In the avx2+fma copy a block
+/// of 3 keeps 12 double accumulators, the 3 rows' broadcast inputs and one
+/// weight vector in the sixteen ymm registers.
+template <bool Fma>
+VARADE_CONV_INLINE void linear_packed_impl(const float* px, const double* wp, float* py,
+                                           Index n, Index in, Index out, Index out_pad) {
+  Index i = 0;
+  for (; i + 3 <= n; i += 3) linear_rows<Fma, 3>(px, wp, py, i, in, out, out_pad);
+  for (; i + 2 <= n; i += 2) linear_rows<Fma, 2>(px, wp, py, i, in, out, out_pad);
+  for (; i < n; ++i) linear_rows<Fma, 1>(px, wp, py, i, in, out, out_pad);
 }
 
 /// Non-overlapping ConvTranspose1d scatter row (stride >= kernel) for
@@ -387,8 +472,7 @@ VARADE_CONV_INLINE void linear_backward_impl(const LinearGrad& a) {
 
 // ------------------------------------------------ kernel dispatch table ----
 
-using Conv1dFn = void (*)(const float*, const double*, float*, Index, Index, Index, Index,
-                          Index, Index, Index, Index, Index);
+using Conv1dFn = void (*)(const Conv1dFwd&);
 using LinearFn = void (*)(const float*, const double*, float*, Index, Index, Index, Index);
 using ConvT1dScatterFn = void (*)(const float*, const float*, float*, Index, Index, Index,
                                   Index, Index, Index, Index);
@@ -404,42 +488,40 @@ struct KernelTable {
   const char* name;
 };
 
-void conv1d_scalar(const float* px, const double* wp, float* py, Index n, Index in_ch,
-                   Index out_ch, Index co_pad, Index l_in, Index l_out, Index kernel,
-                   Index stride, Index padding) {
-  conv1d_packed_impl(px, wp, py, n, in_ch, out_ch, co_pad, l_in, l_out, kernel, stride,
-                     padding);
+void conv1d_portable(const Conv1dFwd& a) { conv1d_packed_impl<false>(a); }
+
+void linear_portable(const float* px, const double* wp, float* py, Index n, Index in,
+                     Index out, Index out_pad) {
+  linear_packed_impl<false>(px, wp, py, n, in, out, out_pad);
 }
 
-void linear_scalar(const float* px, const double* wp, float* py, Index n, Index in, Index out,
-                   Index out_pad) {
-  linear_packed_impl(px, wp, py, n, in, out, out_pad);
-}
-
-void convt1d_scatter_scalar(const float* px, const float* pw, float* py, Index n, Index in_ch,
-                            Index out_ch, Index l_in, Index l_out, Index kernel,
-                            Index stride) {
+void convt1d_scatter_portable(const float* px, const float* pw, float* py, Index n,
+                              Index in_ch, Index out_ch, Index l_in, Index l_out, Index kernel,
+                              Index stride) {
   convt1d_scatter_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride);
 }
 
-void conv1d_backward_scalar(const Conv1dGrad& a) { conv1d_backward_impl(a); }
+void conv1d_backward_portable(const Conv1dGrad& a) { conv1d_backward_impl(a); }
 
-void linear_backward_scalar(const LinearGrad& a) { linear_backward_impl(a); }
+void linear_backward_portable(const LinearGrad& a) { linear_backward_impl(a); }
+
+constexpr KernelTable kPortable{conv1d_portable,          linear_portable,
+                                convt1d_scatter_portable, conv1d_backward_portable,
+                                linear_backward_portable, "portable"};
 
 #ifdef VARADE_CONV_MULTIARCH
 // The always_inline impl bodies are compiled again inside these wrappers, so
-// the target("avx2") attribute applies to every loop in them.
-__attribute__((target("avx2"))) void conv1d_avx2(const float* px, const double* wp, float* py,
-                                                 Index n, Index in_ch, Index out_ch,
-                                                 Index co_pad, Index l_in, Index l_out,
-                                                 Index kernel, Index stride, Index padding) {
-  conv1d_packed_impl(px, wp, py, n, in_ch, out_ch, co_pad, l_in, l_out, kernel, stride,
-                     padding);
+// the target attribute applies to every loop in them. Only the two
+// double-accumulating forward kernels enable fma; the float-accumulating
+// ones are compiled for plain avx2, so no fused operation can reach them.
+__attribute__((target("avx2,fma"))) void conv1d_avx2_fma(const Conv1dFwd& a) {
+  conv1d_packed_impl<true>(a);
 }
 
-__attribute__((target("avx2"))) void linear_avx2(const float* px, const double* wp, float* py,
-                                                 Index n, Index in, Index out, Index out_pad) {
-  linear_packed_impl(px, wp, py, n, in, out, out_pad);
+__attribute__((target("avx2,fma"))) void linear_avx2_fma(const float* px, const double* wp,
+                                                         float* py, Index n, Index in,
+                                                         Index out, Index out_pad) {
+  linear_packed_impl<true>(px, wp, py, n, in, out, out_pad);
 }
 
 __attribute__((target("avx2"))) void convt1d_scatter_avx2(const float* px, const float* pw,
@@ -457,27 +539,77 @@ __attribute__((target("avx2"))) void conv1d_backward_avx2(const Conv1dGrad& a) {
 __attribute__((target("avx2"))) void linear_backward_avx2(const LinearGrad& a) {
   linear_backward_impl(a);
 }
+
+constexpr KernelTable kAvx2Fma{conv1d_avx2_fma,      linear_avx2_fma,      convt1d_scatter_avx2,
+                               conv1d_backward_avx2, linear_backward_avx2, "avx2+fma"};
 #endif
 
-/// The selected kernel set. Resolution runs once (static local, thread-safe
-/// under C++ magic statics) on first use — well after any sanitizer runtime
-/// is up, unlike an ifunc resolver.
-const KernelTable& kernels() {
-  static const KernelTable table = [] {
+/// The tables this host can run: the portable one, then avx2+fma where the
+/// CPU has both.
+std::vector<const KernelTable*> runnable_tables() {
+  std::vector<const KernelTable*> tables{&kPortable};
 #ifdef VARADE_CONV_MULTIARCH
-    if (__builtin_cpu_supports("avx2"))
-      return KernelTable{conv1d_avx2,          linear_avx2,          convt1d_scatter_avx2,
-                         conv1d_backward_avx2, linear_backward_avx2, "avx2"};
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+    tables.push_back(&kAvx2Fma);
 #endif
-    return KernelTable{conv1d_scalar,          linear_scalar,          convt1d_scatter_scalar,
-                       conv1d_backward_scalar, linear_backward_scalar, "scalar"};
-  }();
-  return table;
+  return tables;
+}
+
+/// The selected kernel set: the last runnable table. Resolution runs once
+/// (static local, thread-safe under C++ magic statics) on first use — well
+/// after any sanitizer runtime is up, unlike an ifunc resolver.
+const KernelTable& kernels() {
+  static const KernelTable* const table = runnable_tables().back();
+  return *table;
+}
+
+/// forward_packed() refuses, in O(1), a block whose layout does not match
+/// the layer's `rows` x `out`: read as this layer's block, it would run past
+/// its end or mix another layer's weights into the outputs.
+void check_packed(const PackedWeights& w, Index rows, Index out, const char* layer) {
+  const Index out_pad = round_up_lanes(out);
+  if (w.out_pad != out_pad || w.values.size() != static_cast<std::size_t>((rows + 1) * out_pad))
+    fail(layer, "::forward_packed: weights packed for another layer (", w.values.size(),
+         " values, out_pad ", w.out_pad, "; this layer needs ", (rows + 1) * out_pad,
+         " values, out_pad ", out_pad, ")");
+}
+
+void linear_forward(const KernelTable& k, const Linear& layer, const PackedWeights& w,
+                    const float* x, Index n, float* y) {
+  check_packed(w, layer.in_features(), layer.out_features(), "Linear");
+  k.linear(x, w.values.data(), y, n, layer.in_features(), layer.out_features(), w.out_pad);
+}
+
+void conv1d_forward(const KernelTable& k, const Conv1d& conv, const PackedWeights& w,
+                    const float* x, Index n, Index l_in, float* y) {
+  check_packed(w, conv.in_channels() * conv.kernel_size(), conv.out_channels(), "Conv1d");
+  k.conv1d({x, w.values.data(), y, n, conv.in_channels(), conv.out_channels(), w.out_pad, l_in,
+            conv.out_length(l_in), conv.kernel_size(), conv.stride(), conv.padding()});
 }
 
 }  // namespace
 
 const char* conv1d_kernel_name() { return kernels().name; }
+
+namespace detail {
+
+std::vector<std::string> kernel_tables() {
+  std::vector<std::string> names;
+  for (const KernelTable* table : runnable_tables()) names.emplace_back(table->name);
+  return names;
+}
+
+void linear_forward_packed(Index table, const Linear& layer, const PackedWeights& w,
+                           const float* x, Index n, float* y) {
+  linear_forward(*runnable_tables().at(static_cast<std::size_t>(table)), layer, w, x, n, y);
+}
+
+void conv1d_forward_packed(Index table, const Conv1d& conv, const PackedWeights& w,
+                           const float* x, Index n, Index l_in, float* y) {
+  conv1d_forward(*runnable_tables().at(static_cast<std::size_t>(table)), conv, w, x, n, l_in, y);
+}
+
+}  // namespace detail
 
 // ---------------------------------------------------------------- Linear ----
 
@@ -511,11 +643,7 @@ PackedWeights Linear::pack() const {
 }
 
 void Linear::forward_packed(const PackedWeights& w, const float* x, Index n, float* y) const {
-  // Packed kernel: the weights are transposed to [in][out] doubles (plus a
-  // bias row) so the outputs of a row fill the vector lanes. Every output
-  // keeps the scalar reference's accumulation order (pinned bit for bit by
-  // test_nn_layers).
-  kernels().linear(x, w.values.data(), y, n, in_, out_, w.out_pad);
+  linear_forward(kernels(), *this, w, x, n, y);
 }
 
 Tensor Linear::backward(const Tensor& grad_out) { return run_backward(grad_out, true); }
@@ -636,14 +764,7 @@ PackedWeights Conv1d::pack() const {
 
 void Conv1d::forward_packed(const PackedWeights& w, const float* x, Index n, Index l_in,
                             float* y) const {
-  // Packed kernel: the weights are transposed to channel-major [ci][k][co]
-  // doubles (plus a bias row) so independent output channels fill the vector
-  // lanes. Every output element is still bias plus ascending-ci float
-  // additions of ascending-k double dot products over the in-bounds taps —
-  // the scalar reference's exact accumulation order (pinned bit for bit by
-  // test_nn_layers).
-  kernels().conv1d(x, w.values.data(), y, n, in_ch_, out_ch_, w.out_pad, l_in,
-                   out_length(l_in), kernel_, stride_, padding_);
+  conv1d_forward(kernels(), *this, w, x, n, l_in, y);
 }
 
 Tensor Conv1d::backward(const Tensor& grad_out) { return run_backward(grad_out, true); }

@@ -209,6 +209,48 @@ std::string error_of(F&& f) {
   return "";
 }
 
+/// A forward output labelled with the path that produced it.
+struct Forward {
+  std::string path;
+  Tensor y;
+};
+
+/// Every way a Linear's forward runs: forward(), forward_inference(), and
+/// forward_packed() through each kernel table this host can run — the
+/// portable one included, which the dispatch never selects on an AVX2 host.
+std::vector<Forward> linear_forwards(Linear& layer, const Tensor& x) {
+  std::vector<Forward> ys = {{"forward", layer.forward(x)},
+                             {"forward_inference", layer.forward_inference(x)}};
+  const nn::PackedWeights packed = layer.pack();
+  const std::vector<std::string> tables = nn::detail::kernel_tables();
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    Tensor y({x.dim(0), layer.out_features()});
+    nn::detail::linear_forward_packed(static_cast<Index>(t), layer, packed, x.data(), x.dim(0),
+                                      y.data());
+    ys.push_back({tables[t], y});
+  }
+  return ys;
+}
+
+/// linear_forwards() for a Conv1d.
+std::vector<Forward> conv1d_forwards(Conv1d& conv, const Tensor& x) {
+  std::vector<Forward> ys = {{"forward", conv.forward(x)},
+                             {"forward_inference", conv.forward_inference(x)}};
+  const nn::PackedWeights packed = conv.pack();
+  const std::vector<std::string> tables = nn::detail::kernel_tables();
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    Tensor y({x.dim(0), conv.out_channels(), conv.out_length(x.dim(2))});
+    nn::detail::conv1d_forward_packed(static_cast<Index>(t), conv, packed, x.data(), x.dim(0),
+                                      x.dim(2), y.data());
+    ys.push_back({tables[t], y});
+  }
+  return ys;
+}
+
+/// Batch sizes that reach every row block of the packed forward kernels
+/// (Linear 3, 2, 1; Conv1d 2, 1) and both tails.
+const std::vector<Index> kBatchSizes = {1, 2, 3, 4, 5, 7, 16, 17};
+
 /// grad_out for a backward parity test: normal values with about a third
 /// replaced by exact zeros of both signs, which the kernels skip.
 Tensor sparse_grad(const Shape& shape, Rng& rng) {
@@ -275,10 +317,11 @@ TEST(Linear, OutputShapeAndFlops) {
 }
 
 // forward() and forward_inference() both run the packed [in][out] kernel,
-// vectorised across outputs; each output keeps the scalar reference's
-// accumulation order, so both must match it bit for bit. out = 86 is the
-// VARADE repro head (not a multiple of the vector width), in = 64 its feature
-// width; in = 7 is ragged.
+// vectorised across outputs and blocked over rows; each output keeps the
+// scalar reference's accumulation order, so every path — and each kernel
+// table, fused multiply-add or not — must match it bit for bit at every
+// block width. out = 86 is the VARADE repro head (not a multiple of the
+// vector width), in = 64 its feature width; in = 7 is ragged.
 TEST(Linear, BothForwardsMatchScalarReferenceBitForBit) {
   struct Geometry {
     Index in, out;
@@ -286,30 +329,35 @@ TEST(Linear, BothForwardsMatchScalarReferenceBitForBit) {
   const std::vector<Geometry> cases = {{64, 86}, {7, 86}, {64, 1}, {3, 16}};
   std::uint64_t seed = 5;
   for (const Geometry& g : cases) {
-    for (const Index n : {1, 16}) {
+    for (const Index n : kBatchSizes) {
       Rng rng(seed++);
       Linear layer(g.in, g.out, rng);
       layer.bias().value = Tensor::randn({g.out}, rng);
       const Tensor x = relu_style({n, g.in}, rng);
       const Tensor ref = linear_reference(layer, x);
-      for (const Tensor& y : {layer.forward(x), layer.forward_inference(x)}) {
-        ASSERT_EQ(ref.shape(), y.shape());
-        ASSERT_EQ(first_bit_mismatch(ref, y), -1)
-            << "in=" << g.in << " out=" << g.out << " n=" << n;
+      for (const Forward& f : linear_forwards(layer, x)) {
+        ASSERT_EQ(ref.shape(), f.y.shape());
+        ASSERT_EQ(first_bit_mismatch(ref, f.y), -1)
+            << f.path << " in=" << g.in << " out=" << g.out << " n=" << n;
       }
     }
   }
-  // Cancellation row: output 0 of row 0 sums the products 2^60, -2^60, 1 over
-  // inputs 0-2 (then zeros), which only the ascending input order makes 1.
-  Rng rng(seed);
-  Linear layer(8, 3, rng);
-  Tensor x = Tensor::randn({2, 8}, rng);
-  for (Index j = 0; j < 8; ++j) x[j] = j < 3 ? kCancel[j] : 0.0F;
-  for (Index j = 0; j < 3; ++j) layer.weight().value[j] = 1.0F;
-  const Tensor ref = linear_reference(layer, x);
-  ASSERT_EQ(ref[0], 1.0F);
-  for (const Tensor& y : {layer.forward(x), layer.forward_inference(x)})
-    EXPECT_EQ(first_bit_mismatch(ref, y), -1) << "cancellation row";
+  // Cancellation rows: output 0 of every row sums the products 2^60, -2^60, 1
+  // over inputs 0-2 (then zeros), which only the ascending input order makes
+  // 1. Four rows run a block of 3 and a single row; five, 3 and 2.
+  std::uint64_t cancel_seed = seed;
+  for (const Index n : {4, 5}) {
+    Rng rng(cancel_seed++);
+    Linear layer(8, 3, rng);
+    Tensor x({n, 8});
+    for (Index i = 0; i < n; ++i)
+      for (Index j = 0; j < 3; ++j) x[i * 8 + j] = kCancel[j];
+    for (Index j = 0; j < 3; ++j) layer.weight().value[j] = 1.0F;
+    const Tensor ref = linear_reference(layer, x);
+    for (Index i = 0; i < n; ++i) ASSERT_EQ(ref[i * 3], 1.0F);
+    for (const Forward& f : linear_forwards(layer, x))
+      EXPECT_EQ(first_bit_mismatch(ref, f.y), -1) << f.path << ": cancellation rows, n=" << n;
+  }
 }
 
 // backward() and backward_params() run one kernel vectorised across inputs;
@@ -399,58 +447,69 @@ TEST(Conv1d, PaddingPreservesLength) {
 }
 
 // forward() and forward_inference() both run the packed [ci][k][co] kernel,
-// vectorised across output channels; it keeps the scalar reference's
-// per-element accumulation order, so both must match it bit for bit across
-// every geometry the models use — including windows entirely inside the
-// padding and channel counts that are not multiples of the vector width. The
-// VARADE repro trunk (86 channels, window 32, base 16) runs on ReLU-style
-// inputs holding zeros of both signs, at the 16 rows a serving call carries.
+// vectorised across output channels and blocked over pairs of rows; it keeps
+// the scalar reference's per-element accumulation order, so every path — and
+// each kernel table, fused multiply-add or not — must match it bit for bit
+// across every geometry the models use and every block width: windows
+// entirely inside the padding, channel counts that are not multiples of the
+// vector width. The VARADE repro trunk (86 channels, window 32, base 16) and
+// its streamed [n, C, 2] tap pairs run on ReLU-style inputs holding zeros of
+// both signs.
 TEST(Conv1d, BothForwardsMatchScalarReferenceBitForBit) {
   struct Geometry {
-    Index in_ch, out_ch, kernel, stride, padding, batch, length;
+    Index in_ch, out_ch, kernel, stride, padding, length;
     bool relu_input;
   };
   const std::vector<Geometry> cases = {
-      {1, 1, 2, 2, 0, 1, 8, false},     // VARADE trunk: halving conv, no padding
-      {3, 8, 2, 2, 0, 5, 32, false},    //  - wider, batched
-      {86, 16, 2, 2, 0, 16, 32, true},  // VARADE repro trunk layer 0
-      {16, 16, 2, 2, 0, 16, 16, true},  //  - layer 1
-      {16, 32, 2, 2, 0, 16, 8, true},   //  - layer 2 (channel doubling)
-      {32, 32, 2, 2, 0, 16, 4, true},   //  - layer 3 (l_out = 2)
-      {3, 4, 2, 1, 0, 2, 24, false},    // k2/s1
-      {2, 3, 3, 1, 1, 2, 6, false},     // AE residual block: same-length conv
-      {4, 4, 3, 1, 1, 3, 37, true},     //  - ragged length, ReLU zeros
-      {2, 2, 5, 1, 2, 2, 4, false},     // kernel wider than half the input
-      {1, 2, 3, 2, 3, 2, 3, false},     // padding > kernel: boundary-only outputs
-      {2, 4, 4, 3, 2, 1, 19, false},    // stride > 1 with padding (strided interior)
-      {5, 19, 3, 1, 1, 2, 9, true},     // out_ch past one vector block, ragged
+      {1, 1, 2, 2, 0, 8, false},     // VARADE trunk: halving conv, no padding
+      {3, 8, 2, 2, 0, 32, false},    //  - wider
+      {86, 16, 2, 2, 0, 32, true},   // VARADE repro trunk layer 0
+      {16, 16, 2, 2, 0, 16, true},   //  - layer 1
+      {16, 32, 2, 2, 0, 8, true},    //  - layer 2 (channel doubling)
+      {32, 32, 2, 2, 0, 4, true},    //  - layer 3 (l_out = 2)
+      {86, 16, 2, 2, 0, 2, true},    // streamed layer 0: one tap pair per row
+      {32, 32, 2, 2, 0, 2, true},    //  - streamed layer 3
+      {3, 4, 2, 1, 0, 24, false},    // k2/s1
+      {2, 3, 3, 1, 1, 6, false},     // AE residual block: same-length conv
+      {4, 4, 3, 1, 1, 37, true},     //  - ragged length, ReLU zeros
+      {2, 2, 5, 1, 2, 4, false},     // kernel wider than half the input
+      {1, 2, 3, 2, 3, 3, false},     // padding > kernel: boundary-only outputs
+      {2, 4, 4, 3, 2, 19, false},    // stride > 1 with padding (strided interior)
+      {5, 19, 3, 1, 1, 9, true},     // out_ch past one vector block, ragged
   };
   std::uint64_t seed = 7;
   for (const Geometry& g : cases) {
-    Rng rng(seed++);
-    Conv1d conv(g.in_ch, g.out_ch, g.kernel, g.stride, g.padding, rng);
-    conv.parameters()[1]->value = Tensor::randn({g.out_ch}, rng);
-    const Shape shape{g.batch, g.in_ch, g.length};
-    const Tensor x = g.relu_input ? relu_style(shape, rng) : Tensor::randn(shape, rng);
-    const Tensor ref = conv1d_reference(conv, x);
-    for (const Tensor& y : {conv.forward(x), conv.forward_inference(x)}) {
-      ASSERT_EQ(ref.shape(), y.shape());
-      ASSERT_EQ(first_bit_mismatch(ref, y), -1)
-          << g.in_ch << "->" << g.out_ch << " kernel=" << g.kernel << " stride=" << g.stride
-          << " padding=" << g.padding << " length=" << g.length;
+    for (const Index n : kBatchSizes) {
+      Rng rng(seed++);
+      Conv1d conv(g.in_ch, g.out_ch, g.kernel, g.stride, g.padding, rng);
+      conv.parameters()[1]->value = Tensor::randn({g.out_ch}, rng);
+      const Shape shape{n, g.in_ch, g.length};
+      const Tensor x = g.relu_input ? relu_style(shape, rng) : Tensor::randn(shape, rng);
+      const Tensor ref = conv1d_reference(conv, x);
+      for (const Forward& f : conv1d_forwards(conv, x)) {
+        ASSERT_EQ(ref.shape(), f.y.shape());
+        ASSERT_EQ(first_bit_mismatch(ref, f.y), -1)
+            << f.path << " " << g.in_ch << "->" << g.out_ch << " kernel=" << g.kernel
+            << " stride=" << g.stride << " padding=" << g.padding << " length=" << g.length
+            << " n=" << n;
+      }
     }
   }
-  // Cancellation row: output step 1 of a k3/s1/p1 conv sums the taps
+  // Cancellation rows: output step 1 of a k3/s1/p1 conv sums the taps
   // 2^60, -2^60, 1 at input steps 0-2, which only the ascending tap order
-  // makes 1 (with kernel 2 a tap order cannot show: a + b == b + a).
+  // makes 1 (with kernel 2 a tap order cannot show: a + b == b + a). Each of
+  // three rows holds it: a block of 2, then a single row.
   Rng rng(seed);
   Conv1d conv(1, 2, 3, 1, 1, rng);
-  Tensor x({1, 1, 5}, std::vector<float>{kCancel[0], kCancel[1], kCancel[2], 0.5F, 0.25F});
+  const float cancel_row[5] = {kCancel[0], kCancel[1], kCancel[2], 0.5F, 0.25F};
+  Tensor x({3, 1, 5});
+  for (Index i = 0; i < 3; ++i)
+    for (Index t = 0; t < 5; ++t) x[i * 5 + t] = cancel_row[t];
   for (Index k = 0; k < 3; ++k) conv.parameters()[0]->value[k] = 1.0F;
   const Tensor ref = conv1d_reference(conv, x);
-  ASSERT_EQ(ref[1], 1.0F);
-  for (const Tensor& y : {conv.forward(x), conv.forward_inference(x)})
-    EXPECT_EQ(first_bit_mismatch(ref, y), -1) << "cancellation row";
+  for (Index i = 0; i < 3; ++i) ASSERT_EQ(ref[i * 2 * 5 + 1], 1.0F);
+  for (const Forward& f : conv1d_forwards(conv, x))
+    EXPECT_EQ(first_bit_mismatch(ref, f.y), -1) << f.path << ": cancellation rows";
 }
 
 // backward() and backward_params() run one kernel vectorised across input
@@ -560,6 +619,42 @@ TEST(PackedWeights, ForwardPackedMatchesForwardInferenceAndIsASnapshot) {
   EXPECT_EQ(first_bit_mismatch(head_ref, head_out), -1);
 }
 
+// forward_packed() refuses a block packed for another layer with a named
+// error, before its kernel can read past the block's end: a block from a
+// layer with more inputs or channels is too long, one from a layer with more
+// outputs has a wider out_pad. Runs under ASan with the parity label.
+TEST(PackedWeights, ForwardPackedRejectsABlockPackedForAnotherLayer) {
+  Rng rng(23);
+  const std::string named = "forward_packed: weights packed for another layer";
+  Linear head(32, 16, rng);
+  const Tensor h = relu_style({3, 32}, rng);
+  Tensor head_out({3, 16});
+  for (const nn::PackedWeights& wide : {Linear(64, 16, rng).pack(), Linear(32, 86, rng).pack(),
+                                        Linear(16, 16, rng).pack(), nn::PackedWeights{}}) {
+    EXPECT_NE(error_of([&] { head.forward_packed(wide, h.data(), 3, head_out.data()); })
+                  .find("Linear::" + named),
+              std::string::npos);
+    for (Index t = 0; t < static_cast<Index>(nn::detail::kernel_tables().size()); ++t)
+      EXPECT_NE(error_of([&] {
+                  nn::detail::linear_forward_packed(t, head, wide, h.data(), 3, head_out.data());
+                }).find("Linear::" + named),
+                std::string::npos);
+  }
+
+  Conv1d conv(16, 16, 2, 2, 0, rng);
+  const Tensor x = relu_style({3, 16, 2}, rng);
+  Tensor conv_out({3, 16, 1});
+  for (const nn::PackedWeights& wide :
+       {Conv1d(86, 16, 2, 2, 0, rng).pack(), Conv1d(16, 32, 2, 2, 0, rng).pack(),
+        Conv1d(16, 16, 3, 1, 1, rng).pack(), Conv1d(8, 16, 2, 2, 0, rng).pack()})
+    EXPECT_NE(error_of([&] { conv.forward_packed(wide, x.data(), 3, 2, conv_out.data()); })
+                  .find("Conv1d::" + named),
+              std::string::npos);
+  // The layer's own block still runs.
+  conv.forward_packed(conv.pack(), x.data(), 3, 2, conv_out.data());
+  EXPECT_EQ(first_bit_mismatch(conv.forward_inference(x), conv_out), -1);
+}
+
 TEST(ConvTranspose1d, ForwardGeometryAndValues) {
   Rng rng(1);
   ConvTranspose1d c(1, 1, 2, 2, rng);
@@ -619,13 +714,21 @@ TEST(ConvTranspose1d, BackwardWithoutForwardThrowsNamedError) {
             std::string::npos);
 }
 
+// The dispatch selects the avx2+fma table wherever the CPU has both
+// extensions, sanitized builds included; the tables the parity tests run are
+// the portable one first and the selected one last.
 TEST(KernelDispatch, ReportsSelectedKernel) {
   const std::string kernel = nn::conv1d_kernel_name();
 #if defined(__x86_64__)
-  EXPECT_EQ(kernel, __builtin_cpu_supports("avx2") ? "avx2" : "scalar");
+  const bool avx2_fma = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  EXPECT_EQ(kernel, avx2_fma ? "avx2+fma" : "portable");
 #else
-  EXPECT_EQ(kernel, "scalar");
+  EXPECT_EQ(kernel, "portable");
 #endif
+  const std::vector<std::string> tables = nn::detail::kernel_tables();
+  ASSERT_FALSE(tables.empty());
+  EXPECT_EQ(tables.front(), "portable");
+  EXPECT_EQ(tables.back(), kernel);
 }
 
 TEST(ConvTranspose1d, InvertsConvGeometry) {

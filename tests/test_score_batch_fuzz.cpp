@@ -194,18 +194,19 @@ TEST(ScoreBatchFuzz, ClonedReplicasKeepBitParityOnRandomContexts) {
 }
 
 TEST(KernelDispatch, SelectedConvKernelMatchesHostCpu) {
-  // The dispatch table must pick the AVX2 kernel whenever the host supports
-  // it — in particular under TSan/ASan, where the previous target_clones
-  // ifunc machinery silently pinned the build to the scalar kernel.
+  // The dispatch table must pick the AVX2+FMA kernels whenever the host
+  // supports both — in particular under TSan/ASan, where the previous
+  // target_clones ifunc machinery silently pinned the build to the scalar
+  // kernel.
   const std::string kernel = nn::conv1d_kernel_name();
 #if defined(__x86_64__)
-  if (__builtin_cpu_supports("avx2")) {
-    EXPECT_EQ(kernel, "avx2");
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    EXPECT_EQ(kernel, "avx2+fma");
   } else {
-    EXPECT_EQ(kernel, "scalar");
+    EXPECT_EQ(kernel, "portable");
   }
 #else
-  EXPECT_EQ(kernel, "scalar");
+  EXPECT_EQ(kernel, "portable");
 #endif
 }
 
