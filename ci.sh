@@ -7,14 +7,14 @@
 # Configure the Release preset, build everything with -j, compile every bench
 # and example (they sit off the default target, so an interface change could
 # otherwise break one unnoticed), run the fast CTest preset (everything except
-# LABELS slow), then run the batched-vs-single-row parity suites explicitly by
-# label, a serve throughput smoke run covering all six detectors, one quick
-# pass of the training-step bench, GBRF and VARADE stream sweeps
-# checksum-pinned to OnlineMonitor, and two
-# network-serving smokes: start varade-served on a Unix socket (then on a
-# shm: bootstrap socket with batched frames), drive it with forked client
-# processes, and shut it down over the wire; finally build perfbench and run
-# each of its workloads for one second against its correctness check.
+# LABELS slow; it includes test_served, which drives the built varade-served
+# from forked client processes over unix: and shm:, scrapes /metrics under
+# load, stops it with SHUTDOWN and checks every score bit for bit against
+# OnlineMonitor), then run the batched-vs-single-row parity suites explicitly
+# by label, a serve throughput smoke run covering all six detectors, one
+# quick pass of the training-step bench, GBRF and VARADE stream sweeps
+# checksum-pinned to OnlineMonitor, and finally build perfbench and run each
+# of its workloads for one second against its correctness check.
 # src/core, src/serve, and src/net are compiled with -Werror unconditionally,
 # so a warning in any of them breaks the build itself.
 #
@@ -24,14 +24,18 @@
 # paths of all six detectors, including the fuzz suite, the packed nn forward
 # kernels (one per layer, shared by training and inference) against the
 # test-local scalar reference (test_nn_layers), the blocked LSTM step against
-# its per-unit reference (test_nn_lstm), and the training loop with its
-# losses, optimizer, weight serializer and every neural fit, memory-checked.
+# its per-unit reference (test_nn_lstm), the training loop with its
+# losses, optimizer, weight serializer and every neural fit, and an
+# ASan-built varade-served process driven by forked clients (test_served),
+# memory-checked.
 #
 # --numeric checks the numeric contract across builds: it builds
 # bench_fingerprint twice, once with the default flags and once with
 # -march=x86-64-v3 (AVX2 + FMA), runs both on this host and diffs the output
 # (the trained loss histories, every detector's score hash and a simulator
-# recording's hash) byte for byte. Then it builds the tests in the
+# recording's hash) byte for byte, against each other and against the
+# committed bench/fingerprint.golden, so a change that moves a trained or
+# scored bit in both builds alike fails too. Then it builds the tests in the
 # -march=x86-64-v3 tree and runs the parity label there: the packed forward
 # kernels fuse multiply-adds inside target("avx2,fma") wrappers, and this
 # build compiles their portable copies with FMA available too (left unfused
@@ -45,7 +49,8 @@
 # (lock-free rings, backpressure, multi-producer parity), the sharded
 # runtime (multi-engine parity at shards {1,2,4,auto} and all six detectors
 # on clone_fitted() replicas), and the shm ring's SPSC producer/consumer pair
-# with doorbell arming (test_net_wire) race-checked — then repeats the
+# with doorbell arming (test_net_wire), and a TSan-built varade-served
+# process under forked clients (test_served) race-checked — then repeats the
 # /metrics scrape test and the scores-ready hook test ten times each.
 set -euo pipefail
 
@@ -92,8 +97,9 @@ if [[ "${1:-}" == "--numeric" ]]; then
   numeric_build build-numeric "" OFF
   numeric_build build-numeric-v3 "-march=x86-64-v3" ON
 
-  echo "== diff: default vs -march=x86-64-v3 =="
+  echo "== diff: default vs -march=x86-64-v3, then vs bench/fingerprint.golden =="
   diff -u build-numeric/fingerprint.txt build-numeric-v3/fingerprint.txt
+  diff -u bench/fingerprint.golden build-numeric/fingerprint.txt
   cat build-numeric/fingerprint.txt
 
   echo "== build + test (parity label, -march=x86-64-v3) =="
@@ -178,55 +184,6 @@ echo "== smoke: VARADE stream sweep (1k streams of streamed per-layer state, che
 # OnlineMonitor baseline fails the sweep.
 "$BUILD_DIR/bench/bench_serve_throughput" --stream-sweep 1000 --samples 200 --detector VARADE \
   --json "$BUILD_DIR/stream_sweep_varade_smoke.json"
-
-echo "== smoke: net serving (in-process daemon, forked clients, checksum-pinned) =="
-cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_net_throughput varade-served
-"$BUILD_DIR/bench/bench_net_throughput" --quick
-
-echo "== smoke: varade-served daemon + /metrics scrape under load, SHUTDOWN over the wire =="
-NET_SOCK="/tmp/varade_ci_$$.sock"
-NET_LOG="$BUILD_DIR/served_smoke.log"
-"$BUILD_DIR/src/net/varade-served" --listen "unix:$NET_SOCK" \
-  --metrics tcp:127.0.0.1:0 --streams 8 --quiet > "$NET_LOG" &
-DAEMON_PID=$!
-for _ in $(seq 1 100); do [[ -S "$NET_SOCK" ]] && grep -q '^metrics on ' "$NET_LOG" && break; sleep 0.2; done
-[[ -S "$NET_SOCK" ]] || { echo "FATAL: daemon never bound $NET_SOCK"; kill "$DAEMON_PID"; exit 1; }
-METRICS_PORT="$(sed -n 's/^metrics on tcp:.*:\([0-9]*\)$/\1/p' "$NET_LOG")"
-[[ -n "$METRICS_PORT" ]] || { echo "FATAL: no metrics port in $NET_LOG"; kill "$DAEMON_PID"; exit 1; }
-# Scrape while client load is in flight: --scrape-metrics asserts the key
-# series are present and that the counters advance monotonically between two
-# scrapes (see bench_net_throughput.cpp).
-"$BUILD_DIR/bench/bench_net_throughput" \
-  --connect "unix:$NET_SOCK" --clients 2 --streams 8 --samples 300 &
-LOAD_PID=$!
-"$BUILD_DIR/bench/bench_net_throughput" --scrape-metrics "tcp:127.0.0.1:$METRICS_PORT"
-wait "$LOAD_PID"
-"$BUILD_DIR/bench/bench_net_throughput" \
-  --connect "unix:$NET_SOCK" --clients 2 --streams 8 --samples 300 --shutdown
-wait "$DAEMON_PID"
-# The exit report prints even under --quiet, and its accounting reconciles.
-grep -q '^shutdown: .* samples pushed, .* scored, ' "$NET_LOG" \
-  || { echo "FATAL: daemon exit report missing from $NET_LOG"; cat "$NET_LOG"; exit 1; }
-rm -f "$NET_SOCK"
-
-echo "== smoke: shared-memory transport (daemon on shm:, batch 64, checksum vs baseline) =="
-# --smoke regenerates the sequential OnlineMonitor baseline in the bench
-# process (both sides self-train from the same seeds) and exits nonzero on
-# any checksum divergence or if the shm push path degenerates into
-# doorbell-per-sample syscalls. --shutdown stops the daemon over the wire.
-SHM_SOCK="/tmp/varade_ci_shm_$$.sock"
-SHM_LOG="$BUILD_DIR/served_shm_smoke.log"
-"$BUILD_DIR/src/net/varade-served" --listen "shm:$SHM_SOCK" --streams 8 --quiet > "$SHM_LOG" &
-SHM_PID=$!
-for _ in $(seq 1 100); do [[ -S "$SHM_SOCK" ]] && break; sleep 0.2; done
-[[ -S "$SHM_SOCK" ]] || { echo "FATAL: daemon never bound $SHM_SOCK"; kill "$SHM_PID"; exit 1; }
-"$BUILD_DIR/bench/bench_net_throughput" \
-  --connect "shm:$SHM_SOCK" --clients 2 --streams 8 --samples 300 \
-  --batch 64 --smoke --shutdown
-wait "$SHM_PID"
-grep -q '^shutdown: .* samples pushed, .* scored, ' "$SHM_LOG" \
-  || { echo "FATAL: daemon exit report missing from $SHM_LOG"; cat "$SHM_LOG"; exit 1; }
-rm -f "$SHM_SOCK"
 
 echo "== perfbench: build from source + 1 s run per workload (scores vs OnlineMonitor) =="
 # perfbench is its own CMake project (built under .bench_build/) linking the

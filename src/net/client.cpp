@@ -13,6 +13,10 @@ namespace varade::net {
 
 namespace {
 
+/// send_sample() and push_batch() write the buffer out once it holds this
+/// many bytes, so one syscall (or one ring write) carries many frames.
+constexpr std::size_t kFlushBytes = 32768;
+
 /// Connect with retries while the daemon is still binding its socket: ECONNREFUSED
 /// (TCP) and ENOENT/ECONNREFUSED (UDS, file not created yet) back off and retry
 /// until the window closes; anything else propagates immediately.
@@ -32,14 +36,13 @@ Socket connect_with_retry(const Endpoint& endpoint, int window_ms) {
 }  // namespace
 
 Client::Client(const Endpoint& endpoint, ClientConfig config)
-    : config_(config), sock_(connect_with_retry(endpoint, config.connect_retry_ms)) {
-  check(config_.batch >= 1, "net: ClientConfig.batch must be >= 1");
+    : sock_(connect_with_retry(endpoint, config.connect_retry_ms)) {
   const bool want_shm = endpoint.kind == Endpoint::Kind::Shm;
   // Always advertise SAMPLE_BATCH; ask for the shm rings only when the
   // endpoint says so.
   const std::uint8_t features =
       static_cast<std::uint8_t>(kFeatureSampleBatch | (want_shm ? kFeatureShm : 0));
-  append_hello(out_, config_.policy, features);
+  append_hello(out_, config.policy, features);
   send_all(sock_.fd(), out_.data(), out_.size());
   out_.clear();
   // The WELCOME is the handshake's second half; nothing else is legal first.
@@ -75,41 +78,13 @@ Client::Client(const Endpoint& endpoint, ClientConfig config)
   }
 }
 
-void Client::flush_run() {
-  if (run_count_ == 0) return;
-  if (run_count_ == 1) {
-    append_sample(out_, run_stream_, run_base_seq_, run_values_.data(), welcome_.n_channels);
-  } else {
-    append_sample_batch(out_, run_stream_, run_base_seq_, run_values_.data(), run_count_,
-                        welcome_.n_channels);
-  }
-  run_count_ = 0;
-  run_values_.clear();
-}
-
 void Client::send_sample(Index stream, std::uint64_t seq, const float* values) {
-  if (config_.batch <= 1 || (welcome_.features & kFeatureSampleBatch) == 0) {
-    append_sample(out_, stream, seq, values, welcome_.n_channels);
-    if (out_.size() >= config_.flush_bytes) flush();
-    return;
-  }
-  if (run_count_ > 0 &&
-      (stream != run_stream_ || seq != run_base_seq_ + static_cast<std::uint64_t>(run_count_)))
-    flush_run();
-  if (run_count_ == 0) {
-    run_stream_ = stream;
-    run_base_seq_ = seq;
-  }
-  run_values_.insert(run_values_.end(), values, values + welcome_.n_channels);
-  ++run_count_;
-  if (run_count_ >= std::min<Index>(config_.batch, static_cast<Index>(kMaxBatchSamples)))
-    flush_run();
-  if (out_.size() >= config_.flush_bytes) flush();
+  append_sample(out_, stream, seq, values, welcome_.n_channels);
+  if (out_.size() >= kFlushBytes) flush();
 }
 
 void Client::push_batch(Index stream, std::uint64_t base_seq, const float* values, Index count) {
   check(count >= 1, "net: push_batch needs count >= 1");
-  flush_run();  // anything coalesced earlier keeps its place in send order
   const Index channels = welcome_.n_channels;
   if ((welcome_.features & kFeatureSampleBatch) != 0) {
     for (Index off = 0; off < count;) {
@@ -117,20 +92,16 @@ void Client::push_batch(Index stream, std::uint64_t base_seq, const float* value
       append_sample_batch(out_, stream, base_seq + static_cast<std::uint64_t>(off),
                           values + static_cast<std::size_t>(off) * channels, k, channels);
       off += k;
-      if (out_.size() >= config_.flush_bytes) flush();
+      if (out_.size() >= kFlushBytes) flush();
     }
   } else {
-    for (Index i = 0; i < count; ++i) {
-      append_sample(out_, stream, base_seq + static_cast<std::uint64_t>(i),
-                    values + static_cast<std::size_t>(i) * channels, channels);
-      if (out_.size() >= config_.flush_bytes) flush();
-    }
+    for (Index i = 0; i < count; ++i)
+      send_sample(stream, base_seq + static_cast<std::uint64_t>(i),
+                  values + static_cast<std::size_t>(i) * channels);
   }
-  if (out_.size() >= config_.flush_bytes) flush();
 }
 
 void Client::flush() {
-  flush_run();
   if (out_.empty()) return;
   if (use_shm_) {
     // Zero-syscall steady state: bytes go straight into the mapped ring. A

@@ -30,18 +30,10 @@ struct ClientConfig {
   /// Admission policy requested in HELLO; nullopt defers to the daemon's
   /// configured default (the resolved policy arrives in the WELCOME).
   std::optional<serve::BackpressurePolicy> policy;
-  /// send_sample() flushes automatically once this many bytes are buffered.
-  std::size_t flush_bytes = 32768;
   /// Connect retry window: a daemon that listens but has not entered run()
   /// yet holds connections in the backlog, so this mostly covers the
   /// daemon-not-yet-bound race in tests and forked benchmarks.
   int connect_retry_ms = 2000;
-  /// send_sample() auto-coalescing: consecutive sends that continue one
-  /// stream's sequence are held back and emitted as a single SAMPLE_BATCH of
-  /// up to this many samples (1 = every send is its own SAMPLE frame). A
-  /// stream switch, a sequence gap, or any flush ends the run, so frame
-  /// order on the wire is exactly send order.
-  Index batch = 1;
 };
 
 /// One frame from the daemon, tagged by kind; exactly one member is valid.
@@ -68,10 +60,8 @@ class Client {
   Index n_streams() const { return welcome_.n_streams; }
   Index n_channels() const { return welcome_.n_channels; }
 
-  /// Encodes one sample (values must hold n_channels() floats); with
-  /// config.batch > 1 and the daemon's SAMPLE_BATCH feature granted,
-  /// consecutive sends of one stream coalesce into batch frames. Flushes
-  /// when the buffer crosses config.flush_bytes.
+  /// Encodes one sample as one SAMPLE frame (values must hold n_channels()
+  /// floats). Flushes once 32 KiB are buffered.
   void send_sample(Index stream, std::uint64_t seq, const float* values);
   /// Encodes `count` consecutive samples of one stream (values is the
   /// row-major [count, n_channels()] block starting at base_seq) as
@@ -109,13 +99,10 @@ class Client {
 
  private:
   bool take_frame(ClientEvent& out);
-  /// Ends the send_sample coalescing run, encoding it into out_.
-  void flush_run();
   /// Blocks up to remaining_ms for ring bytes (or daemon death); true when
   /// progress was made, false on timeout.
   bool fill_from_shm(int remaining_ms);
 
-  ClientConfig config_;
   Socket sock_;
   FrameReader reader_;
   std::vector<std::uint8_t> out_;
@@ -126,12 +113,6 @@ class Client {
   bool use_shm_ = false;
   bool shm_eof_ = false;  // bootstrap socket EOF seen; ring already drained
   long shm_doorbells_ = 0;
-
-  // send_sample coalescing run (config.batch > 1).
-  Index run_stream_ = -1;
-  std::uint64_t run_base_seq_ = 0;
-  Index run_count_ = 0;
-  std::vector<float> run_values_;
 };
 
 }  // namespace varade::net

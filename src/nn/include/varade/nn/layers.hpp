@@ -81,20 +81,6 @@ class ReLU : public Module {
   Tensor cached_input_;
 };
 
-/// Hyperbolic tangent activation (any shape).
-class Tanh : public Module {
- public:
-  Tensor forward(const Tensor& x) override;
-  Tensor forward_inference(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::string name() const override { return "Tanh"; }
-  Shape output_shape(const Shape& in) const override { return in; }
-  long flops(const Shape& in) const override { return 4 * shape_numel(in); }
-
- private:
-  Tensor cached_output_;
-};
-
 /// 1-D convolution over [N, C, L] with configurable kernel/stride/padding.
 ///
 /// VARADE uses kernel_size = stride = 2 and no padding, halving the time

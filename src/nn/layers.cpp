@@ -697,25 +697,6 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   return g;
 }
 
-// ------------------------------------------------------------------ Tanh ----
-
-Tensor Tanh::forward(const Tensor& x) {
-  cached_output_ = forward_inference(x);
-  return cached_output_;
-}
-
-Tensor Tanh::forward_inference(const Tensor& x) {
-  return x.map([](float v) { return std::tanh(v); });
-}
-
-Tensor Tanh::backward(const Tensor& grad_out) {
-  check(grad_out.same_shape(cached_output_), "Tanh backward shape mismatch");
-  Tensor g = grad_out;
-  const Index n = g.numel();
-  for (Index i = 0; i < n; ++i) g[i] *= 1.0F - cached_output_[i] * cached_output_[i];
-  return g;
-}
-
 // ---------------------------------------------------------------- Conv1d ----
 
 Conv1d::Conv1d(Index in_channels, Index out_channels, Index kernel_size, Index stride,

@@ -144,24 +144,14 @@ class Tensor {
 
 // --- free functions ----------------------------------------------------------
 
-/// Matrix product of rank-2 tensors: [m,k] x [k,n] -> [m,n].
-Tensor matmul(const Tensor& a, const Tensor& b);
-
 /// y += a * x (shapes must match).
 void axpy(float a, const Tensor& x, Tensor& y);
 
 /// Dot product of two tensors viewed flat.
 float dot(const Tensor& a, const Tensor& b);
 
-/// Elementwise helpers.
-Tensor exp(const Tensor& t);
-Tensor log(const Tensor& t);
-Tensor sqrt(const Tensor& t);
-Tensor abs(const Tensor& t);
+/// Elementwise clamp to [lo, hi].
 Tensor clamp(const Tensor& t, float lo, float hi);
-
-/// Max |a-b| over all elements (shapes must match).
-float max_abs_diff(const Tensor& a, const Tensor& b);
 
 /// True when all elements differ by at most `tol`.
 bool allclose(const Tensor& a, const Tensor& b, float tol = 1e-5F);

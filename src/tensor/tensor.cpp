@@ -243,30 +243,6 @@ bool Tensor::has_non_finite() const {
 
 void Tensor::fill(float value) { std::fill(data_.begin(), data_.end(), value); }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  check(a.rank() == 2 && b.rank() == 2, "matmul requires rank-2 tensors");
-  const Index m = a.dim(0);
-  const Index k = a.dim(1);
-  check(b.dim(0) == k, "matmul inner dimensions differ: " + shape_to_string(a.shape()) +
-                           " x " + shape_to_string(b.shape()));
-  const Index n = b.dim(1);
-  Tensor out({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  // i-k-j loop order keeps the inner loop contiguous over b and out.
-  for (Index i = 0; i < m; ++i) {
-    for (Index kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      if (aik == 0.0F) continue;
-      const float* brow = pb + kk * n;
-      float* orow = po + i * n;
-      for (Index j = 0; j < n; ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
-}
-
 void axpy(float a, const Tensor& x, Tensor& y) {
   check(x.same_shape(y), "axpy shape mismatch");
   const float* px = x.data();
@@ -285,31 +261,15 @@ float dot(const Tensor& a, const Tensor& b) {
   return static_cast<float>(acc);
 }
 
-Tensor exp(const Tensor& t) {
-  return t.map([](float v) { return std::exp(v); });
-}
-Tensor log(const Tensor& t) {
-  return t.map([](float v) { return std::log(v); });
-}
-Tensor sqrt(const Tensor& t) {
-  return t.map([](float v) { return std::sqrt(v); });
-}
-Tensor abs(const Tensor& t) {
-  return t.map([](float v) { return std::fabs(v); });
-}
 Tensor clamp(const Tensor& t, float lo, float hi) {
   return t.map([lo, hi](float v) { return std::clamp(v, lo, hi); });
 }
 
-float max_abs_diff(const Tensor& a, const Tensor& b) {
-  check(a.same_shape(b), "max_abs_diff shape mismatch");
-  float m = 0.0F;
-  for (Index i = 0; i < a.numel(); ++i) m = std::max(m, std::fabs(a[i] - b[i]));
-  return m;
-}
-
 bool allclose(const Tensor& a, const Tensor& b, float tol) {
-  return a.same_shape(b) && max_abs_diff(a, b) <= tol;
+  if (!a.same_shape(b)) return false;
+  for (Index i = 0; i < a.numel(); ++i)
+    if (!(std::fabs(a[i] - b[i]) <= tol)) return false;
+  return true;
 }
 
 }  // namespace varade

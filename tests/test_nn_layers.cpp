@@ -19,7 +19,6 @@ using nn::LastTimeStep;
 using nn::Linear;
 using nn::ReLU;
 using nn::ResidualBlock1d;
-using nn::Tanh;
 
 // ReLU-style input: the negative half of a normal sample replaced by zeros of
 // both signs, so the kernels see +0.0f and -0.0f as a trunk layer does.
@@ -405,16 +404,6 @@ TEST(ReLU, ForwardAndBackward) {
   EXPECT_EQ(relu.forward(x), Tensor::vector({0, 0, 2}));
   const Tensor g = relu.backward(Tensor::vector({1, 1, 1}));
   EXPECT_EQ(g, Tensor::vector({0, 0, 1}));
-}
-
-TEST(Tanh, ForwardAndBackward) {
-  Tanh tanh_layer;
-  const Tensor x = Tensor::vector({0.0F, 1.0F});
-  const Tensor y = tanh_layer.forward(x);
-  EXPECT_NEAR(y.at(0), 0.0F, 1e-6);
-  EXPECT_NEAR(y.at(1), std::tanh(1.0F), 1e-6);
-  const Tensor g = tanh_layer.backward(Tensor::vector({1, 1}));
-  EXPECT_NEAR(g.at(0), 1.0F, 1e-6);  // 1 - tanh(0)^2
 }
 
 TEST(Conv1d, OutLengthGeometry) {
