@@ -1,11 +1,15 @@
 // Micro-benchmarks (google-benchmark) of the kernels behind Table 2:
-// Conv1d, Linear, LSTM step, tree ensemble evaluation, kNN queries, the
-// isolation-forest scorer, windowing, and AUC computation.
+// Conv1d, Linear, VARADE's score (mean exp per row), LSTM step, tree ensemble
+// evaluation, kNN queries, the isolation-forest scorer, windowing, and AUC
+// computation.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "varade/data/window.hpp"
 #include "varade/eval/metrics.hpp"
 #include "varade/knn/knn.hpp"
+#include "varade/nn/exp.hpp"
 #include "varade/nn/layers.hpp"
 #include "varade/nn/lstm.hpp"
 #include "varade/trees/gbrf.hpp"
@@ -34,6 +38,26 @@ void BM_LinearForward(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(linear.forward(x));
 }
 BENCHMARK(BM_LinearForward)->Arg(64)->Arg(256)->Arg(2048);
+
+/// VARADE's score on `rows` rows of 86 log-variances (the served model's
+/// channel count): nn::mean_exp_rows, the kernel score_batch and
+/// score_streams run after the logvar head. Reports ns per row.
+void BM_VaradeScoreRows(benchmark::State& state) {
+  const Index rows = state.range(0);
+  constexpr Index kChannels = 86;
+  Rng rng(8);
+  const Tensor logvar = Tensor::randn({rows, kChannels}, rng);
+  std::vector<float> out(static_cast<std::size_t>(rows));
+  for (auto _ : state) {
+    nn::mean_exp_rows(logvar.data(), rows, kChannels, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * rows),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_VaradeScoreRows)->Arg(16)->Arg(64);
 
 void BM_LstmForward(benchmark::State& state) {
   const Index hidden = state.range(0);

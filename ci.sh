@@ -35,14 +35,19 @@
 # (the trained loss histories, every detector's score hash and a simulator
 # recording's hash) byte for byte, against each other and against the
 # committed bench/fingerprint.golden, so a change that moves a trained or
-# scored bit in both builds alike fails too. Then it builds the tests in the
+# scored bit in both builds alike fails too. In both builds it also runs
+# bench_expf_exhaustive, which puts all 2^32 floats through nn::expf and
+# every kernel table's mean_exp_rows kernel: the owned paths must agree and
+# their hash must equal bench/expf.golden, which no libm enters; the count of
+# floats where this host's libm differs goes to the log, for information
+# only. Then it builds the tests in the
 # -march=x86-64-v3 tree and runs the parity label there: the packed forward
 # kernels fuse multiply-adds inside target("avx2,fma") wrappers, and this
 # build compiles their portable copies with FMA available too (left unfused
 # by -ffp-contract=off), so both tables must still match the scalar
 # references bit for bit. It fails rather than skips
 # on a host without AVX2/FMA. Both builds run on one host because libm may
-# dispatch exp/sin on the CPU: identity across hosts stays unverified.
+# dispatch tanh/sin on the CPU: identity across hosts stays unverified.
 #
 # --tsan builds under ThreadSanitizer (VARADE_TSAN=ON, separate build-tsan
 # tree) and runs the concurrency label — the async ingestion runtime
@@ -91,8 +96,9 @@ if [[ "${1:-}" == "--numeric" ]]; then
       -DCMAKE_CXX_FLAGS="$2" \
       -DVARADE_BUILD_TESTS="$3" \
       -DVARADE_BUILD_EXAMPLES=OFF
-    cmake --build "$1" -j "$JOBS" --target bench_fingerprint
+    cmake --build "$1" -j "$JOBS" --target bench_fingerprint bench_expf_exhaustive
     "$1/bench/bench_fingerprint" > "$1/fingerprint.txt"
+    "$1/bench/bench_expf_exhaustive" > "$1/expf.txt"
   }
   numeric_build build-numeric "" OFF
   numeric_build build-numeric-v3 "-march=x86-64-v3" ON
@@ -101,6 +107,10 @@ if [[ "${1:-}" == "--numeric" ]]; then
   diff -u build-numeric/fingerprint.txt build-numeric-v3/fingerprint.txt
   diff -u bench/fingerprint.golden build-numeric/fingerprint.txt
   cat build-numeric/fingerprint.txt
+
+  echo "== diff: nn::expf over all 2^32 floats, both builds vs bench/expf.golden =="
+  diff -u bench/expf.golden build-numeric/expf.txt
+  diff -u bench/expf.golden build-numeric-v3/expf.txt
 
   echo "== build + test (parity label, -march=x86-64-v3) =="
   cmake --build build-numeric-v3 -j "$JOBS"

@@ -144,8 +144,9 @@ class VaradeDetector : public AnomalyDetector {
   bool fitted() const override { return model_ != nullptr; }
 
   /// The scoring rule itself: mean exp(logvar) over `n` log-variance values
-  /// — the mean predicted variance across channels (section 3.2). Shared by
-  /// score_batch and the score-function ablation so both apply one rule.
+  /// — the mean predicted variance across channels (section 3.2), through
+  /// nn::mean_exp_rows, which score_batch and score_streams call on all
+  /// their rows at once, so every path applies one rule.
   static float score_from_logvar(const float* logvar, Index n);
 
   /// Forecast-error score ||observed - mu||_2 on the same model; used by the

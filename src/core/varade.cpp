@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "varade/core/trainer.hpp"
+#include "varade/nn/exp.hpp"
 #include "varade/nn/serialize.hpp"
 
 namespace varade::core {
@@ -177,9 +178,9 @@ void VaradeDetector::install(std::unique_ptr<VaradeModel> model) {
 float VaradeDetector::score_from_logvar(const float* logvar, Index n) {
   // Mean predicted variance (section 3.2: "the variance is directly used as
   // an anomaly score").
-  double acc = 0.0;
-  for (Index i = 0; i < n; ++i) acc += std::exp(logvar[i]);
-  return static_cast<float>(acc / static_cast<double>(n));
+  float score = 0.0F;
+  nn::mean_exp_rows(logvar, 1, n, &score);
+  return score;
 }
 
 float VaradeDetector::forecast_error_score(const Tensor& context, const Tensor& observed) {
@@ -201,8 +202,7 @@ void VaradeDetector::score_batch(const Tensor& contexts, const Tensor& observed,
   const Index channels = contexts.dim(1);
   if (contexts.dim(0) == 0) return;
   const Tensor logvar = model_->logvar_inference(contexts);
-  for (Index r = 0; r < contexts.dim(0); ++r)
-    out[r] = score_from_logvar(logvar.data() + r * channels, channels);
+  nn::mean_exp_rows(logvar.data(), contexts.dim(0), channels, out);
 }
 
 Index VaradeDetector::stream_state_floats(Index channels) const {
@@ -269,7 +269,7 @@ void VaradeDetector::score_streams(const StreamBatch& batch, StreamScratch& scra
     }
   }
   model_->logvar_head().forward_packed(packed_logvar_, features, rows, logvar);
-  for (Index r = 0; r < rows; ++r) out[r] = score_from_logvar(logvar + r * channels, channels);
+  nn::mean_exp_rows(logvar, rows, channels, out);
 }
 
 std::unique_ptr<AnomalyDetector> VaradeDetector::clone_fitted() const {

@@ -145,8 +145,9 @@ class Conv1d : public Module {
 /// Name of the kernel set selected by the runtime dispatch table ("avx2+fma"
 /// or "portable"): resolved once at first use via __builtin_cpu_supports, shared
 /// by the forward() and forward_inference() of Conv1d, Linear and
-/// ConvTranspose1d and by the backward() and backward_params() of Conv1d and
-/// Linear. Exposed so tests can assert the vectorised path
+/// ConvTranspose1d, by the backward() and backward_params() of Conv1d and
+/// Linear, and by nn::expf and nn::mean_exp_rows (exp.hpp). Exposed so tests
+/// can assert the vectorised path
 /// actually runs (including under sanitizers, where the previous ifunc-based
 /// multiversioning silently fell back to scalar).
 const char* conv1d_kernel_name();

@@ -1,10 +1,13 @@
 #include "varade/nn/layers.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "varade/nn/exp.hpp"
 #include "varade/nn/init.hpp"
 
 namespace varade::nn {
@@ -19,7 +22,9 @@ namespace {
 // The backward kernels of Conv1d and Linear: backward() and
 // backward_params() run the same kernel, the latter without the input
 // gradient. The scalar loops all of these must match bit for bit live in
-// test_nn_layers as the test-local references.
+// test_nn_layers as the test-local references. The exp kernels: nn::expf
+// and nn::mean_exp_rows (exp.hpp), VARADE's score; test_nn_exp holds
+// their fixed bits and scalar reference.
 //
 // Runtime dispatch: each kernel body is an always_inline function compiled
 // twice — once plain (the portable table), once inside a target wrapper so it
@@ -34,17 +39,23 @@ namespace {
 // copies use it (mul_add<true>: a per-lane __builtin_fma that compiles to
 // vfmadd231pd), the portable copies multiply then add, and the parity tests
 // in test_nn_layers run both tables against one scalar reference.
-// Everything else here accumulates float products in float — the
-// ConvTranspose1d scatter and both backward kernels — where a fused
-// multiply-add would skip the product's rounding and change bits, so it is
-// forbidden there: the build passes -ffp-contract=off, and their wrappers
-// enable avx2 only.
+// The ConvTranspose1d scatter and both backward kernels accumulate float
+// products in float, where a fused multiply-add would skip the product's
+// rounding and change bits, so it is forbidden there: the build passes
+// -ffp-contract=off, and their wrappers enable avx2 only. The exp kernels
+// are the one place whose bits need fused operations: they reproduce
+// glibc's __expf_fma, whose five multiply-adds each round once. The
+// avx2+fma copies run each as one vfmadd; the portable copies emulate each
+// in plain double arithmetic with the same single rounding (fused<false>),
+// so they call no libm fma, which is software on hosts without the
+// instruction.
 //
 // Row blocks: a packed weight vector load feeds several rows (Linear 3, 2,
 // then 1; Conv1d 2, then 1, sharing one output step), so the kernels run
-// several independent accumulator chains per load. The block widths follow
-// from n alone and every row runs the same per-element operations, so a
-// row's bits do not depend on n or on its place in the batch.
+// several independent accumulator chains per load; mean_exp_rows puts four
+// rows in the lanes of its avx2+fma copy. The block widths follow from n
+// alone and every row runs the same per-element operations, so a row's bits
+// do not depend on n or on its place in the batch.
 //
 // This replaces the earlier target_clones multiversioning: ifunc resolvers
 // run before sanitizer runtimes are initialised, so TSan builds had to
@@ -56,6 +67,7 @@ namespace {
 #if defined(__x86_64__) && defined(__has_attribute)
 #if __has_attribute(target)
 #define VARADE_CONV_MULTIARCH 1
+#include <immintrin.h>
 #endif
 #endif
 
@@ -470,6 +482,126 @@ VARADE_CONV_INLINE void linear_backward_impl(const LinearGrad& a) {
   }
 }
 
+// ------------------------------------------------------------------- exp ----
+
+// glibc 2.36's expf data, as libm's __expf_fma loads it from .rodata
+// (__exp2f_data with EXP2F_TABLE_BITS = 5). kExp2Table[i] is the bit
+// pattern of 2^(i/32) minus i << 47, so adding k << 47 to entry k % 32 gives
+// 2^(k/32) for any integer k in the reachable range.
+constexpr std::uint64_t kExp2Table[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+constexpr double kInvLn2N = 0x1.71547652b82fep+5;  // 32 / ln 2
+constexpr double kExpShift = 0x1.8p+52;            // rounds x * 32/ln2 to an integer
+// C0 r^3 + C1 r^2 + C2 r approximates 2^(r/32) - 1 for |r| <= 1/2.
+constexpr double kExpC0 = 0x1.c6af84b912394p-20;
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
+/// glibc's early-exit test: bits 20..30 of x at or above those of 88.0f
+/// (|x| >= 88, inf or NaN).
+constexpr std::uint32_t kExpBigTop = 0x42b;
+
+/// A double and the exact error of the operation that rounded to it.
+struct TwoDouble {
+  double hi;
+  double lo;
+};
+
+/// hi + lo == a + b exactly, hi = a + b rounded (Knuth's TwoSum).
+VARADE_CONV_INLINE TwoDouble two_sum(double a, double b) {
+  const double hi = a + b;
+  const double b_part = hi - a;
+  return {hi, (a - (hi - b_part)) + (b - b_part)};
+}
+
+/// hi + lo == a * b exactly, hi = a * b rounded (Dekker's product on
+/// Veltkamp's 26-bit halves). -ffp-contract=off keeps every step unfused.
+VARADE_CONV_INLINE TwoDouble two_product(double a, double b) {
+  constexpr double kSplit = 0x1p27 + 1.0;
+  const double ca = kSplit * a;
+  const double a_hi = ca - (ca - a);
+  const double a_lo = a - a_hi;
+  const double cb = kSplit * b;
+  const double b_hi = cb - (cb - b);
+  const double b_lo = b - b_hi;
+  const double hi = a * b;
+  return {hi, (((a_hi * b_hi - hi) + a_hi * b_lo) + a_lo * b_hi) + a_lo * b_lo};
+}
+
+/// a * b + c rounded once. With Fma one vfmadd (the avx2+fma wrappers
+/// only). Without it: the exact product ph + pl, the exact sum
+/// c + ph = sh + sl, and sh + v, where v is sl + pl rounded to odd (an
+/// inexact sum takes the neighbour whose last bit is 1), which makes the
+/// last addition round a * b + c correctly (Boldo and Melquiond, "Emulation
+/// of FMA and correctly rounded sums: proved algorithms using rounding to
+/// odd", IEEE Trans. Computers 57(4), 2008). No operand of the exp comes
+/// near the underflow or overflow range, where that proof does not hold;
+/// bench_expf_exhaustive checks both copies on every float.
+template <bool Fma>
+VARADE_CONV_INLINE double fused(double a, double b, double c) {
+  if constexpr (Fma) {
+    return __builtin_fma(a, b, c);
+  } else {
+    const TwoDouble p = two_product(a, b);
+    const TwoDouble s = two_sum(c, p.hi);
+    const TwoDouble v = two_sum(s.lo, p.lo);
+    std::uint64_t odd = std::bit_cast<std::uint64_t>(v.hi);
+    if (v.lo != 0.0 && (odd & 1) == 0) odd += (v.lo > 0.0) == (v.hi > 0.0) ? 1 : -1;
+    return s.hi + std::bit_cast<double>(odd);
+  }
+}
+
+/// glibc's main path for x widened to double: __expf_fma's fused kd and r,
+/// s = 2^(k/32) from the table, and y = s * (C0 r^3 + C1 r^2 + C2 r + 1)
+/// with its three fused steps and r^2 rounded on its own. The caller rounds
+/// y to float.
+template <bool Fma>
+VARADE_CONV_INLINE double exp_main(double xd) {
+  const double kd = fused<Fma>(kInvLn2N, xd, kExpShift);
+  const double r = fused<Fma>(kInvLn2N, xd, -(kd - kExpShift));
+  const std::uint64_t ki = std::bit_cast<std::uint64_t>(kd);
+  const double s = std::bit_cast<double>(kExp2Table[ki % 32] + (ki << 47));
+  const double z = fused<Fma>(kExpC0, r, kExpC1);
+  const double r2 = r * r;
+  const double p = fused<Fma>(kExpC2, r, 1.0);
+  return fused<Fma>(z, r2, p) * s;
+}
+
+/// The scalar expf: glibc's special cases for |x| >= 88, inf and NaN, and
+/// its main path for every other x, including the finite |x| >= 88 that do
+/// not exit early.
+template <bool Fma>
+VARADE_CONV_INLINE float exp_scalar(float x) {
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(x);
+  if (((bits >> 20) & 0x7ff) >= kExpBigTop) {
+    if (bits == 0xff800000U) return 0.0F;              // -inf
+    if (((bits >> 20) & 0x7ff) >= 0x7f8) return x + x;  // +inf, NaN
+    if (x > 0x1.62e42ep6F) return __builtin_inff();     // overflow
+    if (x < -0x1.9fe368p6F) return 0.0F;                // underflow
+    if (x < -0x1.9d1d9ep6F) return 0x1p-149F;           // may underflow: glibc's value
+  }
+  return static_cast<float>(exp_main<Fma>(static_cast<double>(x)));
+}
+
+/// The portable mean_exp_rows, and the avx2+fma copy's fallback: row by
+/// row, exp_scalar on each element, added to the row's double sum in
+/// ascending order.
+template <bool Fma>
+VARADE_CONV_INLINE void mean_exp_rows_impl(const float* x, Index rows, Index n, float* out) {
+  for (Index r = 0; r < rows; ++r) {
+    double sum = 0.0;
+    for (Index i = 0; i < n; ++i) sum += static_cast<double>(exp_scalar<Fma>(x[r * n + i]));
+    out[r] = static_cast<float>(sum / static_cast<double>(n));
+  }
+}
+
 // ------------------------------------------------ kernel dispatch table ----
 
 using Conv1dFn = void (*)(const Conv1dFwd&);
@@ -478,6 +610,8 @@ using ConvT1dScatterFn = void (*)(const float*, const float*, float*, Index, Ind
                                   Index, Index, Index, Index);
 using Conv1dBackwardFn = void (*)(const Conv1dGrad&);
 using LinearBackwardFn = void (*)(const LinearGrad&);
+using ExpFn = float (*)(float);
+using MeanExpRowsFn = void (*)(const float*, Index, Index, float*);
 
 struct KernelTable {
   Conv1dFn conv1d;
@@ -485,6 +619,8 @@ struct KernelTable {
   ConvT1dScatterFn convt1d_scatter;
   Conv1dBackwardFn conv1d_backward;
   LinearBackwardFn linear_backward;
+  ExpFn expf;
+  MeanExpRowsFn mean_exp_rows;
   const char* name;
 };
 
@@ -505,9 +641,16 @@ void conv1d_backward_portable(const Conv1dGrad& a) { conv1d_backward_impl(a); }
 
 void linear_backward_portable(const LinearGrad& a) { linear_backward_impl(a); }
 
+float expf_portable(float x) { return exp_scalar<false>(x); }
+
+void mean_exp_rows_portable(const float* x, Index rows, Index n, float* out) {
+  mean_exp_rows_impl<false>(x, rows, n, out);
+}
+
 constexpr KernelTable kPortable{conv1d_portable,          linear_portable,
                                 convt1d_scatter_portable, conv1d_backward_portable,
-                                linear_backward_portable, "portable"};
+                                linear_backward_portable, expf_portable,
+                                mean_exp_rows_portable,   "portable"};
 
 #ifdef VARADE_CONV_MULTIARCH
 // The always_inline impl bodies are compiled again inside these wrappers, so
@@ -540,18 +683,96 @@ __attribute__((target("avx2"))) void linear_backward_avx2(const LinearGrad& a) {
   linear_backward_impl(a);
 }
 
+__attribute__((target("avx2,fma"))) float expf_avx2_fma(float x) { return exp_scalar<true>(x); }
+
+#define VARADE_AVX2_FMA_INLINE inline __attribute__((always_inline, target("avx2,fma")))
+
+/// exp_main in four lanes: the same steps with the same roundings, each one
+/// AVX2/FMA instruction (fmsub(a, b, c) rounds a * b - c once, as
+/// fma(a, b, -c) does), and the four table entries fetched by one gather.
+VARADE_AVX2_FMA_INLINE __m256d exp_main4(__m256d xd) {
+  const __m256d inv_ln2n = _mm256_set1_pd(kInvLn2N);
+  const __m256d shift = _mm256_set1_pd(kExpShift);
+  const __m256d kd = _mm256_fmadd_pd(inv_ln2n, xd, shift);
+  const __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, _mm256_sub_pd(kd, shift));
+  const __m256i ki = _mm256_castpd_si256(kd);
+  const __m256i entry =
+      _mm256_i64gather_epi64(reinterpret_cast<const long long*>(kExp2Table),
+                             _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+  const __m256d s = _mm256_castsi256_pd(_mm256_add_epi64(entry, _mm256_slli_epi64(ki, 47)));
+  const __m256d z = _mm256_fmadd_pd(_mm256_set1_pd(kExpC0), r, _mm256_set1_pd(kExpC1));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  const __m256d p = _mm256_fmadd_pd(_mm256_set1_pd(kExpC2), r, _mm256_set1_pd(1.0));
+  return _mm256_mul_pd(_mm256_fmadd_pd(z, r2, p), s);
+}
+
+/// acc += double(float(exp(x))) in each lane through glibc's main path;
+/// `big` collects the lanes whose x takes exp_scalar's early exit test
+/// (|x| >= 88, inf or NaN).
+VARADE_AVX2_FMA_INLINE void add_exp4(__m256d& acc, __m128i& big, __m128 x) {
+  const __m256d y = exp_main4(_mm256_cvtps_pd(x));
+  acc = _mm256_add_pd(acc, _mm256_cvtps_pd(_mm256_cvtpd_ps(y)));
+  const __m128i top =
+      _mm_and_si128(_mm_srli_epi32(_mm_castps_si128(x), 20), _mm_set1_epi32(0x7ff));
+  big = _mm_or_si128(big, _mm_cmpgt_epi32(top, _mm_set1_epi32(kExpBigTop - 1)));
+}
+
+/// mean_exp_rows over blocks of four rows, one row per lane: lane j of a
+/// block reads row r0 + j (the lanes past the last row re-read row r0 and
+/// are dropped on store), and its double accumulator adds that row's
+/// float(exp) values in ascending order, as the portable copy does. Four
+/// elements of each row are loaded at a time and transposed, so each
+/// add_exp4 sees one element index of the four rows. A block in which some
+/// lane met |x| >= 88, inf or NaN is summed again by mean_exp_rows_impl,
+/// whose exp_scalar has glibc's special cases; on every other x exp_main4
+/// and exp_scalar give the same bits.
+__attribute__((target("avx2,fma"))) void mean_exp_rows_avx2_fma(const float* x, Index rows,
+                                                                Index n, float* out) {
+  for (Index r0 = 0; r0 < rows; r0 += 4) {
+    const Index live = std::min<Index>(4, rows - r0);
+    const float* xr[4];
+    for (Index j = 0; j < 4; ++j) xr[j] = x + (r0 + (j < live ? j : 0)) * n;
+    __m256d acc = _mm256_setzero_pd();
+    __m128i big = _mm_setzero_si128();
+    Index i = 0;
+    for (; i + 4 <= n; i += 4) {
+      __m128 c0 = _mm_loadu_ps(xr[0] + i);
+      __m128 c1 = _mm_loadu_ps(xr[1] + i);
+      __m128 c2 = _mm_loadu_ps(xr[2] + i);
+      __m128 c3 = _mm_loadu_ps(xr[3] + i);
+      _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
+      add_exp4(acc, big, c0);
+      add_exp4(acc, big, c1);
+      add_exp4(acc, big, c2);
+      add_exp4(acc, big, c3);
+    }
+    for (; i < n; ++i) add_exp4(acc, big, _mm_setr_ps(xr[0][i], xr[1][i], xr[2][i], xr[3][i]));
+    if (_mm_movemask_epi8(big) != 0) {
+      mean_exp_rows_impl<true>(x + r0 * n, live, n, out + r0);
+      continue;
+    }
+    alignas(32) double mean[4];
+    _mm256_store_pd(mean, _mm256_div_pd(acc, _mm256_set1_pd(static_cast<double>(n))));
+    for (Index j = 0; j < live; ++j) out[r0 + j] = static_cast<float>(mean[j]);
+  }
+}
+
 constexpr KernelTable kAvx2Fma{conv1d_avx2_fma,      linear_avx2_fma,      convt1d_scatter_avx2,
-                               conv1d_backward_avx2, linear_backward_avx2, "avx2+fma"};
+                               conv1d_backward_avx2, linear_backward_avx2, expf_avx2_fma,
+                               mean_exp_rows_avx2_fma, "avx2+fma"};
 #endif
 
 /// The tables this host can run: the portable one, then avx2+fma where the
 /// CPU has both.
-std::vector<const KernelTable*> runnable_tables() {
-  std::vector<const KernelTable*> tables{&kPortable};
+const std::vector<const KernelTable*>& runnable_tables() {
+  static const std::vector<const KernelTable*> tables = [] {
+    std::vector<const KernelTable*> found{&kPortable};
 #ifdef VARADE_CONV_MULTIARCH
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    tables.push_back(&kAvx2Fma);
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+      found.push_back(&kAvx2Fma);
 #endif
+    return found;
+  }();
   return tables;
 }
 
@@ -591,6 +812,12 @@ void conv1d_forward(const KernelTable& k, const Conv1d& conv, const PackedWeight
 
 const char* conv1d_kernel_name() { return kernels().name; }
 
+float expf(float x) { return kernels().expf(x); }
+
+void mean_exp_rows(const float* x, Index rows, Index n, float* out) {
+  kernels().mean_exp_rows(x, rows, n, out);
+}
+
 namespace detail {
 
 std::vector<std::string> kernel_tables() {
@@ -607,6 +834,14 @@ void linear_forward_packed(Index table, const Linear& layer, const PackedWeights
 void conv1d_forward_packed(Index table, const Conv1d& conv, const PackedWeights& w,
                            const float* x, Index n, Index l_in, float* y) {
   conv1d_forward(*runnable_tables().at(static_cast<std::size_t>(table)), conv, w, x, n, l_in, y);
+}
+
+float expf(Index table, float x) {
+  return runnable_tables().at(static_cast<std::size_t>(table))->expf(x);
+}
+
+void mean_exp_rows(Index table, const float* x, Index rows, Index n, float* out) {
+  runnable_tables().at(static_cast<std::size_t>(table))->mean_exp_rows(x, rows, n, out);
 }
 
 }  // namespace detail

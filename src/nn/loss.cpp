@@ -1,6 +1,6 @@
 #include "varade/nn/loss.hpp"
 
-#include <cmath>
+#include "varade/nn/exp.hpp"
 
 namespace varade::nn {
 
@@ -32,7 +32,7 @@ VariationalLossResult gaussian_nll(const Tensor& mu, const Tensor& logvar, const
   r.grad_logvar = Tensor(mu.shape());
   double acc = 0.0;
   for (Index i = 0; i < n; ++i) {
-    const float inv_var = std::exp(-logvar[i]);
+    const float inv_var = nn::expf(-logvar[i]);
     const float diff = target[i] - mu[i];
     acc += 0.5 * (static_cast<double>(logvar[i]) + static_cast<double>(diff) * diff * inv_var);
     // d/dmu: -(y-mu)/var ; d/dlogvar: 1/2 (1 - (y-mu)^2/var)
@@ -53,7 +53,7 @@ VariationalLossResult kl_standard_normal(const Tensor& mu, const Tensor& logvar)
   r.grad_logvar = Tensor(mu.shape());
   double acc = 0.0;
   for (Index i = 0; i < n; ++i) {
-    const float var = std::exp(logvar[i]);
+    const float var = nn::expf(logvar[i]);
     acc += -0.5 * (1.0 + static_cast<double>(logvar[i]) - static_cast<double>(mu[i]) * mu[i] -
                    static_cast<double>(var));
     // d/dmu: mu ; d/dlogvar: 1/2 (var - 1)

@@ -9,12 +9,13 @@
 #include <utility>
 #include <vector>
 
+#include "varade/nn/exp.hpp"
 #include "varade/nn/init.hpp"
 
 namespace varade::nn {
 
 namespace {
-inline float sigmoid(float v) { return 1.0F / (1.0F + std::exp(-v)); }
+inline float sigmoid(float v) { return 1.0F / (1.0F + nn::expf(-v)); }
 
 /// The operands of one time step t over n batch rows.
 struct Step {
