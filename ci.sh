@@ -57,6 +57,11 @@
 # with doorbell arming (test_net_wire), and a TSan-built varade-served
 # process under forked clients (test_served) race-checked — then repeats the
 # /metrics scrape test and the scores-ready hook test ten times each.
+#
+# --obs-off builds with the telemetry compiled out (VARADE_OBS=OFF, separate
+# build-obs-off tree; the observability A/B baseline) and runs every test
+# except LABELS slow, so the tests' !obs::kEnabled branches are compiled
+# and checked too.
 set -euo pipefail
 
 cd "$(dirname "$0")"
@@ -150,6 +155,25 @@ if [[ "${1:-}" == "--tsan" ]]; then
     --gtest_filter=AsyncScoringRuntime.ScoresReadyHookNeverLosesAWakeup --gtest_repeat=10
 
   echo "CI OK (tsan)"
+  exit 0
+fi
+
+if [[ "${1:-}" == "--obs-off" ]]; then
+  BUILD_DIR="build-obs-off"
+  echo "== configure (telemetry compiled out, Release) =="
+  cmake -B "$BUILD_DIR" -S . \
+    -DCMAKE_BUILD_TYPE=Release \
+    -DVARADE_OBS=OFF \
+    -DVARADE_BUILD_BENCH=OFF \
+    -DVARADE_BUILD_EXAMPLES=OFF
+
+  echo "== build (-j$JOBS) =="
+  cmake --build "$BUILD_DIR" -j "$JOBS"
+
+  echo "== test (every label but slow, telemetry off) =="
+  ctest --test-dir "$BUILD_DIR" -LE slow --output-on-failure -j "$JOBS"
+
+  echo "CI OK (obs-off)"
   exit 0
 fi
 

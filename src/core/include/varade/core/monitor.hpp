@@ -32,8 +32,6 @@ struct MonitorConfig {
   int holdoff_samples = 25;
   /// Stride for threshold calibration over the training series.
   Index calibration_stride = 4;
-  /// Contexts per score_batch call during threshold calibration.
-  Index calibration_batch = 32;
 };
 
 /// Throws on out-of-range fields; shared by every monitor frontend.

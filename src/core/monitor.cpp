@@ -11,7 +11,6 @@ void validate(const MonitorConfig& config) {
   check(config.debounce_samples >= 1, "debounce must be >= 1");
   check(config.holdoff_samples >= 0, "holdoff must be >= 0");
   check(config.calibration_stride >= 1, "calibration stride must be >= 1");
-  check(config.calibration_batch >= 1, "calibration batch must be >= 1");
 }
 
 void write_context(const std::deque<std::vector<float>>& ring, Index channels, Index window,
@@ -75,8 +74,7 @@ float calibrate_threshold(AnomalyDetector& detector, const data::MultivariateSer
   // Batched scoring over the strided calibration positions: a row's score
   // does not depend on the batch size per the detector contract, so the
   // threshold equals the one a sample-by-sample monitor would compute.
-  const SeriesScores run = detector.score_series(train, config.calibration_stride,
-                                                 config.calibration_batch);
+  const SeriesScores run = detector.score_series(train, config.calibration_stride);
   std::vector<float> scores = run.scores;
   check(!scores.empty(), "no calibration scores produced");
   std::sort(scores.begin(), scores.end());

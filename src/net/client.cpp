@@ -136,11 +136,6 @@ void Client::flush() {
   out_.clear();
 }
 
-void Client::request_stats() {
-  append_stats_request(out_);
-  flush();
-}
-
 void Client::request_shutdown() {
   append_shutdown(out_);
   flush();
@@ -166,10 +161,6 @@ bool Client::take_frame(ClientEvent& out) {
     case FrameType::Nack:
       out.kind = ClientEvent::Kind::Nack;
       out.nack = decode_nack(frame);
-      return true;
-    case FrameType::StatsReply:
-      out.kind = ClientEvent::Kind::Stats;
-      out.stats = decode_stats_reply(frame);
       return true;
     case FrameType::Goodbye:
       out.kind = ClientEvent::Kind::Goodbye;

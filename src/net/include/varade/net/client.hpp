@@ -5,8 +5,8 @@
 // Client always knows the daemon's stream/channel counts, threshold, and the
 // admission policy resolved for this connection. Samples are encoded into a
 // user-space buffer and flushed in large writes (one syscall carries many
-// frames); everything the daemon sends back — scores, alarms, NACKs, stats,
-// the GOODBYE — is surfaced through poll_event() in arrival order.
+// frames); everything the daemon sends back — scores, alarms, NACKs, the
+// GOODBYE — is surfaced through poll_event() in arrival order.
 //
 // A WIRE_ERROR frame from the daemon (this client broke the protocol) and
 // any malformed frame from the peer both throw varade::Error; the socket is
@@ -38,12 +38,11 @@ struct ClientConfig {
 
 /// One frame from the daemon, tagged by kind; exactly one member is valid.
 struct ClientEvent {
-  enum class Kind { Score, Alarm, Nack, Stats, Goodbye };
+  enum class Kind { Score, Alarm, Nack, Goodbye };
   Kind kind = Kind::Score;
   ScoreData score;
   AlarmData alarm;
   NackData nack;
-  WireStats stats;
 };
 
 class Client {
@@ -82,7 +81,6 @@ class Client {
   /// that caught the daemon asleep.
   long shm_doorbells() const { return shm_doorbells_; }
 
-  void request_stats();
   /// Asks the daemon to shut down (it drains, flushes, and says GOODBYE).
   void request_shutdown();
   /// Announces an orderly departure, releasing this client's streams.

@@ -17,7 +17,7 @@
 // (or inherits the daemon default). Block applies ring backpressure by
 // stalling intake (the poll thread waits for the scorer, which propagates to
 // every client through the kernel socket buffers — the semantics of Block
-// end to end); DropOldest evicts silently (the drop is visible in STATS);
+// end to end); DropOldest evicts silently (the drop is counted in /metrics);
 // Reject surfaces as a NACK frame carrying the PushResult. A SAMPLE for a
 // stream owned by another live connection is NACKed with reason StreamBusy —
 // stream ownership is first-push-wins and released on disconnect.
@@ -37,6 +37,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -161,9 +162,11 @@ class Server {
 
   /// One in-flight metrics scrape: a minimal HTTP/1.0 exchange (read the
   /// request head, write one response, close). Kept separate from Connection
-  /// so the wire-protocol state machine never sees HTTP bytes.
+  /// so the wire-protocol state machine never sees HTTP bytes. The poll loop
+  /// closes a scrape that outlives its deadline (server.cpp).
   struct MetricsConn {
     Socket sock;
+    std::chrono::steady_clock::time_point accepted;
     std::string request;            // bytes buffered until the blank line
     std::vector<std::uint8_t> out;  // encoded response awaiting write
     std::size_t out_off = 0;

@@ -35,9 +35,6 @@
 //   Alarm        (s->c)  {u32 stream, u64 onset, u64 last, f32 peak,
 //                         u8 raised}                    alarm event state
 //   Nack         (s->c)  {u32 stream, u64 seq, u8 PushResult, u8 reason}
-//   StatsRequest (c->s)  {}                             runtime stats probe
-//   StatsReply   (s->c)  {12 x u64 counters/latency quantiles, 3 x u32}
-//                                                       see WireStats
 //   Shutdown     (c->s)  {}                             ask the daemon to stop
 //   Goodbye      (s->c)  {}                             orderly close
 //   WireError    (s->c)  {utf-8 message}                protocol violation
@@ -68,8 +65,8 @@ enum class FrameType : std::uint8_t {
   Score = 4,
   Alarm = 5,
   Nack = 6,
-  StatsRequest = 7,
-  StatsReply = 8,
+  // 7 and 8 are retired: FrameReader rejects them as unknown, and no new
+  // frame may take them, since an old peer may still send them.
   Shutdown = 9,
   Goodbye = 10,
   WireError = 11,
@@ -177,30 +174,6 @@ struct NackData {
   NackReason reason = NackReason::Backpressure;
 };
 
-/// StatsReply payload: the daemon's AsyncScoringRuntime::stats() totals plus
-/// connection accounting and latency-telemetry quantiles (nanoseconds,
-/// merged across shards; all zero when the daemon was built with
-/// -DVARADE_OBS=OFF or has not scored yet).
-struct WireStats {
-  std::uint64_t pushed = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t naps = 0;
-  std::uint64_t scored = 0;  ///< StreamScores emitted by the runtime
-  /// Productive scorer-round duration quantiles (RuntimeTelemetry round).
-  std::uint64_t round_p50_ns = 0;
-  std::uint64_t round_p95_ns = 0;
-  std::uint64_t round_p99_ns = 0;
-  /// Sampled push->score end-to-end latency quantiles.
-  std::uint64_t push_to_score_p50_ns = 0;
-  std::uint64_t push_to_score_p95_ns = 0;
-  std::uint64_t push_to_score_p99_ns = 0;
-  Index n_streams = 0;
-  Index n_shards = 0;
-  Index n_connections = 0;
-};
-
 // --- encoding ---------------------------------------------------------------
 // Every append_* encodes one complete frame (header + payload) onto `out`,
 // so a caller can batch many frames into one write() syscall.
@@ -224,8 +197,6 @@ void append_score(std::vector<std::uint8_t>& out, Index stream, std::uint64_t sa
                   float score);
 void append_alarm(std::vector<std::uint8_t>& out, const AlarmData& alarm);
 void append_nack(std::vector<std::uint8_t>& out, const NackData& nack);
-void append_stats_request(std::vector<std::uint8_t>& out);
-void append_stats_reply(std::vector<std::uint8_t>& out, const WireStats& stats);
 void append_shutdown(std::vector<std::uint8_t>& out);
 void append_goodbye(std::vector<std::uint8_t>& out);
 void append_wire_error(std::vector<std::uint8_t>& out, const std::string& message);
@@ -246,7 +217,6 @@ void decode_sample_batch(const Frame& frame, Index n_channels, SampleBatchData& 
 ScoreData decode_score(const Frame& frame);
 AlarmData decode_alarm(const Frame& frame);
 NackData decode_nack(const Frame& frame);
-WireStats decode_stats_reply(const Frame& frame);
 /// Requires the 2-byte payload and rejects unknown feature bits.
 HelloData decode_hello(const Frame& frame);
 /// WireError payload is the error message itself.

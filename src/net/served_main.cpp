@@ -22,7 +22,7 @@
 // line the same way and serves Prometheus text at GET /metrics.
 //
 // The one-line exit report is printed even under --quiet: it is the ground
-// truth the tests reconcile against the STATS wire counters (in particular
+// truth the tests reconcile against /metrics and RuntimeStats (in particular
 // "scored" is RuntimeStats::scored — results actually emitted — not the
 // accepted-sample count, which silently diverges when a client disconnects
 // mid-drain and its remaining scores go unrouted).
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
     g_server = nullptr;
     // The exit report is printed even under --quiet (--quiet silences the
     // training/serving chatter, not the final accounting line). It must
-    // agree with the STATS wire counters: "scored" is stats.scored — the
+    // agree with /metrics and RuntimeStats: "scored" is stats.scored — the
     // results the runtime actually emitted — not stats.pushed, which keeps
     // counting samples whose scores went unrouted after a client
     // disconnected mid-drain. After the orderly close(),

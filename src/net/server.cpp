@@ -26,12 +26,15 @@ constexpr std::size_t kMaxMetricsRequest = 8192;
 /// Concurrent scrapes are capped independently of wire connections so a
 /// scraper storm cannot crowd out producers.
 constexpr std::size_t kMaxMetricsConns = 16;
+/// A scrape still open this long after its accept is closed, answered or
+/// not, so idle connections cannot hold every kMaxMetricsConns slot.
+constexpr std::chrono::seconds kMetricsScrapeDeadline{2};
 
 /// poll() timeout. Sockets, shm doorbells and the wake eventfd (a scorer out
 /// of input with scores to route, a stop request) all wake the loop, so this
 /// only bounds how long a busy scorer's finished rounds wait while the
 /// sockets are quiet, backstops a shm ring written without a doorbell, and
-/// paces the shutdown-flush deadline.
+/// paces the shutdown-flush and scrape deadlines.
 constexpr int kPollIntervalMs = 2;
 /// Wire connections beyond this are refused at accept.
 constexpr Index kMaxConnections = 128;
@@ -241,31 +244,6 @@ void Server::handle_frame(Connection& conn, const Frame& frame) {
     case FrameType::SampleBatch:
       handle_sample_batch(conn, frame);
       return;
-    case FrameType::StatsRequest: {
-      const serve::RuntimeStats rs = runtime_.stats();
-      const serve::RuntimeTelemetry rt = runtime_.telemetry();
-      WireStats ws;
-      ws.pushed = static_cast<std::uint64_t>(rs.pushed);
-      ws.dropped = static_cast<std::uint64_t>(rs.dropped);
-      ws.rejected = static_cast<std::uint64_t>(rs.rejected);
-      ws.rounds = static_cast<std::uint64_t>(rs.rounds);
-      ws.naps = static_cast<std::uint64_t>(rs.naps);
-      ws.scored = static_cast<std::uint64_t>(rs.scored);
-      ws.round_p50_ns = static_cast<std::uint64_t>(rt.total.round.quantile(0.50));
-      ws.round_p95_ns = static_cast<std::uint64_t>(rt.total.round.quantile(0.95));
-      ws.round_p99_ns = static_cast<std::uint64_t>(rt.total.round.quantile(0.99));
-      ws.push_to_score_p50_ns =
-          static_cast<std::uint64_t>(rt.total.engine.push_to_score.quantile(0.50));
-      ws.push_to_score_p95_ns =
-          static_cast<std::uint64_t>(rt.total.engine.push_to_score.quantile(0.95));
-      ws.push_to_score_p99_ns =
-          static_cast<std::uint64_t>(rt.total.engine.push_to_score.quantile(0.99));
-      ws.n_streams = config_.n_streams;
-      ws.n_shards = runtime_.n_shards();
-      ws.n_connections = static_cast<Index>(conns_.size());
-      append_stats_reply(conn.out, ws);
-      return;
-    }
     case FrameType::Shutdown:
       begin_shutdown();
       return;
@@ -720,6 +698,7 @@ void Server::run() {
         set_nonblocking(fd, true);
         auto mc = std::make_unique<MetricsConn>();
         mc->sock = Socket(fd);
+        mc->accepted = std::chrono::steady_clock::now();
         metrics_conns_.push_back(std::move(mc));
       }
     }
@@ -819,10 +798,12 @@ void Server::run() {
         ++i;
       }
     }
-    metrics_conns_.erase(
-        std::remove_if(metrics_conns_.begin(), metrics_conns_.end(),
-                       [](const std::unique_ptr<MetricsConn>& mc) { return !mc->sock.valid(); }),
-        metrics_conns_.end());
+    if (!metrics_conns_.empty()) {
+      const auto now = std::chrono::steady_clock::now();
+      std::erase_if(metrics_conns_, [now](const std::unique_ptr<MetricsConn>& mc) {
+        return !mc->sock.valid() || now - mc->accepted > kMetricsScrapeDeadline;
+      });
+    }
 
     if (shutting_down_) {
       if (shutdown_started == std::chrono::steady_clock::time_point{})

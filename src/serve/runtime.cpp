@@ -349,8 +349,8 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
       std::vector<StreamScore> scores = shard.engine->step();
       // Count the round before its scores become visible: a consumer that
       // drains them (woken by the hook or not) then finds the round in
-      // stats() and telemetry(), so a STATS reply sent after its scores
-      // counts the round that scored them.
+      // stats() and telemetry(), so a /metrics scrape taken after its scores
+      // arrive counts the round that scored them.
       const std::int64_t t_emit = obs::tick();
       if constexpr (obs::kEnabled) shard.round_hist.record(t_emit - t_round);
       shard.rounds.fetch_add(1, std::memory_order_relaxed);

@@ -212,18 +212,6 @@ TEST(ScoreSeries, BatchSizeDoesNotChangeScoresOrLabels) {
   }
 }
 
-TEST(CalibrateThreshold, BatchSizeDoesNotChangeThreshold) {
-  for (auto& detector : rig().detectors) {
-    MonitorConfig narrow;
-    narrow.calibration_batch = 1;
-    MonitorConfig wide;
-    wide.calibration_batch = 64;
-    EXPECT_EQ(calibrate_threshold(*detector, rig().train, narrow),
-              calibrate_threshold(*detector, rig().train, wide))
-        << detector->name();
-  }
-}
-
 /// Scores + events of one stream run through a sequential OnlineMonitor.
 struct SequentialRun {
   std::vector<float> scores;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -75,22 +76,6 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
                       .seq = 43,
                       .result = serve::PushResult::Rejected,
                       .reason = NackReason::StreamBusy});
-  append_stats_request(bytes);
-  append_stats_reply(bytes, {.pushed = 100,
-                             .dropped = 5,
-                             .rejected = 2,
-                             .rounds = 50,
-                             .naps = 3,
-                             .scored = 95,
-                             .round_p50_ns = 1500,
-                             .round_p95_ns = 9000,
-                             .round_p99_ns = 20000,
-                             .push_to_score_p50_ns = 40000,
-                             .push_to_score_p95_ns = 250000,
-                             .push_to_score_p99_ns = 1000000,
-                             .n_streams = 16,
-                             .n_shards = 2,
-                             .n_connections = 4});
   append_shutdown(bytes);
   append_goodbye(bytes);
   append_wire_error(bytes, "net: something went wrong");
@@ -110,7 +95,7 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
 
   for (const bool byte_wise : {false, true}) {
     const std::vector<Frame> frames = reparse(bytes, byte_wise);
-    ASSERT_EQ(frames.size(), 16U);
+    ASSERT_EQ(frames.size(), 14U);
 
     const HelloData h0 = decode_hello(frames[0]);
     EXPECT_EQ(h0.policy, serve::BackpressurePolicy::Reject);
@@ -148,31 +133,12 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
     EXPECT_EQ(nack.result, serve::PushResult::Rejected);
     EXPECT_EQ(nack.reason, NackReason::StreamBusy);
 
-    EXPECT_EQ(frames[7].type, FrameType::StatsRequest);
-
-    const WireStats stats = decode_stats_reply(frames[8]);
-    EXPECT_EQ(stats.pushed, 100U);
-    EXPECT_EQ(stats.dropped, 5U);
-    EXPECT_EQ(stats.rejected, 2U);
-    EXPECT_EQ(stats.rounds, 50U);
-    EXPECT_EQ(stats.naps, 3U);
-    EXPECT_EQ(stats.scored, 95U);
-    EXPECT_EQ(stats.round_p50_ns, 1500U);
-    EXPECT_EQ(stats.round_p95_ns, 9000U);
-    EXPECT_EQ(stats.round_p99_ns, 20000U);
-    EXPECT_EQ(stats.push_to_score_p50_ns, 40000U);
-    EXPECT_EQ(stats.push_to_score_p95_ns, 250000U);
-    EXPECT_EQ(stats.push_to_score_p99_ns, 1000000U);
-    EXPECT_EQ(stats.n_streams, 16);
-    EXPECT_EQ(stats.n_shards, 2);
-    EXPECT_EQ(stats.n_connections, 4);
-
-    EXPECT_EQ(frames[9].type, FrameType::Shutdown);
-    EXPECT_EQ(frames[10].type, FrameType::Goodbye);
-    EXPECT_EQ(decode_wire_error(frames[11]), "net: something went wrong");
+    EXPECT_EQ(frames[7].type, FrameType::Shutdown);
+    EXPECT_EQ(frames[8].type, FrameType::Goodbye);
+    EXPECT_EQ(decode_wire_error(frames[9]), "net: something went wrong");
 
     SampleBatchData batch;
-    decode_sample_batch(frames[12], 3, batch);
+    decode_sample_batch(frames[10], 3, batch);
     EXPECT_EQ(batch.stream, 9);
     EXPECT_EQ(batch.base_seq, 1000U);
     EXPECT_EQ(batch.count, 2);
@@ -181,17 +147,17 @@ TEST(Wire, EveryFrameTypeRoundTrips) {
     ASSERT_EQ(batch.values.size(), 6U);
     EXPECT_EQ(std::memcmp(batch.values.data(), batch_values, sizeof(batch_values)), 0);
 
-    const HelloData h13 = decode_hello(frames[13]);
-    EXPECT_EQ(h13.policy, serve::BackpressurePolicy::Block);
-    EXPECT_EQ(h13.features, kFeatureSampleBatch | kFeatureShm);
+    const HelloData h11 = decode_hello(frames[11]);
+    EXPECT_EQ(h11.policy, serve::BackpressurePolicy::Block);
+    EXPECT_EQ(h11.features, kFeatureSampleBatch | kFeatureShm);
 
-    const Welcome w14 = decode_welcome(frames[14]);
-    EXPECT_EQ(w14.n_streams, 4);
-    EXPECT_EQ(w14.features, kFeatureSampleBatch);
+    const Welcome w12 = decode_welcome(frames[12]);
+    EXPECT_EQ(w12.n_streams, 4);
+    EXPECT_EQ(w12.features, kFeatureSampleBatch);
 
-    const NackData n15 = decode_nack(frames[15]);
-    EXPECT_EQ(n15.seq, 1001U);
-    EXPECT_EQ(n15.reason, NackReason::MalformedSample);
+    const NackData n13 = decode_nack(frames[13]);
+    EXPECT_EQ(n13.seq, 1001U);
+    EXPECT_EQ(n13.reason, NackReason::MalformedSample);
   }
 }
 
@@ -246,10 +212,13 @@ TEST(WireMalformed, BadVersion) {
 }
 
 TEST(WireMalformed, UnknownFrameType) {
-  std::vector<std::uint8_t> bytes;
-  append_shutdown(bytes);
-  bytes[2] = 200;
-  expect_feed_error(bytes, "unknown frame type 200");
+  // 7 and 8 sit inside the Hello..SampleBatch range but are retired bytes.
+  for (const int type : {0, 7, 8, 13, 200}) {
+    std::vector<std::uint8_t> bytes;
+    append_shutdown(bytes);
+    bytes[2] = static_cast<std::uint8_t>(type);
+    expect_feed_error(bytes, "unknown frame type " + std::to_string(type));
+  }
 }
 
 TEST(WireMalformed, NonzeroReservedByte) {
@@ -1098,42 +1067,6 @@ TEST(NetE2E, SecondConnectionPushingAnOwnedStreamIsNackedStreamBusy) {
   EXPECT_EQ(server.frames_nacked(), 1);
 }
 
-TEST(NetE2E, StatsProbeCountsPushes) {
-  net::ServerConfig config;
-  config.uds_path = "/tmp/varade_test_stats.sock";
-  config.n_streams = 3;
-  config.threshold = rig().threshold;
-  Server server(rig().detector, rig().normalizer, config);
-  std::thread server_thread([&server] { server.run(); });
-  {
-    Client client(parse_endpoint("unix:" + config.uds_path));
-    const float sample[3] = {0.5F, 0.5F, 0.5F};
-    for (int t = 0; t < 10; ++t)
-      client.send_sample(0, static_cast<std::uint64_t>(t), sample);
-    client.flush();
-    client.request_stats();
-    ClientEvent ev;
-    WireStats stats{};
-    bool got_stats = false;
-    while (client.poll_event(ev, 30000)) {
-      if (ev.kind == ClientEvent::Kind::Stats) {
-        stats = ev.stats;
-        got_stats = true;
-        break;
-      }
-    }
-    ASSERT_TRUE(got_stats);
-    EXPECT_EQ(stats.pushed, 10U);
-    EXPECT_EQ(stats.dropped, 0U);
-    EXPECT_EQ(stats.rejected, 0U);
-    EXPECT_EQ(stats.n_streams, 3);
-    EXPECT_EQ(stats.n_shards, 1);
-    EXPECT_EQ(stats.n_connections, 1);
-  }
-  server.request_stop();
-  server_thread.join();
-}
-
 TEST(NetE2E, ShutdownFrameDrainsAndSaysGoodbye) {
   net::ServerConfig config;
   config.uds_path = "/tmp/varade_test_shutdown.sock";
@@ -1449,48 +1382,96 @@ TEST(NetE2E, MetricsEndpointServesPrometheusText) {
   server_thread.join();
 }
 
-TEST(NetE2E, StatsReplyCarriesScoredAndLatencyQuantiles) {
+/// Value of the first sample line of `text` that starts with `prefix`; NaN
+/// when no line does.
+double series_value(const std::string& text, const std::string& prefix) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    if (text.compare(pos, prefix.size(), prefix) == 0)
+      return std::strtod(text.c_str() + text.rfind(' ', eol) + 1, nullptr);
+    pos = eol + 1;
+  }
+  return std::nan("");
+}
+
+TEST(NetE2E, MetricsTextCountsTheScoresAClientHasReceived) {
+  // The runtime counts a round before its scores become visible, so once a
+  // client holds N scores, metrics_text() already counts N scored samples.
   net::ServerConfig config;
-  config.uds_path = "/tmp/varade_test_stats_tel.sock";
-  config.n_streams = 1;
+  config.uds_path = "/tmp/varade_test_metrics_text.sock";
+  config.n_streams = 3;
   config.threshold = rig().threshold;
   Server server(rig().detector, rig().normalizer, config);
   std::thread server_thread([&server] { server.run(); });
   {
     Client client(parse_endpoint("unix:" + config.uds_path));
     const float sample[3] = {0.5F, 0.5F, 0.5F};
-    for (int t = 0; t < 20; ++t)
-      client.send_sample(0, static_cast<std::uint64_t>(t), sample);
-    client.flush();
     ClientEvent ev;
-    for (int got = 0; got < 20;) {
-      ASSERT_TRUE(client.poll_event(ev, 30000));
-      if (ev.kind == ClientEvent::Kind::Score) ++got;
-    }
-    client.request_stats();
-    WireStats stats{};
-    bool got_stats = false;
-    while (client.poll_event(ev, 30000)) {
-      if (ev.kind == ClientEvent::Kind::Stats) {
-        stats = ev.stats;
-        got_stats = true;
-        break;
+    const auto push_and_await = [&](int first, int count) {
+      for (int t = first; t < first + count; ++t)
+        client.send_sample(0, static_cast<std::uint64_t>(t), sample);
+      client.flush();
+      for (int got = 0; got < count;) {
+        ASSERT_TRUE(client.poll_event(ev, 30000));
+        if (ev.kind == ClientEvent::Kind::Score) ++got;
       }
-    }
-    ASSERT_TRUE(got_stats);
-    EXPECT_EQ(stats.pushed, 20U);
-    // Every accepted sample was scored (we waited for the scores above).
-    EXPECT_EQ(stats.scored, 20U);
+    };
+
+    push_and_await(0, 10);
+    std::string text = server.metrics_text();
+    EXPECT_EQ(series_value(text, "varade_samples_pushed_total "), 10.0);
+    EXPECT_EQ(series_value(text, "varade_samples_dropped_total "), 0.0);
+    EXPECT_EQ(series_value(text, "varade_samples_rejected_total "), 0.0);
+    EXPECT_EQ(series_value(text, "varade_net_connections "), 1.0);
+    // One shard: the per-shard families carry shard="0" and no other.
+    EXPECT_NE(text.find("\nvarade_scorer_rounds_total{shard=\"0\"} "), std::string::npos);
+    EXPECT_EQ(text.find("shard=\"1\""), std::string::npos);
+
+    push_and_await(10, 10);
+    text = server.metrics_text();
+    EXPECT_EQ(series_value(text, "varade_samples_pushed_total "), 20.0);
+    EXPECT_EQ(series_value(text, "varade_samples_scored_total "), 20.0);
     if constexpr (obs::kEnabled) {
-      // Quantiles come from live histograms: ordered and non-zero once
-      // rounds have run.
-      EXPECT_GT(stats.round_p50_ns, 0U);
-      EXPECT_LE(stats.round_p50_ns, stats.round_p95_ns);
-      EXPECT_LE(stats.round_p95_ns, stats.round_p99_ns);
+      EXPECT_GT(series_value(text, "varade_scorer_round_seconds_count "), 0.0);
     } else {
-      EXPECT_EQ(stats.round_p50_ns, 0U);
-      EXPECT_EQ(stats.push_to_score_p99_ns, 0U);
+      EXPECT_EQ(series_value(text, "varade_scorer_round_seconds_count "), 0.0);
     }
+  }
+  server.request_stop();
+  server_thread.join();
+}
+
+TEST(NetE2E, IdleScrapersAreClosedAtTheScrapeDeadline) {
+  // Scrapes are capped at 16 open at once. Sixteen connections that never
+  // send a request fill the cap; the daemon must close them at its 2 s scrape
+  // deadline instead of refusing every later scrape until shutdown.
+  net::ServerConfig config;
+  config.uds_path = "/tmp/varade_test_idle_scrapers.sock";
+  config.n_streams = 1;
+  config.threshold = rig().threshold;
+  config.metrics_port = 0;
+  Server server(rig().detector, rig().normalizer, config);
+  std::thread server_thread([&server] { server.run(); });
+  {
+    const Endpoint metrics{.kind = Endpoint::Kind::Tcp, .host = "127.0.0.1",
+                           .port = server.metrics_port()};
+    std::vector<Socket> idle;
+    for (int i = 0; i < 16; ++i) idle.push_back(connect_endpoint(metrics));
+    // True once the daemon has hung up on `sock` without a byte of reply.
+    const auto hung_up = [](const Socket& sock) {
+      std::uint8_t byte = 0;
+      return wait_readable(sock.fd(), 5000) && read_some(sock.fd(), &byte, 1) == 0;
+    };
+    // While they hold every slot, a seventeenth connection is closed unread.
+    EXPECT_TRUE(hung_up(connect_endpoint(metrics)));
+    // Past the deadline the daemon has hung up on each idle connection...
+    std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+    for (const Socket& sock : idle) EXPECT_TRUE(hung_up(sock));
+    // ...and a real scrape is served again.
+    const std::string response =
+        http_exchange(server.metrics_port(), "GET /metrics HTTP/1.0\r\n\r\n");
+    EXPECT_EQ(response.rfind("HTTP/1.0 200 OK\r\n", 0), 0U) << response.substr(0, 120);
   }
   server.request_stop();
   server_thread.join();
