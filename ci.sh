@@ -56,7 +56,8 @@
 # on clone_fitted() replicas), and the shm ring's SPSC producer/consumer pair
 # with doorbell arming (test_net_wire), and a TSan-built varade-served
 # process under forked clients (test_served) race-checked — then repeats the
-# /metrics scrape test and the scores-ready hook test ten times each.
+# /metrics scrape test, the scores-ready hook test and the untimed scorer
+# sleep test ten times each.
 #
 # --obs-off builds with the telemetry compiled out (VARADE_OBS=OFF, separate
 # build-obs-off tree; the observability A/B baseline) and runs every test
@@ -153,6 +154,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   echo "== test (scores-ready hook x10 under ThreadSanitizer) =="
   "$BUILD_DIR/tests/test_serve_runtime" \
     --gtest_filter=AsyncScoringRuntime.ScoresReadyHookNeverLosesAWakeup --gtest_repeat=10
+
+  # The scorers sleep with no timeout, so a push that slips past a scorer's
+  # going-to-sleep check is never scored; the race needs an unlucky
+  # interleaving, so this test is repeated too.
+  echo "== test (untimed scorer sleep x10 under ThreadSanitizer) =="
+  "$BUILD_DIR/tests/test_serve_runtime" \
+    --gtest_filter=AsyncScoringRuntime.UntimedSleepLosesNoWakeup --gtest_repeat=10
 
   echo "CI OK (tsan)"
   exit 0

@@ -10,8 +10,10 @@
 // own threads underneath, so socket I/O and scoring overlap. One eventfd
 // wakes the loop for both of its non-socket events: a scorer that has run
 // out of input with scores to route (the runtime's scores-ready hook) and a
-// stop request. The loop also routes on every pass, so a busy scorer's
-// finished rounds leave with the next socket event or the poll timeout.
+// stop request. poll() blocks with no timeout while every scorer sleeps;
+// while one is awake it keeps a short timeout, and the loop routes on every
+// pass, so a busy scorer's finished rounds leave with the next socket event
+// or that timeout.
 //
 // Admission control: each connection picks a BackpressurePolicy in its HELLO
 // (or inherits the daemon default). Block applies ring backpressure by
@@ -246,6 +248,8 @@ class Server {
   obs::Counter batch_frames_;          // SAMPLE_BATCH frames dispatched
   obs::Counter batch_samples_;         // samples carried by those frames
   obs::Counter shm_doorbells_rung_;    // s2c doorbells (client was asleep)
+  obs::Counter poll_wakeups_event_;    // poll() returned with an fd ready
+  obs::Counter poll_wakeups_timeout_;  // poll() timed out
 };
 
 }  // namespace varade::net

@@ -30,11 +30,14 @@ constexpr std::size_t kMaxMetricsConns = 16;
 /// not, so idle connections cannot hold every kMaxMetricsConns slot.
 constexpr std::chrono::seconds kMetricsScrapeDeadline{2};
 
-/// poll() timeout. Sockets, shm doorbells and the wake eventfd (a scorer out
-/// of input with scores to route, a stop request) all wake the loop, so this
-/// only bounds how long a busy scorer's finished rounds wait while the
-/// sockets are quiet, backstops a shm ring written without a doorbell, and
-/// paces the shutdown-flush and scrape deadlines.
+/// poll() timeout while something can fall due without an fd event.
+/// Sockets, shm doorbells and the wake eventfd (a scorer out of input with
+/// scores to route, a stop request) all wake the loop, so poll() blocks with
+/// no timeout unless a scorer is awake (its finished rounds are announced
+/// only when it runs out of input, so this bounds how long they wait while
+/// the sockets are quiet), a shm connection is open (this backstops a ring
+/// written without a doorbell), a scrape is open (its deadline) or shutdown
+/// is flushing (its deadline).
 constexpr int kPollIntervalMs = 2;
 /// Wire connections beyond this are refused at accept.
 constexpr Index kMaxConnections = 128;
@@ -463,6 +466,12 @@ std::string Server::metrics_text() const {
             batch_frames_.value());
   w.counter("varade_net_batch_samples_total", "Samples carried by SAMPLE_BATCH frames.",
             batch_samples_.value());
+  w.counter("varade_net_poll_wakeups_total",
+            "Poll-loop wakeups: an fd event (event) or the poll timeout (timeout).",
+            poll_wakeups_event_.value(), "cause=\"event\"");
+  w.counter("varade_net_poll_wakeups_total",
+            "Poll-loop wakeups: an fd event (event) or the poll timeout (timeout).",
+            poll_wakeups_timeout_.value(), "cause=\"timeout\"");
   w.counter("varade_net_shm_doorbells_total",
             "Server-to-client doorbells rung (the client had declared itself asleep).",
             shm_doorbells_rung_.value());
@@ -650,9 +659,13 @@ void Server::run() {
     // ordering contract). A ring with bytes already in it forces a zero
     // timeout instead: the data is older than this poll.
     const std::size_t first_bell = pfds.size();
-    int poll_timeout = kPollIntervalMs;
+    // No timeout unless something can fall due without an fd event (see
+    // kPollIntervalMs); an open shm connection arms it below.
+    const bool timed = shutting_down_ || !metrics_conns_.empty() || !runtime_.all_asleep();
+    int poll_timeout = timed ? kPollIntervalMs : -1;
     for (const std::unique_ptr<Connection>& conn : conns_) {
       if (!conn->shm_active || !conn->sock.valid()) continue;
+      if (poll_timeout < 0) poll_timeout = kPollIntervalMs;  // the doorbell backstop
       if (conn->shm.c2s().arm_waiting()) {
         pfds.push_back({conn->shm.c2s_doorbell(), POLLIN, 0});
       } else {
@@ -663,6 +676,7 @@ void Server::run() {
 
     const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), poll_timeout);
     if (rc < 0 && errno != EINTR) fail("net: poll(): ", std::strerror(errno));
+    obs::count(rc == 0 ? poll_wakeups_timeout_ : poll_wakeups_event_);
 
     // Disarm + drain every doorbell before touching the rings; the drain
     // pass below picks the bytes up regardless of which fd fired.
@@ -769,7 +783,8 @@ void Server::run() {
 
     // Route on every pass, not only when the wake fd fired: a scorer rings
     // when it runs out of input, so while it stays busy its finished rounds
-    // leave with the next socket event or, at the latest, the poll timeout.
+    // leave with the next socket event or, at the latest, the poll timeout
+    // (armed while any scorer is awake).
     if (!shutting_down_) route_scores();
 
     // Flush everything with pending output (fresh frames may have been

@@ -34,6 +34,11 @@
 // stream — fed the same samples, for ANY shard count, producer timing, ring
 // capacity, or batching.
 //
+// Sleep: a scorer that finds its rings empty sleeps with no timeout until a
+// push to one of its streams (or close()) wakes it, so an idle spell costs
+// one sleep and one wake, and an idle runtime uses no CPU. The push that
+// finds it asleep pays the wake; the handshake (runtime.cpp) loses none.
+//
 // Stats: stats() is the one counter read — one aggregate snapshot whose
 // streams/shards vectors carry the per-stream and per-shard breakdowns.
 //
@@ -115,7 +120,7 @@ struct IngestStats {
 struct ShardStats {
   Index n_streams = 0;  ///< streams this shard owns
   long rounds = 0;      ///< scoring rounds (drain + engine step) run
-  long naps = 0;        ///< times the shard's scorer actually went to sleep
+  long naps = 0;        ///< times the shard's scorer went to sleep (one per idle spell)
   long scored = 0;      ///< StreamScores emitted into the result queue
 };
 
@@ -133,7 +138,7 @@ struct ShardStats {
 ///     quiescent (after close(), or while no push is in flight). A snapshot
 ///     taken mid-traffic may catch one counter before its sibling — relaxed
 ///     loads order nothing across locations, and stats() deliberately does
-///     not impose ordering: the hot path stays fence-free.
+///     not impose ordering: the counters add no fence to the hot path.
 ///   - After close() returns, every counter is exact and the invariants
 ///     hold with equality.
 struct RuntimeStats {
@@ -213,10 +218,13 @@ class AsyncScoringRuntime {
   /// lands after a shard's queue was taken finds it empty and owes the hook
   /// another call (a stale signal costs one empty drain). Under sustained
   /// input a busy period can be long, so a consumer that wants a bound on
-  /// the wait also drains on its own schedule (net::Server drains on every
-  /// poll-loop pass). The hook runs on the scorer threads until close()
-  /// returns, so it must be thread-safe and outlive that; an exception from
-  /// it fails the shard like a scoring one.
+  /// the wait also drains on its own schedule while all_asleep() is false
+  /// (net::Server keeps a poll timeout then). The hook runs on the scorer
+  /// threads until close() returns, so it must be thread-safe and outlive
+  /// that; an exception from it fails the shard like a scoring one. A scorer
+  /// that runs out of input calls it holding its wake mutex, after marking
+  /// itself asleep (so a consumer woken by the last idle scorer's call finds
+  /// all_asleep() true); the hook therefore must not push().
   void set_scores_ready(std::function<void()> hook);
 
   /// Builds the shard engines (shard 0 on the borrowed detector, one
@@ -250,6 +258,15 @@ class AsyncScoringRuntime {
   /// scoring thread died on an exception, the first close() rethrows it
   /// (the destructor swallows it instead).
   void close();
+
+  /// True when every active shard's scorer is asleep, waiting for a push
+  /// or close(). A scorer that is awake may hold scores it has not yet
+  /// announced through the scores-ready hook, so a consumer that drains only
+  /// on the hook may wait without a timeout only while this is true. Any
+  /// thread, any time; the answer may be stale when used, and either way is
+  /// safe: a scorer that wakes after a true answer calls the hook before it
+  /// sleeps again, and a false one costs a timed wait.
+  bool all_asleep() const;
 
   bool started() const { return started_.load(std::memory_order_acquire); }
   bool closed() const { return closed_.load(std::memory_order_acquire); }
@@ -293,7 +310,7 @@ class AsyncScoringRuntime {
   };
 
   /// Everything one scorer thread owns. Rings, engine, result queue, and
-  /// nap state are all per shard, so shards share no mutable state on the
+  /// sleep state are all per shard, so shards share no mutable state on the
   /// hot path.
   struct Shard {
     /// This shard's index: emit() remaps its engine's local ids through it.
@@ -313,9 +330,12 @@ class AsyncScoringRuntime {
     /// start().
     std::unique_ptr<ScoringEngine> engine;
     std::thread scorer;
-    /// Per-shard nap handshake (see scorer loop): producers that observe
-    /// asleep notify under wake_mu, so an idle shard sleeps independently
-    /// of the others and a hot shard never wakes an idle one.
+    /// Per-shard sleep handshake (runtime.cpp, announce_asleep): a scorer
+    /// out of input sets `asleep` under wake_mu, re-checks its rings and
+    /// waits on wake_cv with no timeout; a push() that sees `asleep` clears
+    /// it under wake_mu and notifies. So an idle shard sleeps independently
+    /// of the others, a hot shard never wakes an idle one, and an idle
+    /// spell costs one sleep and one wake.
     std::mutex wake_mu;
     std::condition_variable wake_cv;
     std::atomic<bool> asleep{false};

@@ -1,6 +1,5 @@
 #include "varade/serve/runtime.hpp"
 
-#include <chrono>
 #include <utility>
 
 namespace varade::serve {
@@ -14,9 +13,42 @@ namespace {
 /// two so the hot-path check is a mask.
 constexpr long kPushSampleEvery = 64;
 
-/// Empty polling rounds before a shard's scoring thread naps between wakeups
-/// (each shard backs off independently).
-constexpr int kIdleSpinRounds = 64;
+// The sleep handshake between push() and a scorer going to sleep (a Dekker
+// pair): push() publishes its sample and then reads `asleep`; the scorer
+// stores `asleep` and then re-checks the rings. A seq_cst fence between the
+// two steps on each side makes the two orders total, so either the scorer's
+// re-check sees the sample or push() sees the flag and wakes it: never
+// neither, and the scorer's sleep needs no timeout.
+//
+// TSan cannot model atomic_thread_fence (GCC rejects it under -Werror=tsan),
+// so that build uses the fence-free formulation: a seq_cst RMW on `asleep`
+// itself on both sides. The RMWs are coherence-ordered, and the later one
+// synchronizes-with the earlier: the same either/or. Every other write of
+// `asleep` is an RMW too (an exchange), so no plain store breaks the release
+// sequence between them.
+
+/// Scorer side: marks the shard asleep, then orders that store before the
+/// ring re-check that follows.
+void announce_asleep(std::atomic<bool>& asleep) {
+#if defined(__SANITIZE_THREAD__)
+  asleep.exchange(true, std::memory_order_seq_cst);
+#else
+  asleep.store(true, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+#endif
+}
+
+/// Producer side, after the sample is in the ring: whether the scorer may be
+/// asleep (then the producer must wake it).
+bool may_be_asleep(std::atomic<bool>& asleep) {
+#if defined(__SANITIZE_THREAD__)
+  bool expected = false;  // a no-op RMW when awake; a plain load sees `true`
+  return !asleep.compare_exchange_strong(expected, false, std::memory_order_seq_cst);
+#else
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  return asleep.load(std::memory_order_relaxed);
+#endif
+}
 
 }  // namespace
 
@@ -218,14 +250,27 @@ PushResult AsyncScoringRuntime::push(Index stream, const float* raw_sample, Inde
   ingest.active_pushers.fetch_sub(1, std::memory_order_release);
 
   // Only the owning shard's scorer cares about this sample.
-  if (result != PushResult::Rejected && shard.asleep.load(std::memory_order_acquire))
-    wake_shard(shard);
+  if (result != PushResult::Rejected && may_be_asleep(shard.asleep)) wake_shard(shard);
   return result;
 }
 
 void AsyncScoringRuntime::wake_shard(Shard& shard) {
-  std::lock_guard<std::mutex> lock(shard.wake_mu);
+  {
+    std::lock_guard<std::mutex> lock(shard.wake_mu);
+    // Under wake_mu the flag is exact: the scorer holds the mutex from its
+    // store of `asleep` until its wait releases it. Clearing the flag here,
+    // not in the scorer, is what ends the wait, so the producers that push
+    // while the scorer is still waking see it awake and skip the mutex.
+    if (!shard.asleep.exchange(false, std::memory_order_relaxed)) return;
+  }
   shard.wake_cv.notify_one();
+}
+
+bool AsyncScoringRuntime::all_asleep() const {
+  const Index active = n_active_shards();
+  for (Index k = 0; k < active; ++k)
+    if (!shards_[static_cast<std::size_t>(k)].asleep.load(std::memory_order_acquire)) return false;
+  return true;
 }
 
 long AsyncScoringRuntime::drain_ring(Shard& shard, Index local, bool bounded) {
@@ -306,17 +351,7 @@ void AsyncScoringRuntime::shard_loop(Shard& shard) {
 
 void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
   const Index n = shard.arena->n_rings();
-  // Nap escalation, per shard: producers that observe this shard asleep
-  // notify under its mutex, so a sleeping shard wakes immediately when its
-  // own traffic resumes — and an idle shard sleeps through other shards'
-  // traffic instead of busy-spinning. The timeout only backstops the rare
-  // stale-asleep-read window; doubling it while consecutively idle lets a
-  // quiet shard go properly to sleep instead of burning ~2000 wakeups/s.
-  constexpr std::chrono::microseconds kNapFloor{500};
-  constexpr std::chrono::microseconds kNapCeiling{50000};
-  std::chrono::microseconds nap = kNapFloor;
-  int idle = 0;
-  // Set at every nap exit; the next productive drain sweep records the
+  // Set at every wake; the next productive drain sweep records the
   // wake-to-drain latency and clears it. Scorer-thread-local by design.
   std::int64_t wake_marker = 0;
   // Set when a round's scores reach an empty result queue, cleared when the
@@ -336,8 +371,6 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
     long drained = 0;
     for (Index i = 0; i < n; ++i) drained += drain_ring(shard, i, /*bounded=*/true);
     if (drained > 0) {
-      idle = 0;
-      nap = kNapFloor;
       if constexpr (obs::kEnabled) {
         const std::int64_t t_drained = obs::now_ns();
         shard.drain_hist.record(t_drained - t_round);
@@ -358,10 +391,6 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
       if constexpr (obs::kEnabled) shard.emit_hist.record(obs::now_ns() - t_emit);
       continue;
     }
-    if (unannounced) {
-      unannounced = false;
-      notify_scores_ready();
-    }
     // All rings looked empty — but that scan may predate a producer's last
     // push (the scan and the push/close() handoff can interleave). stop_ is
     // raised only after intake is shut and every in-flight push has landed,
@@ -373,43 +402,41 @@ void AsyncScoringRuntime::shard_loop_impl(Shard& shard) {
       if (final_drained > 0) {
         std::vector<StreamScore> scores = shard.engine->step();
         shard.rounds.fetch_add(1, std::memory_order_relaxed);
-        if (emit(shard, std::move(scores))) notify_scores_ready();
+        unannounced = emit(shard, std::move(scores)) || unannounced;
       }
+      if (unannounced) notify_scores_ready();
       return;
     }
-    if (++idle < kIdleSpinRounds) {
-      std::this_thread::yield();
-      continue;
-    }
-    // Nap until one of this shard's producers (or close()) wakes it. The
-    // ring re-check happens after asleep is set under the mutex; a producer
-    // that misses the flag pushed early enough for that re-check to see its
-    // sample, and the timeout bounds any residual visibility latency.
-    bool timed_out = false;
+    // Out of input: sleep until one of this shard's producers (or close())
+    // wakes it; no timeout (see announce_asleep for why none is needed).
+    // Under wake_mu: mark the shard asleep, ring for the scores this busy
+    // period left (after the mark, so a consumer woken by the ring already
+    // sees the shard asleep), then re-check the rings and stop_. A producer
+    // that pushed before the mark is seen by the re-check; one that pushes
+    // after it sees the mark and, waiting for wake_mu, notifies only once
+    // this thread waits.
     {
       std::unique_lock<std::mutex> lock(shard.wake_mu);
-      shard.asleep.store(true, std::memory_order_release);
+      announce_asleep(shard.asleep);
+      if (unannounced) {
+        unannounced = false;
+        notify_scores_ready();
+      }
       bool pending = stop_.load(std::memory_order_acquire);
       for (Index i = 0; i < n && !pending; ++i)
         pending = !shard.arena->ring(i).empty_approx();
-      if (!pending) {
+      if (pending) {
+        shard.asleep.exchange(false, std::memory_order_relaxed);
+      } else {
         shard.naps.fetch_add(1, std::memory_order_relaxed);
-        timed_out = shard.wake_cv.wait_for(lock, nap) == std::cv_status::timeout;
+        // wake_shard() clears the flag before it notifies, so a spurious
+        // wakeup waits on.
+        shard.wake_cv.wait(lock, [&] { return !shard.asleep.load(std::memory_order_relaxed); });
       }
-      shard.asleep.store(false, std::memory_order_release);
     }
-    // Every nap-block exit is a wake (cv notify, timeout, or the pending
+    // Every sleep-block exit is a wake (a producer, close(), or the pending
     // re-check firing); the next productive drain records the gap.
     wake_marker = obs::tick();
-    if (timed_out) {
-      // Still quiet: back off harder, and go straight to the next nap after
-      // one ring scan (skip the yield rounds — they are for active traffic).
-      nap = std::min(nap * 2, kNapCeiling);
-      idle = kIdleSpinRounds;
-    } else {
-      nap = kNapFloor;
-      idle = 0;
-    }
   }
 }
 

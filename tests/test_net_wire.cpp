@@ -738,6 +738,45 @@ NetRig& rig() {
   return *r;
 }
 
+/// Runs server.run() on its own thread for the guard's lifetime. The
+/// destructor requests a stop and joins, so a test body that returns early
+/// through a failed ASSERT_* joins the thread too; a std::thread destroyed
+/// joinable would std::terminate the whole binary, and the tests after it
+/// would go unrun and unreported. An exception from run() fails the test.
+class ServerThread {
+ public:
+  explicit ServerThread(Server& server)
+      : server_(server), thread_([this] {
+          try {
+            server_.run();
+          } catch (const std::exception& e) {
+            error_ = e.what();
+          }
+        }) {}
+  ~ServerThread() { stop(); }
+
+  ServerThread(const ServerThread&) = delete;
+  ServerThread& operator=(const ServerThread&) = delete;
+
+  /// Waits for run() to return on its own (a SHUTDOWN frame, or a stop
+  /// requested elsewhere).
+  void join() {
+    if (!thread_.joinable()) return;
+    thread_.join();
+    if (!error_.empty()) ADD_FAILURE() << "Server::run() threw: " << error_;
+  }
+  /// Requests an orderly stop and waits for run() to return.
+  void stop() {
+    if (thread_.joinable()) server_.request_stop();
+    join();
+  }
+
+ private:
+  Server& server_;
+  std::string error_;   // written by the thread, read after the join
+  std::thread thread_;  // last: it starts once the members it uses exist
+};
+
 /// What one client observed for the streams it owns.
 struct ClientView {
   std::map<Index, std::vector<float>> scores;  // by stream, in arrival order
@@ -829,7 +868,7 @@ void expect_loopback_parity(const Endpoint& endpoint, Server& server, Index n_st
   for (Index s = 0; s < n_streams; ++s)
     series.push_back(make_sine(n_samples, 100 + static_cast<std::uint64_t>(s)));
 
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
 
   constexpr int kClients = 4;
   std::vector<ClientView> views(kClients);
@@ -845,8 +884,7 @@ void expect_loopback_parity(const Endpoint& endpoint, Server& server, Index n_st
     }
     for (std::thread& t : clients) t.join();
   }
-  server.request_stop();
-  server_thread.join();
+  running.stop();
 
   // Synchronous baseline: one ScoringEngine, same streams, same samples.
   serve::ScoringEngine engine(r.detector, r.normalizer, {});
@@ -962,7 +1000,7 @@ TEST(NetE2E, MalformedSampleInBatchDropsOnlyTheTail) {
   config.n_streams = 1;
   config.threshold = rig().threshold;
   Server server(rig().detector, rig().normalizer, config);
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
   {
     Client client(parse_endpoint("unix:" + config.uds_path));
     float block[5 * 3];
@@ -997,8 +1035,7 @@ TEST(NetE2E, MalformedSampleInBatchDropsOnlyTheTail) {
     EXPECT_EQ(ev.kind, ClientEvent::Kind::Score);
     client.send_goodbye();
   }
-  server.request_stop();
-  server_thread.join();
+  running.stop();
   EXPECT_EQ(server.protocol_errors(), 0);  // a malformed *sample* is not a protocol error
   EXPECT_EQ(server.frames_nacked(), 1);
 }
@@ -1010,7 +1047,7 @@ TEST(NetE2E, WelcomeAnnouncesSessionConfig) {
   config.threshold = rig().threshold;
   config.runtime.backpressure = serve::BackpressurePolicy::DropOldest;
   Server server(rig().detector, rig().normalizer, config);
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
   {
     // Defaulted policy resolves to the daemon's.
     Client defaulted(parse_endpoint("unix:" + config.uds_path));
@@ -1023,8 +1060,7 @@ TEST(NetE2E, WelcomeAnnouncesSessionConfig) {
                      {.policy = serve::BackpressurePolicy::Reject});
     EXPECT_EQ(rejecting.welcome().policy, serve::BackpressurePolicy::Reject);
   }
-  server.request_stop();
-  server_thread.join();
+  running.stop();
 }
 
 TEST(NetE2E, SecondConnectionPushingAnOwnedStreamIsNackedStreamBusy) {
@@ -1033,7 +1069,7 @@ TEST(NetE2E, SecondConnectionPushingAnOwnedStreamIsNackedStreamBusy) {
   config.n_streams = 2;
   config.threshold = rig().threshold;
   Server server(rig().detector, rig().normalizer, config);
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
   const Endpoint endpoint = parse_endpoint("unix:" + config.uds_path);
   {
     Client owner(endpoint);
@@ -1062,8 +1098,7 @@ TEST(NetE2E, SecondConnectionPushingAnOwnedStreamIsNackedStreamBusy) {
     EXPECT_EQ(ev.kind, ClientEvent::Kind::Score);
     EXPECT_EQ(ev.score.stream, 1);
   }
-  server.request_stop();
-  server_thread.join();
+  running.stop();
   EXPECT_EQ(server.frames_nacked(), 1);
 }
 
@@ -1073,7 +1108,7 @@ TEST(NetE2E, ShutdownFrameDrainsAndSaysGoodbye) {
   config.n_streams = 1;
   config.threshold = rig().threshold;
   Server server(rig().detector, rig().normalizer, config);
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
   {
     Client client(parse_endpoint("unix:" + config.uds_path));
     const float sample[3] = {0.5F, 0.5F, 0.5F};
@@ -1097,7 +1132,7 @@ TEST(NetE2E, ShutdownFrameDrainsAndSaysGoodbye) {
     EXPECT_TRUE(goodbye);
     EXPECT_TRUE(client.closed());
   }
-  server_thread.join();  // run() returned because of the SHUTDOWN frame
+  running.join();  // run() returned because of the SHUTDOWN frame
 }
 
 TEST(NetE2E, RequestStopBeforeRunEndsTheFirstPoll) {
@@ -1128,7 +1163,7 @@ TEST(NetE2E, RequestStopFromAnotherThreadMidTrafficSaysGoodbye) {
   config.threshold = rig().threshold;
   config.runtime.n_shards = 2;
   Server server(rig().detector, rig().normalizer, config);
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
   long scores = 0;
   bool goodbye = false;
   {
@@ -1150,7 +1185,7 @@ TEST(NetE2E, RequestStopFromAnotherThreadMidTrafficSaysGoodbye) {
     }
     if (stopper.joinable()) stopper.join();
   }
-  server_thread.join();
+  running.join();
   EXPECT_TRUE(goodbye);
   const serve::RuntimeStats fin = server.runtime().stats();
   EXPECT_GT(fin.pushed, 0);
@@ -1171,7 +1206,7 @@ TEST(NetE2E, ReplyDoesNotWaitForThePollTimeout) {
   config.n_streams = 1;
   config.threshold = rig().threshold;
   Server server(rig().detector, rig().normalizer, config);
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
   constexpr Index kWarmup = 50;
   constexpr Index kTrips = 200;
   std::vector<double> trip_ms;
@@ -1196,8 +1231,7 @@ TEST(NetE2E, ReplyDoesNotWaitForThePollTimeout) {
     }
     client.send_goodbye();
   }
-  server.request_stop();
-  server_thread.join();
+  running.stop();
   std::nth_element(trip_ms.begin(), trip_ms.begin() + kTrips / 2, trip_ms.end());
   EXPECT_LT(trip_ms[kTrips / 2], 1.0) << "median round trip, ms, over " << kTrips << " samples";
 }
@@ -1209,7 +1243,7 @@ TEST(NetE2E, ProtocolViolationsGetNamedWireErrors) {
   config.n_streams = 2;
   config.threshold = rig().threshold;
   Server server(rig().detector, rig().normalizer, config);
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
   const Endpoint endpoint = parse_endpoint("unix:" + config.uds_path);
 
   auto expect_wire_error = [&](const std::vector<std::uint8_t>& bytes,
@@ -1288,8 +1322,7 @@ TEST(NetE2E, ProtocolViolationsGetNamedWireErrors) {
     expect_wire_error(bytes, "bad magic byte");
   }
 
-  server.request_stop();
-  server_thread.join();
+  running.stop();
   EXPECT_EQ(server.protocol_errors(), 6);
 }
 
@@ -1323,7 +1356,7 @@ TEST(NetE2E, MetricsEndpointServesPrometheusText) {
   config.metrics_port = 0;  // ephemeral, resolved at construction
   Server server(rig().detector, rig().normalizer, config);
   ASSERT_GT(server.metrics_port(), 0);
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
   {
     // Put real traffic through first, so the series carry live values.
     Client client(parse_endpoint("unix:" + config.uds_path));
@@ -1378,8 +1411,7 @@ TEST(NetE2E, MetricsEndpointServesPrometheusText) {
     EXPECT_NE(direct.find("# TYPE varade_scorer_round_seconds histogram\n"),
               std::string::npos);
   }
-  server.request_stop();
-  server_thread.join();
+  running.stop();
 }
 
 /// Value of the first sample line of `text` that starts with `prefix`; NaN
@@ -1403,7 +1435,7 @@ TEST(NetE2E, MetricsTextCountsTheScoresAClientHasReceived) {
   config.n_streams = 3;
   config.threshold = rig().threshold;
   Server server(rig().detector, rig().normalizer, config);
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
   {
     Client client(parse_endpoint("unix:" + config.uds_path));
     const float sample[3] = {0.5F, 0.5F, 0.5F};
@@ -1438,8 +1470,46 @@ TEST(NetE2E, MetricsTextCountsTheScoresAClientHasReceived) {
       EXPECT_EQ(series_value(text, "varade_scorer_round_seconds_count "), 0.0);
     }
   }
-  server.request_stop();
-  server_thread.join();
+  running.stop();
+}
+
+TEST(NetE2E, SilentClientCostsThePollLoopNoTimeoutWakeups) {
+  // With every scorer asleep, no shm connection, no open scrape and no
+  // shutdown under way, nothing can fall due without an fd event, so poll()
+  // blocks with no timeout. The counters are read through metrics_text():
+  // an open scrape would itself arm the timeout. With telemetry compiled
+  // off they read 0 and the check holds trivially.
+  net::ServerConfig config;
+  config.uds_path = "/tmp/varade_test_poll_wakeups.sock";
+  config.n_streams = 1;
+  config.threshold = rig().threshold;
+  Server server(rig().detector, rig().normalizer, config);
+  ServerThread running(server);
+  const std::string timeouts = "varade_net_poll_wakeups_total{cause=\"timeout\"} ";
+  {
+    // One round trip first: the scorer wakes, scores, rings and sleeps
+    // again, and the loop must then go back to an untimed poll.
+    Client client(parse_endpoint("unix:" + config.uds_path));
+    const float sample[3] = {0.5F, 0.5F, 0.5F};
+    client.send_sample(0, 0, sample);
+    client.flush();
+    ClientEvent ev;
+    ASSERT_TRUE(client.poll_event(ev, 30000));
+    ASSERT_EQ(ev.kind, ClientEvent::Kind::Score);
+    // A poll timeout armed while the scorer was still awake expires here.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const double before = series_value(server.metrics_text(), timeouts);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const std::string text = server.metrics_text();
+    EXPECT_EQ(series_value(text, timeouts), before) << "the idle poll loop woke on its timeout";
+    if constexpr (obs::kEnabled) {
+      EXPECT_GT(series_value(text, "varade_net_poll_wakeups_total{cause=\"event\"} "), 0.0);
+    } else {
+      EXPECT_EQ(series_value(text, "varade_net_poll_wakeups_total{cause=\"event\"} "), 0.0);
+    }
+    client.send_goodbye();
+  }
+  running.stop();
 }
 
 TEST(NetE2E, IdleScrapersAreClosedAtTheScrapeDeadline) {
@@ -1452,7 +1522,7 @@ TEST(NetE2E, IdleScrapersAreClosedAtTheScrapeDeadline) {
   config.threshold = rig().threshold;
   config.metrics_port = 0;
   Server server(rig().detector, rig().normalizer, config);
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
   {
     const Endpoint metrics{.kind = Endpoint::Kind::Tcp, .host = "127.0.0.1",
                            .port = server.metrics_port()};
@@ -1473,8 +1543,7 @@ TEST(NetE2E, IdleScrapersAreClosedAtTheScrapeDeadline) {
         http_exchange(server.metrics_port(), "GET /metrics HTTP/1.0\r\n\r\n");
     EXPECT_EQ(response.rfind("HTTP/1.0 200 OK\r\n", 0), 0U) << response.substr(0, 120);
   }
-  server.request_stop();
-  server_thread.join();
+  running.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -1494,7 +1563,7 @@ TEST(NetE2E, DisconnectMidDrainKeepsAccountingReconciled) {
   config.n_streams = 1;
   config.threshold = rig().threshold;
   Server server(rig().detector, rig().normalizer, config);
-  std::thread server_thread([&server] { server.run(); });
+  ServerThread running(server);
 
   constexpr Index kPushes = 300;
   {
@@ -1512,8 +1581,7 @@ TEST(NetE2E, DisconnectMidDrainKeepsAccountingReconciled) {
   // Let the daemon observe the EOF and finish scoring the burst, then stop.
   for (int spin = 0; spin < 30000 && server.runtime().stats().scored < kPushes; ++spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  server.request_stop();
-  server_thread.join();
+  running.stop();
 
   const serve::RuntimeStats fin = server.runtime().stats();
   EXPECT_EQ(fin.pushed, kPushes);  // every frame was on the wire before close

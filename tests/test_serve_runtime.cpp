@@ -20,6 +20,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <sched.h>
 #include <string>
 #include <thread>
 #include <vector>
@@ -869,6 +870,143 @@ TEST(AsyncScoringRuntime, ScoresReadyHookWaitsUntilTheScorerRunsOutOfInput) {
   const std::vector<std::pair<long, long>> want{{4, 2}};
   EXPECT_EQ(seen_at_call, want);
   EXPECT_EQ(runtime.drain_scores().size(), 4U);
+}
+
+/// EchoDetector that counts the rows it scores (across its replicas), so a
+/// test can see a round score its samples without touching the result queue.
+class CountingEchoDetector final : public core::AnomalyDetector {
+ public:
+  explicit CountingEchoDetector(std::atomic<long>& rows) : rows_(&rows) {}
+  std::string name() const override { return "CountingEcho"; }
+  void fit(const data::MultivariateSeries&) override {}
+  void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override {
+    echo_.score_batch(contexts, observed, out);
+    rows_->fetch_add(observed.dim(0), std::memory_order_relaxed);
+  }
+  std::unique_ptr<core::AnomalyDetector> clone_fitted() const override {
+    return std::make_unique<CountingEchoDetector>(*rows_);
+  }
+  Index context_window() const override { return 1; }
+  edge::ModelCost cost() const override { return {}; }
+  bool fitted() const override { return true; }
+
+ private:
+  EchoDetector echo_;
+  std::atomic<long>* rows_;
+};
+
+/// Saves the calling thread's CPU mask and restores it on scope exit, so a
+/// test that pins itself leaves the tests after it unpinned, failed or not.
+class CpuMaskGuard {
+ public:
+  CpuMaskGuard() {
+    CPU_ZERO(&saved_);
+    saved_ok_ = sched_getaffinity(0, sizeof(saved_), &saved_) == 0;
+  }
+  ~CpuMaskGuard() {
+    if (saved_ok_) (void)sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  CpuMaskGuard(const CpuMaskGuard&) = delete;
+  CpuMaskGuard& operator=(const CpuMaskGuard&) = delete;
+
+  /// The CPUs the thread could run on when the guard was made.
+  std::vector<int> cpus() const {
+    std::vector<int> out;
+    for (int c = 0; saved_ok_ && c < CPU_SETSIZE; ++c)
+      if (CPU_ISSET(c, &saved_)) out.push_back(c);
+    return out;
+  }
+  /// Restricts the calling thread to `cpu`.
+  static void pin_to(int cpu) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    (void)sched_setaffinity(0, sizeof(set), &set);
+  }
+
+ private:
+  cpu_set_t saved_;
+  bool saved_ok_ = false;
+};
+
+TEST(AsyncScoringRuntime, UntimedSleepLosesNoWakeup) {
+  // A scorer out of input sleeps with no timeout, so a push that slips past
+  // its going-to-sleep check without waking it leaves the sample unscored
+  // for good. One sample at a time, each a random 0-200 us after the
+  // previous one was scored, so the pushes land anywhere between a scorer's
+  // last round and its wait; every sample must be scored within its own
+  // deadline. The window that matters runs from the scorer's empty sweep of
+  // the pushed ring to its asleep mark, so the pushes go to the first ring
+  // each shard sweeps, thousands of idle streams make the rest of the sweep
+  // long, and the gaps are log-uniform and spun, not slept, so many land
+  // inside it. The test watches the detector's row count rather than the
+  // result queue: a consumer contending for the queue's lock, or woken by
+  // the scores-ready hook (which rings only once the scorer is marked
+  // asleep), would reach the next push too late to land in the window.
+  constexpr Index kStreams = 4096;
+  constexpr Index kPushes = 400;
+  Rng rng(29);
+  const float sample[3] = {0.25F, 0.0F, 0.0F};
+  for (const Index shards : {1, 2}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    std::atomic<long> rows{0};
+    CountingEchoDetector counting(rows);
+    AsyncRuntimeConfig cfg;
+    cfg.n_shards = shards;
+    cfg.ring_capacity = 1;
+    AsyncScoringRuntime runtime(counting, rig().normalizer, cfg);
+    runtime.add_streams(kStreams);
+    runtime.set_threshold(1e9F);
+    // The scorers inherit the creating thread's CPU mask: start them on one
+    // CPU and move this thread to another, so the pushes run while a scorer
+    // is mid-sweep instead of waiting for it to give up a shared CPU.
+    const CpuMaskGuard mask;
+    const std::vector<int> cpus = mask.cpus();
+    if (cpus.size() >= 2) CpuMaskGuard::pin_to(cpus[0]);
+    runtime.start();
+    if (cpus.size() >= 2) CpuMaskGuard::pin_to(cpus[1]);
+    // A stream's first sample only starts its state and takes no
+    // score_batch row, so both streams are warmed up first.
+    for (Index s = 0; s < 2; ++s) ASSERT_EQ(runtime.push(s, sample, 3), PushResult::Ok);
+    const auto warm_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (runtime.stats().scored < 2 && std::chrono::steady_clock::now() < warm_deadline)
+      std::this_thread::yield();
+    ASSERT_EQ(runtime.stats().scored, 2) << "a warm-up sample was not scored within 2 s";
+
+    for (Index k = 0; k < kPushes; ++k) {
+      const auto gap = std::chrono::nanoseconds(
+          std::lround(std::exp(rng.uniform(std::log(50.0F), std::log(200000.0F)))));
+      for (const auto until = std::chrono::steady_clock::now() + gap;
+           std::chrono::steady_clock::now() < until;) {
+      }
+      const Index stream = k % 2;  // local ring 0 of its shard, or ring 0/1 of one shard
+      ASSERT_EQ(runtime.push(stream, sample, 3), PushResult::Ok);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (rows.load(std::memory_order_relaxed) <= k &&
+             std::chrono::steady_clock::now() < deadline) {
+      }
+      ASSERT_GT(rows.load(std::memory_order_relaxed), k)
+          << "push " << k << " (stream " << stream << ") was not scored within 2 s: a lost wakeup";
+    }
+    runtime.close();
+    EXPECT_EQ(runtime.stats().scored, kPushes + 2);
+    EXPECT_EQ(static_cast<Index>(runtime.drain_scores().size()), kPushes + 2);
+  }
+}
+
+TEST(AsyncScoringRuntime, IdleScorerSleepsOnce) {
+  // With no traffic a scorer goes to sleep once and stays asleep: nothing
+  // but a push or close() ends its sleep.
+  EchoDetector echo;
+  AsyncScoringRuntime runtime(echo, rig().normalizer);
+  runtime.add_stream();
+  runtime.set_threshold(1e9F);
+  runtime.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(runtime.stats().naps, 1);
+  EXPECT_TRUE(runtime.all_asleep());
+  runtime.close();
+  EXPECT_EQ(runtime.stats().naps, 1);  // close() wakes it to exit, not to nap again
 }
 
 TEST(AsyncScoringRuntime, DestructorClosesAndDrains) {
