@@ -15,39 +15,26 @@ constexpr long kPushSampleEvery = 64;
 
 // The sleep handshake between push() and a scorer going to sleep (a Dekker
 // pair): push() publishes its sample and then reads `asleep`; the scorer
-// stores `asleep` and then re-checks the rings. A seq_cst fence between the
-// two steps on each side makes the two orders total, so either the scorer's
-// re-check sees the sample or push() sees the flag and wakes it: never
-// neither, and the scorer's sleep needs no timeout.
-//
-// TSan cannot model atomic_thread_fence (GCC rejects it under -Werror=tsan),
-// so that build uses the fence-free formulation: a seq_cst RMW on `asleep`
-// itself on both sides. The RMWs are coherence-ordered, and the later one
-// synchronizes-with the earlier: the same either/or. Every other write of
-// `asleep` is an RMW too (an exchange), so no plain store breaks the release
-// sequence between them.
+// writes `asleep` and then re-checks the rings. Both steps on `asleep` are
+// seq_cst RMWs, which are totally ordered on the flag: if the scorer's comes
+// first, push() reads `true` and wakes it; if push()'s comes first, the
+// scorer's exchange reads from it and synchronizes-with it, so the re-check
+// sees the sample. Never neither, so the scorer's sleep needs no timeout.
+// Every other write of `asleep` is an RMW too (an exchange), so no plain
+// store breaks the release sequence between them. (Unlike a fence pair, this
+// is the formulation TSan can check.)
 
-/// Scorer side: marks the shard asleep, then orders that store before the
-/// ring re-check that follows.
+/// Scorer side: marks the shard asleep, ordered before the ring re-check
+/// that follows.
 void announce_asleep(std::atomic<bool>& asleep) {
-#if defined(__SANITIZE_THREAD__)
   asleep.exchange(true, std::memory_order_seq_cst);
-#else
-  asleep.store(true, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-#endif
 }
 
 /// Producer side, after the sample is in the ring: whether the scorer may be
 /// asleep (then the producer must wake it).
 bool may_be_asleep(std::atomic<bool>& asleep) {
-#if defined(__SANITIZE_THREAD__)
   bool expected = false;  // a no-op RMW when awake; a plain load sees `true`
   return !asleep.compare_exchange_strong(expected, false, std::memory_order_seq_cst);
-#else
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  return asleep.load(std::memory_order_relaxed);
-#endif
 }
 
 }  // namespace

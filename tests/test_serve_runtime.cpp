@@ -994,21 +994,6 @@ TEST(AsyncScoringRuntime, UntimedSleepLosesNoWakeup) {
   }
 }
 
-TEST(AsyncScoringRuntime, IdleScorerSleepsOnce) {
-  // With no traffic a scorer goes to sleep once and stays asleep: nothing
-  // but a push or close() ends its sleep.
-  EchoDetector echo;
-  AsyncScoringRuntime runtime(echo, rig().normalizer);
-  runtime.add_stream();
-  runtime.set_threshold(1e9F);
-  runtime.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_EQ(runtime.stats().naps, 1);
-  EXPECT_TRUE(runtime.all_asleep());
-  runtime.close();
-  EXPECT_EQ(runtime.stats().naps, 1);  // close() wakes it to exit, not to nap again
-}
-
 TEST(AsyncScoringRuntime, DestructorClosesAndDrains) {
   // No close(): the destructor must drain the rings and join the scorer
   // with samples still in flight — under ASan and TSan this pins that an

@@ -442,8 +442,13 @@ TEST(ShardedRuntime, IdleShardSleepsWhileAnotherIsHot) {
   for (Index t = 0; t < 600; ++t)
     ASSERT_EQ(runtime.push(0, series.sample(t), series.n_channels()), PushResult::Ok);
   // The idle shard sleeps as soon as it finds its ring empty; leave it time
-  // to get there before close() wakes it.
+  // to get there before close() wakes it. The hot shard sleeps once it has
+  // scored what is left in its ring; then every scorer is asleep.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!runtime.all_asleep() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(runtime.all_asleep()) << "a scorer with empty rings did not sleep within 2 s";
   runtime.close();
 
   EXPECT_EQ(runtime.samples_seen(0), 600);
