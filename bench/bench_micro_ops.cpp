@@ -1,11 +1,15 @@
 // Micro-benchmarks (google-benchmark) of the kernels behind Table 2:
 // Conv1d, Linear, VARADE's score (mean exp per row), LSTM step, tree ensemble
-// evaluation, kNN queries, the isolation-forest scorer, windowing, and AUC
-// computation.
+// evaluation, GBRF's score_batch, kNN queries, the isolation-forest scorer,
+// windowing, and AUC computation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
 #include <vector>
 
+#include "varade/core/profiles.hpp"
 #include "varade/data/window.hpp"
 #include "varade/eval/metrics.hpp"
 #include "varade/knn/knn.hpp"
@@ -84,6 +88,63 @@ void BM_GbrfPredict(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(model.predict_one(q));
 }
 BENCHMARK(BM_GbrfPredict)->Arg(5)->Arg(30);
+
+/// GbrfDetector::score_batch at perfbench's gbrf-imu shape (3 channels,
+/// window 32, 4 feature steps: 12 features; 3 outputs x 8 trees of depth 3),
+/// fitted on a noisy 3-channel sine. Each call scores the next `rows` of a
+/// pool of 1024 contexts from random offsets, so that, as with served
+/// streams, successive calls take different paths through the trees.
+/// Reports ns per row.
+void BM_GbrfScoreBatch(benchmark::State& state) {
+  const Index rows = state.range(0);
+  constexpr Index kChannels = 3;
+  constexpr Index kWindow = 32;
+  constexpr Index kLength = 1200;
+  constexpr Index kPool = 1024;
+  core::Profile profile = core::repro_profile();
+  profile.gbrf.window = kWindow;
+  profile.gbrf.feature_steps = 4;
+  profile.gbrf.forest.n_trees = 8;
+  profile.gbrf.forest.tree.max_depth = 3;
+  Rng rng(9);
+  data::MultivariateSeries series(kChannels);
+  std::vector<float> sample(kChannels);
+  for (Index t = 0; t < kLength; ++t) {
+    for (Index c = 0; c < kChannels; ++c)
+      sample[static_cast<std::size_t>(c)] =
+          std::sin(0.05F * static_cast<float>(t) + static_cast<float>(c)) + rng.normal(0.0F, 0.1F);
+    series.append(sample);
+  }
+  const std::unique_ptr<core::AnomalyDetector> detector = core::make_detector(profile, "GBRF");
+  detector->fit(series);
+  std::vector<Tensor> contexts;
+  std::vector<Tensor> observed;
+  for (Index b = 0; b < kPool / rows; ++b) {
+    Tensor ctx({rows, kChannels, kWindow});
+    Tensor obs({rows, kChannels});
+    for (Index r = 0; r < rows; ++r) {
+      const Index end = kWindow + rng.uniform_int(0, static_cast<int>(kLength - kWindow - 1));
+      const Tensor context = data::extract_context(series, end - 1, kWindow);
+      std::copy(context.data(), context.data() + context.numel(),
+                ctx.data() + r * kChannels * kWindow);
+      for (Index c = 0; c < kChannels; ++c) obs[r * kChannels + c] = series.sample(end)[c];
+    }
+    contexts.push_back(std::move(ctx));
+    observed.push_back(std::move(obs));
+  }
+  std::vector<float> out(static_cast<std::size_t>(rows));
+  std::size_t next = 0;
+  for (auto _ : state) {
+    detector->score_batch(contexts[next], observed[next], out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    next = next + 1 == contexts.size() ? 0 : next + 1;
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * rows),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GbrfScoreBatch)->Arg(1)->Arg(32);
 
 void BM_IsolationForestScore(benchmark::State& state) {
   Rng rng(5);

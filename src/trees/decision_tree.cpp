@@ -27,10 +27,13 @@ void DecisionTreeRegressor::fit_rows(const Tensor& x, const Tensor& y,
   for (Index r : rows) check(r >= 0 && r < x.dim(0), "row index out of range");
   n_features_ = x.dim(1);
   nodes_.clear();
-  nodes_.reserve(rows.size() * 2);
+  depth_ = 0;
   std::vector<Index> work = rows;
   Rng rng(config_.seed);
   build(x, y, work, 0, static_cast<Index>(work.size()), 0, rng);
+  // Keep the walk array at its exact size: the capacity left by growth lives
+  // as long as the tree does.
+  nodes_ = std::vector<Node>(nodes_.begin(), nodes_.end());
 }
 
 int DecisionTreeRegressor::build(const Tensor& x, const Tensor& y, std::vector<Index>& rows,
@@ -49,7 +52,8 @@ int DecisionTreeRegressor::build(const Tensor& x, const Tensor& y, std::vector<I
   const double node_sse = sum_sq - sum * sum / n;
 
   const int node_id = static_cast<int>(nodes_.size());
-  nodes_.push_back(Node{.feature = -1, .threshold = 0.0F, .value = mean, .left = -1, .right = -1});
+  nodes_.push_back(Node{.child = {node_id, node_id}, .value = mean});
+  depth_ = std::max(depth_, depth);
 
   const bool can_split = depth < config_.max_depth && n >= config_.min_samples_split &&
                          node_sse > 1e-12;
@@ -110,23 +114,35 @@ int DecisionTreeRegressor::build(const Tensor& x, const Tensor& y, std::vector<I
   const Index mid = static_cast<Index>(mid_it - rows.begin());
   if (mid == begin || mid == end) return node_id;  // degenerate split (numeric ties)
 
-  nodes_[static_cast<std::size_t>(node_id)].feature = static_cast<int>(best_feature);
-  nodes_[static_cast<std::size_t>(node_id)].threshold = best_threshold;
   const int left = build(x, y, rows, begin, mid, depth + 1, rng);
   const int right = build(x, y, rows, mid, end, depth + 1, rng);
-  nodes_[static_cast<std::size_t>(node_id)].left = left;
-  nodes_[static_cast<std::size_t>(node_id)].right = right;
+  Node& split = nodes_[static_cast<std::size_t>(node_id)];
+  split.feature = static_cast<int>(best_feature);
+  split.threshold = best_threshold;
+  split.child[0] = left;
+  split.child[1] = right;
   return node_id;
+}
+
+// One level of the walk, an indexed load rather than a branch: equality goes
+// left, NaN goes right, and a leaf maps to itself.
+int DecisionTreeRegressor::step(const Node* nodes, int id, const float* sample) {
+  const Node& nd = nodes[id];
+  return nd.child[!(sample[nd.feature] <= nd.threshold)];
+}
+
+// Exactly depth() steps, whatever the row, so every row takes the same path
+// length and the loop's exit never depends on the data.
+int DecisionTreeRegressor::leaf_of(const float* sample) const {
+  const Node* nodes = nodes_.data();
+  int id = 0;
+  for (int level = 0; level < depth_; ++level) id = step(nodes, id, sample);
+  return id;
 }
 
 float DecisionTreeRegressor::predict_one(const float* sample) const {
   check(fitted(), "predict on unfitted tree");
-  int id = 0;
-  while (nodes_[static_cast<std::size_t>(id)].feature >= 0) {
-    const Node& nd = nodes_[static_cast<std::size_t>(id)];
-    id = sample[nd.feature] <= nd.threshold ? nd.left : nd.right;
-  }
-  return nodes_[static_cast<std::size_t>(id)].value;
+  return nodes_[static_cast<std::size_t>(leaf_of(sample))].value;
 }
 
 float DecisionTreeRegressor::predict_one(const Tensor& sample) const {
@@ -151,34 +167,27 @@ void DecisionTreeRegressor::accumulate_rows(const float* x, Index n, Index d, do
   if (d != n_features_)
     fail("accumulate_rows expects ", n_features_, " features, got ", d);
   const Node* nodes = nodes_.data();
-  for (Index i = 0; i < n; ++i) {
-    const float* sample = x + i * d;
-    int id = 0;
-    while (nodes[id].feature >= 0) {
-      const Node& nd = nodes[id];
-      id = sample[nd.feature] <= nd.threshold ? nd.left : nd.right;
+  // Blocks of four rows walk in lockstep, so their dependent load chains
+  // overlap; each row still adds its own scale * leaf value, tree by tree.
+  Index i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float* s = x + i * d;
+    int id0 = 0;
+    int id1 = 0;
+    int id2 = 0;
+    int id3 = 0;
+    for (int level = 0; level < depth_; ++level) {
+      id0 = step(nodes, id0, s);
+      id1 = step(nodes, id1, s + d);
+      id2 = step(nodes, id2, s + 2 * d);
+      id3 = step(nodes, id3, s + 3 * d);
     }
-    acc[i] += scale * nodes[id].value;
+    acc[i] += scale * nodes[id0].value;
+    acc[i + 1] += scale * nodes[id1].value;
+    acc[i + 2] += scale * nodes[id2].value;
+    acc[i + 3] += scale * nodes[id3].value;
   }
-}
-
-int DecisionTreeRegressor::depth() const {
-  if (nodes_.empty()) return 0;
-  // Iterative depth computation over the flat array; depth counts edges from
-  // the root (sklearn semantics), so a lone leaf has depth 0.
-  std::vector<std::pair<int, int>> stack{{0, 0}};
-  int max_depth = 0;
-  while (!stack.empty()) {
-    auto [id, depth] = stack.back();
-    stack.pop_back();
-    max_depth = std::max(max_depth, depth);
-    const Node& nd = nodes_[static_cast<std::size_t>(id)];
-    if (nd.feature >= 0) {
-      stack.push_back({nd.left, depth + 1});
-      stack.push_back({nd.right, depth + 1});
-    }
-  }
-  return max_depth;
+  for (; i < n; ++i) acc[i] += scale * nodes[leaf_of(x + i * d)].value;
 }
 
 }  // namespace varade::trees

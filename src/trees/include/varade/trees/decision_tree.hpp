@@ -20,7 +20,8 @@ struct TreeConfig {
   std::uint64_t seed = 0;
 };
 
-/// Binary regression tree, stored as a flat node array.
+/// Binary regression tree, stored as a flat node array and evaluated by one
+/// branch-free walk of exactly depth() steps per row.
 class DecisionTreeRegressor {
  public:
   explicit DecisionTreeRegressor(TreeConfig config = {});
@@ -45,23 +46,29 @@ class DecisionTreeRegressor {
   void accumulate_rows(const float* x, Index n, Index d, double scale, double* acc) const;
 
   bool fitted() const { return !nodes_.empty(); }
-  int depth() const;
+  /// Edges from the root to the deepest leaf (a lone leaf has depth 0).
+  int depth() const { return depth_; }
   std::size_t node_count() const { return nodes_.size(); }
 
  private:
+  /// A split sends x to child[0] when x[feature] <= threshold and to child[1]
+  /// otherwise (NaN included). A leaf points both children at itself and
+  /// uses feature 0, so a walk that reaches it early stays there.
   struct Node {
-    int feature = -1;       // -1 marks a leaf
-    float threshold = 0.0F; // go left when x[feature] <= threshold
-    float value = 0.0F;     // leaf prediction
-    int left = -1;
-    int right = -1;
+    int feature = 0;
+    float threshold = 0.0F;
+    int child[2] = {0, 0};
+    float value = 0.0F;  // leaf prediction
   };
 
   int build(const Tensor& x, const Tensor& y, std::vector<Index>& rows, Index begin, Index end,
             int depth, Rng& rng);
+  static int step(const Node* nodes, int id, const float* sample);
+  int leaf_of(const float* sample) const;
 
   TreeConfig config_;
   Index n_features_ = 0;
+  int depth_ = 0;
   std::vector<Node> nodes_;
 };
 

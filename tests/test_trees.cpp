@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "varade/trees/decision_tree.hpp"
@@ -99,6 +101,70 @@ TEST(DecisionTree, ErrorsBeforeFitAndOnBadShapes) {
   EXPECT_THROW(tree.predict_one(Tensor::vector({1.0F})), Error);
   EXPECT_THROW(tree.fit(Tensor({3}), Tensor({3})), Error);  // X must be rank 2
   EXPECT_THROW(tree.fit(Tensor({3, 1}), Tensor({4})), Error);
+}
+
+// A tree of known shape, split on feature 1 only (feature 0 is constant, so
+// never chosen): x1 <= 6.5 -> -1000 (a leaf at depth 1); x1 <= 11.5 -> 100
+// (depth 2); x1 <= 12.5 -> 200, else 300 (both at depth 3). The walk runs
+// depth() steps for every row, so the rows that reach a shallow leaf early
+// must stay on it, whatever feature 0 holds.
+TEST(DecisionTree, WalkFollowsTheSplitRuleOnEdgeInputs) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> x1{0, 1, 2, 3, 10, 11, 12, 13};
+  const std::vector<float> y1{-1000, -1000, -1000, -1000, 100, 100, 200, 300};
+  Tensor x({8, 2});
+  Tensor y({8});
+  for (Index i = 0; i < 8; ++i) {
+    x[i * 2] = 7.0F;
+    x[i * 2 + 1] = x1[static_cast<std::size_t>(i)];
+    y[i] = y1[static_cast<std::size_t>(i)];
+  }
+  DecisionTreeRegressor tree({.max_depth = 6, .min_samples_leaf = 1, .min_samples_split = 2});
+  tree.fit(x, y);
+  ASSERT_EQ(tree.depth(), 3);
+  ASSERT_EQ(tree.node_count(), 7U);
+
+  // Equality goes left at every level, NaN goes right, and +-inf land on
+  // the outermost leaves.
+  const std::vector<std::pair<std::vector<float>, float>> cases{
+      {{7.0F, 6.5F}, -1000.0F}, {{7.0F, 11.5F}, 100.0F}, {{7.0F, 12.5F}, 200.0F},
+      {{7.0F, nan}, 300.0F},    {{7.0F, -inf}, -1000.0F}, {{7.0F, inf}, 300.0F},
+      {{nan, 0.0F}, -1000.0F},  {{-inf, 11.0F}, 100.0F},  {{inf, 12.0F}, 200.0F},
+  };
+
+  // A constant target gives a lone leaf: depth 0, and every input maps to it.
+  DecisionTreeRegressor lone;
+  lone.fit(x, Tensor({8}, 2.5F));
+  ASSERT_EQ(lone.depth(), 0);
+  ASSERT_EQ(lone.node_count(), 1U);
+
+  const Index k = static_cast<Index>(cases.size());
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    EXPECT_EQ(tree.predict_one(cases[c].first.data()), cases[c].second) << "case " << c;
+    EXPECT_EQ(lone.predict_one(cases[c].first.data()), 2.5F) << "case " << c;
+  }
+  // The batched walk at n = 1 (the 1-row walk) and n = 5 (one 4-row block,
+  // then one tail row), with every case rotated through every row position.
+  for (const Index n : {Index{1}, Index{5}}) {
+    for (Index offset = 0; offset < k; ++offset) {
+      std::vector<float> q;
+      for (Index r = 0; r < n; ++r) {
+        const auto& row = cases[static_cast<std::size_t>((offset + r) % k)].first;
+        q.insert(q.end(), row.begin(), row.end());
+      }
+      std::vector<double> acc(static_cast<std::size_t>(n), 0.0);
+      std::vector<double> lone_acc(static_cast<std::size_t>(n), 0.0);
+      tree.accumulate_rows(q.data(), n, 2, 1.0, acc.data());
+      lone.accumulate_rows(q.data(), n, 2, 1.0, lone_acc.data());
+      for (Index r = 0; r < n; ++r) {
+        const std::size_t c = static_cast<std::size_t>((offset + r) % k);
+        EXPECT_EQ(acc[static_cast<std::size_t>(r)], cases[c].second)
+            << "n=" << n << " row " << r << " case " << c;
+        EXPECT_EQ(lone_acc[static_cast<std::size_t>(r)], 2.5) << "n=" << n << " row " << r;
+      }
+    }
+  }
 }
 
 TEST(Gbrf, BoostingReducesTrainingError) {
@@ -213,7 +279,9 @@ TEST(GbrfPredictRows, BitIdenticalToPredictOneAtEveryRowCount) {
   GradientBoostedRegressor single(cfg);
   single.fit(x, column);
 
-  for (const Index n : {Index{1}, Index{7}, Index{64}}) {
+  // Every position in the 4-row block and every tail length, at 1-4 blocks.
+  for (const Index n : {Index{1}, Index{2}, Index{3}, Index{4}, Index{5}, Index{6}, Index{7},
+                        Index{8}, Index{9}, Index{16}, Index{17}, Index{64}}) {
     // Queries extend past the training range, so the edge leaves are hit too.
     Tensor q({n, d});
     for (Index i = 0; i < q.numel(); ++i) q[i] = rng.uniform(-1.5F, 1.5F);
